@@ -78,7 +78,6 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureResult,
-    composite_simpson,
     integrate,
     integrate_result,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "classical_partial_sum",
     "coefficients_via_periodic_split",
     "compare_orders",
-    "composite_simpson",
     "decay_exponent",
     "eigenpair",
     "error_profile",

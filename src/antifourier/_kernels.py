@@ -15,16 +15,30 @@ parity.  Two integration paths are used:
 * sampled bodies: each panel of the piecewise-linear interpolant is
   integrated against each atom in closed form, so no quadrature error is
   aliased with interpolation error.
+
+Every series in the package is evaluated by one sum,
+
+    shift + sum_m (c_m cos(mult_m pi x / L) + s_m sin(mult_m pi x / L)),
+
+in :func:`trig_sum`: the classical series (shift a_0/2, mult n) in
+``classical_partial_sum``, the half-integer series (shift gamma, mult
+n + 1/2) in ``antiperiodic_partial_sum``, and the heat solution and its
+x-derivative (weights scaled by e^(lambda_n k t)) in ``heat_eval`` and
+``heat_eval_dx``.  The coefficient containers share :func:`freeze_fields`
+and :func:`check_order`, and every coefficient loop tags quadrature
+failures with :func:`tag_nonconvergence`.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._trig import cospi, sinpi
 from .catalog import FunctionSpec, Sampled, evaluate
+from .errors import NonConvergence, OrderExceedsTruncation
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 
 
@@ -104,3 +118,58 @@ def project(
         return folded * kernel_values(atoms, L, x)
 
     return integrate(integrand, 0.0, L, cfg)
+
+
+def trig_sum(L, shift, mults, cos_w, sin_w, x):
+    """Return shift + sum_m (cos_w[m] cospi(mults[m] x / L) + sin_w[m] sinpi(...)).
+
+    Scalar ``x`` gives a float, array ``x`` an array of its shape.
+    """
+    u = np.asarray(x, dtype=float) / L
+    phase = np.multiply.outer(mults, u)
+    value = (
+        shift
+        + np.tensordot(cos_w, cospi(phase), axes=1)
+        + np.tensordot(sin_w, sinpi(phase), axes=1)
+    )
+    if np.ndim(x) == 0:
+        return float(value)
+    return value
+
+
+def check_order(M, N: int) -> int:
+    """Return the partial-sum order M (None means the stored order N)."""
+    if M is None:
+        return N
+    if M > N:
+        raise OrderExceedsTruncation(f"M={M} exceeds stored order N={N}")
+    if M < 0:
+        raise ValueError("partial-sum order must be nonnegative")
+    return M
+
+
+def freeze_fields(obj, first: str, second: str, extra: int = 0) -> None:
+    """Store two fields of frozen dataclass ``obj`` as finite read-only arrays.
+
+    ``first`` must hold ``extra`` more entries than ``second`` and at least one.
+    """
+    arrays = {name: np.asarray(getattr(obj, name), dtype=float) for name in (first, second)}
+    if arrays[first].size != arrays[second].size + extra or arrays[first].size == 0:
+        raise ValueError(f"expected len({first}) == len({second}) + {extra} > 0")
+    if not all(np.isfinite(array).all() for array in arrays.values()):
+        raise ValueError("coefficients must be finite")
+    for name, array in arrays.items():
+        array.flags.writeable = False
+        object.__setattr__(obj, name, array)
+
+
+@contextmanager
+def tag_nonconvergence(what: str, index: int, kind: str):
+    """Re-raise NonConvergence as the failure of coefficient ``what`` n=index."""
+    try:
+        yield
+    except NonConvergence as exc:
+        raise NonConvergence(
+            f"{what} n={index} did not converge: {exc}",
+            achieved=exc.achieved, target=exc.target, index=index, kind=kind,
+        ) from exc

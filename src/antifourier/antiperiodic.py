@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import TrigAtom, project
+from ._kernels import TrigAtom, check_order, freeze_fields, project, tag_nonconvergence, trig_sum
 from ._trig import cospi, sinpi
 from .catalog import FunctionSpec, evaluate
-from .errors import NonConvergence, OrderExceedsTruncation
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 
@@ -39,20 +38,9 @@ class AntiperiodicCoefficients:
     beta: np.ndarray
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        beta = np.asarray(self.beta, dtype=float)
-        if alpha.size != beta.size:
-            raise ValueError("alpha and beta must have equal length")
-        if alpha.size == 0:
-            raise ValueError("need at least order 0")
-        if not (
-            np.isfinite(alpha).all() and np.isfinite(beta).all() and np.isfinite(self.gamma)
-        ):
+        if not np.isfinite(self.gamma):
             raise ValueError("coefficients must be finite")
-        alpha.flags.writeable = False
-        beta.flags.writeable = False
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        freeze_fields(self, "alpha", "beta")
 
     @property
     def N(self) -> int:
@@ -60,8 +48,7 @@ class AntiperiodicCoefficients:
 
     def truncated(self, M: int) -> "AntiperiodicCoefficients":
         """Copy truncated to order M <= N."""
-        if M > self.N:
-            raise OrderExceedsTruncation(f"M={M} exceeds stored order N={self.N}")
+        M = check_order(M, self.N)
         return AntiperiodicCoefficients(
             self.L, self.gamma, self.alpha[: M + 1].copy(), self.beta[: M + 1].copy()
         )
@@ -86,25 +73,17 @@ def half_basis(n: int, L: float, x):
 
 def _coefficients_with_shift(f, shift, N, cfg):
     """alpha/beta arrays of f - shift on the half-integer basis."""
+    if N < 0:
+        raise ValueError("truncation order must be nonnegative")
     L = f.L
     alpha = np.empty(N + 1)
     beta = np.empty(N + 1)
     for n in range(N + 1):
         mult = n + 0.5
-        try:
+        with tag_nonconvergence("half-cosine coefficient", n, "cos"):
             alpha[n] = project(f, shift, (TrigAtom("cos", 1.0, mult),), cfg) / L
-        except NonConvergence as exc:
-            raise NonConvergence(
-                f"half-cosine coefficient n={n} did not converge: {exc}",
-                achieved=exc.achieved, target=exc.target, index=n, kind="cos",
-            ) from exc
-        try:
+        with tag_nonconvergence("half-sine coefficient", n, "sin"):
             beta[n] = project(f, shift, (TrigAtom("sin", 1.0, mult),), cfg) / L
-        except NonConvergence as exc:
-            raise NonConvergence(
-                f"half-sine coefficient n={n} did not converge: {exc}",
-                achieved=exc.achieved, target=exc.target, index=n, kind="sin",
-            ) from exc
     return alpha, beta
 
 
@@ -112,8 +91,6 @@ def antiperiodic_coefficients(
     f: FunctionSpec, N: int, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> AntiperiodicCoefficients:
     """Compute gamma, alpha_0..alpha_N, beta_0..beta_N of ``f`` by quadrature."""
-    if N < 0:
-        raise ValueError("truncation order must be nonnegative")
     gamma = shift_gamma(f)
     alpha, beta = _coefficients_with_shift(f, gamma, N, cfg)
     return AntiperiodicCoefficients(f.L, gamma, alpha, beta)
@@ -124,23 +101,11 @@ def antiperiodic_partial_sum(coeffs: AntiperiodicCoefficients, x, M: int | None 
 
     Defined for all real x; the sum minus gamma is 2L-antiperiodic.
     """
-    if M is None:
-        M = coeffs.N
-    if M > coeffs.N:
-        raise OrderExceedsTruncation(f"M={M} exceeds stored order N={coeffs.N}")
-    if M < 0:
-        raise ValueError("partial-sum order must be nonnegative")
-    u = np.asarray(x, dtype=float) / coeffs.L
+    M = check_order(M, coeffs.N)
     mults = np.arange(M + 1, dtype=float) + 0.5
-    phase = np.multiply.outer(mults, u)
-    value = (
-        coeffs.gamma
-        + np.tensordot(coeffs.alpha[: M + 1], cospi(phase), axes=1)
-        + np.tensordot(coeffs.beta[: M + 1], sinpi(phase), axes=1)
+    return trig_sum(
+        coeffs.L, coeffs.gamma, mults, coeffs.alpha[: M + 1], coeffs.beta[: M + 1], x
     )
-    if np.ndim(x) == 0:
-        return float(value)
-    return value
 
 
 def coefficients_via_periodic_split(
@@ -167,13 +132,8 @@ def coefficients_via_periodic_split(
     K = N + 1
 
     def _proj(atoms, n, kind):
-        try:
+        with tag_nonconvergence(f"periodic-split {kind} coefficient", n, kind):
             return project(f, gamma, atoms, cfg) / L
-        except NonConvergence as exc:
-            raise NonConvergence(
-                f"periodic-split {kind} coefficient n={n} did not converge: {exc}",
-                achieved=exc.achieved, target=exc.target, index=n, kind=kind,
-            ) from exc
 
     a = np.empty(K + 1)
     b = np.empty(K + 1)  # b[0] unused

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import TrigAtom, project
-from ._trig import cospi, sinpi
+from ._kernels import TrigAtom, check_order, freeze_fields, project, tag_nonconvergence, trig_sum
+from ._trig import cospi, sinpi  # noqa: F401  (bench/tracer.py wraps classical.cospi/sinpi)
 from .catalog import FunctionSpec
-from .errors import NonConvergence, OrderExceedsTruncation
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 
@@ -37,16 +36,7 @@ class ClassicalCoefficients:
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if a.size != b.size + 1:
-            raise ValueError("expected len(a) == len(b) + 1")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ValueError("coefficients must be finite")
-        a.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        freeze_fields(self, "a", "b", extra=1)
 
     @property
     def N(self) -> int:
@@ -54,8 +44,7 @@ class ClassicalCoefficients:
 
     def truncated(self, M: int) -> "ClassicalCoefficients":
         """Copy truncated to order M <= N."""
-        if M > self.N:
-            raise OrderExceedsTruncation(f"M={M} exceeds stored order N={self.N}")
+        M = check_order(M, self.N)
         return ClassicalCoefficients(self.L, self.a[: M + 1].copy(), self.b[:M].copy())
 
 
@@ -73,21 +62,11 @@ def classical_coefficients(
     a = np.empty(N + 1)
     b = np.empty(N)
     for n in range(N + 1):
-        try:
+        with tag_nonconvergence("cosine coefficient", n, "cos"):
             a[n] = project(f, 0.0, (TrigAtom("cos", 1.0, float(n)),), cfg) / L
-        except NonConvergence as exc:
-            raise NonConvergence(
-                f"cosine coefficient n={n} did not converge: {exc}",
-                achieved=exc.achieved, target=exc.target, index=n, kind="cos",
-            ) from exc
     for n in range(1, N + 1):
-        try:
+        with tag_nonconvergence("sine coefficient", n, "sin"):
             b[n - 1] = project(f, 0.0, (TrigAtom("sin", 1.0, float(n)),), cfg) / L
-        except NonConvergence as exc:
-            raise NonConvergence(
-                f"sine coefficient n={n} did not converge: {exc}",
-                achieved=exc.achieved, target=exc.target, index=n, kind="sin",
-            ) from exc
     return ClassicalCoefficients(L, a, b)
 
 
@@ -96,20 +75,6 @@ def classical_partial_sum(coeffs: ClassicalCoefficients, x, M: int | None = None
 
     Defined for all real x (the sum is the 2L-periodic extension).
     """
-    if M is None:
-        M = coeffs.N
-    if M > coeffs.N:
-        raise OrderExceedsTruncation(f"M={M} exceeds stored order N={coeffs.N}")
-    if M < 0:
-        raise ValueError("partial-sum order must be nonnegative")
-    u = np.asarray(x, dtype=float) / coeffs.L
-    n = np.arange(1, M + 1, dtype=float)
-    phase = np.multiply.outer(n, u)
-    value = (
-        0.5 * coeffs.a[0]
-        + np.tensordot(coeffs.a[1 : M + 1], cospi(phase), axes=1)
-        + np.tensordot(coeffs.b[:M], sinpi(phase), axes=1)
-    )
-    if np.ndim(x) == 0:
-        return float(value)
-    return value
+    M = check_order(M, coeffs.N)
+    mults = np.arange(1, M + 1, dtype=float)
+    return trig_sum(coeffs.L, 0.5 * coeffs.a[0], mults, coeffs.a[1 : M + 1], coeffs.b[:M], x)

@@ -1,7 +1,8 @@
 """Command-line interface emitting JSON/CSV plot data.
 
 Exit codes: 0 success, 1 numerical failure (non-convergent quadrature,
-incompatible heat data), 2 flag or function-spec parse errors.
+incompatible heat data), 2 flag, function-spec, input-file or output-path
+errors.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from .antiperiodic import antiperiodic_coefficients, half_basis
 from .catalog import evaluate, parse_function_spec
 from .classical import classical_coefficients
 from .diagnostics import (
+    DEFAULT_ORDERS,
+    MIN_SUBGRID_POINTS,
     REPORT_COLUMNS,
     compare_orders,
     gibbs_overshoot,
@@ -29,6 +32,11 @@ from .heat import HeatProblem, heat_eval, heat_eval_dx, solve_heat
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 ENV_QUAD_TOL = "ANTIFOURIER_QUAD_TOL"
+# --kind choices and the series each one selects
+_KINDS = {
+    "classical": ("classical",), "anti": ("antiperiodic",), "both": ("classical", "antiperiodic")
+}
+GIBBS_COLUMNS = ("series_kind", "order", "window_fraction", "subgrid_points", "overshoot")
 
 _EPILOG = f"""\
 function spec grammar:
@@ -41,7 +49,7 @@ CSV column orders:
   coeffs   kind,n,cos,sin,gamma   (gamma empty for classical, sin empty at n=0)
   eval     x,f[,classical][,antiperiodic]
   compare  {",".join(REPORT_COLUMNS)}
-  gibbs    series_kind,order,window_fraction,subgrid_points,overshoot
+  gibbs    {",".join(GIBBS_COLUMNS)}
   heat     x,t,u[,ux]
   basis    n,x,cos,sin
 
@@ -50,97 +58,54 @@ tolerance; the --quad-tol flag beats the environment variable.
 """
 
 
-def _interval_type(text: str) -> float:
-    if text.strip().lower() == "pi":
-        return math.pi
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive number or 'pi', got {text!r}"
-        ) from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"interval half-width must be positive, got {text!r}")
-    return value
+def _arg(cast, ok, what, many=False):
+    """argparse type: ``cast`` the text (each comma-separated token if ``many``)
+    and accept a value only where ``ok(value)`` holds."""
+
+    def parse(text):
+        values = []
+        for token in text.split(",") if many else (text,):
+            try:
+                value = cast(token)
+                accepted = ok(value)
+            except ValueError:
+                accepted = False
+            if not accepted:
+                raise argparse.ArgumentTypeError(f"expected {what}, got {token!r}")
+            values.append(value)
+        return tuple(values) if many else values[0]
+
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
+def _positive(value) -> bool:
+    return math.isfinite(value) and value > 0.0
 
 
-def _any_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
-
-
-def _grid_type(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError("grid needs at least 2 points")
-    return value
-
-
-def _times_type(text: str):
-    out = []
-    for token in text.split(","):
-        try:
-            value = float(token)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad time value {token!r}") from None
-        if not (math.isfinite(value) and value >= 0.0):
-            raise argparse.ArgumentTypeError(f"times must be nonnegative, got {token!r}")
-        out.append(value)
-    return tuple(out)
-
-
-def _orders_type(text: str):
-    out = []
-    for token in text.split(","):
-        try:
-            value = int(token)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad order {token!r}") from None
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"orders must be nonnegative, got {token!r}")
-        out.append(value)
-    if not out:
-        raise argparse.ArgumentTypeError("need at least one order")
-    return tuple(out)
+_INTERVAL = _arg(
+    lambda text: math.pi if text.strip().lower() == "pi" else float(text),
+    _positive, "a positive half-width or 'pi'",
+)
+_POSITIVE = _arg(float, _positive, "a positive number")
+_FINITE = _arg(float, math.isfinite, "a finite number")
+_ORDER = _arg(int, lambda v: v >= 0, "a nonnegative integer")
+_GRID = _arg(int, lambda v: v >= 2, "an integer of at least 2")
+# the window and subgrid rules of gibbs_overshoot, checked before any work
+_WINDOW = _arg(float, lambda v: 0.0 < v < 0.5, "a number strictly between 0 and 0.5")
+_SUBGRID = _arg(int, lambda v: v >= MIN_SUBGRID_POINTS, f"at least {MIN_SUBGRID_POINTS} points")
+_TIMES = _arg(float, lambda v: math.isfinite(v) and v >= 0.0, "nonnegative times", many=True)
+_ORDERS = _arg(int, lambda v: v >= 0, "nonnegative orders", many=True)
 
 
 def _add_common(sub, with_function=True):
     if with_function:
         sub.add_argument("--function", required=True, help="function spec (see grammar below)")
     sub.add_argument(
-        "--interval", required=True, type=_interval_type, metavar="L|pi",
+        "--interval", required=True, type=_INTERVAL, metavar="L|pi",
         help="half-width L of the symmetric interval [-L, L]; 'pi' is accepted",
     )
     sub.add_argument(
-        "--quad-tol", type=_positive_float, default=None,
+        "--quad-tol", type=_POSITIVE, default=None,
         help="absolute quadrature tolerance (default 1e-10)",
     )
     sub.add_argument("--format", choices=("json", "csv"), default="json")
@@ -160,14 +125,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="compute series coefficients")
     _add_common(p)
-    p.add_argument("--kind", choices=("classical", "anti", "both"), default="both")
-    p.add_argument("--n", type=_nonneg_int, default=32, help="truncation order")
+    p.add_argument("--kind", choices=_KINDS, default="both")
+    p.add_argument("--n", type=_ORDER, default=32, help="truncation order")
 
     p = sub.add_parser("eval", help="evaluate partial sums on a grid")
     _add_common(p)
-    p.add_argument("--kind", choices=("classical", "anti", "both"), default="both")
-    p.add_argument("--n", type=_nonneg_int, default=32, help="truncation order")
-    p.add_argument("--grid", type=_grid_type, default=201, help="number of grid points")
+    p.add_argument("--kind", choices=_KINDS, default="both")
+    p.add_argument("--n", type=_ORDER, default=32, help="truncation order")
+    p.add_argument("--grid", type=_GRID, default=201, help="number of grid points")
     p.add_argument(
         "--coeffs-file", default=None,
         help="reuse coefficients from a 'coeffs --format json' output file",
@@ -176,33 +141,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="diagnostics ladder over truncation orders")
     _add_common(p)
     p.add_argument(
-        "--orders", type=_orders_type, default=(10, 25, 50, 100, 200, 400),
-        metavar="M1,M2,...", help="truncation orders (default 10,25,50,100,200,400)",
+        "--orders", type=_ORDERS, default=DEFAULT_ORDERS, metavar="M1,M2,...",
+        help=f"truncation orders (default {','.join(map(str, DEFAULT_ORDERS))})",
     )
-    p.add_argument("--grid", type=_grid_type, default=2001, help="error-profile grid (odd)")
-    p.add_argument("--window-fraction", type=_positive_float, default=0.1)
-    p.add_argument("--subgrid", type=_grid_type, default=4001, help="overshoot window grid")
+    p.add_argument("--grid", type=_GRID, default=2001, help="error-profile grid (odd)")
+    p.add_argument("--window-fraction", type=_WINDOW, default=0.1)
+    p.add_argument("--subgrid", type=_SUBGRID, default=4001, help="overshoot window grid")
 
     p = sub.add_parser("gibbs", help="endpoint overshoot report")
     _add_common(p)
-    p.add_argument("--kind", choices=("classical", "anti", "both"), default="both")
-    p.add_argument("--n", type=_nonneg_int, default=400, help="truncation order")
-    p.add_argument("--window-fraction", type=_positive_float, default=0.1)
-    p.add_argument("--subgrid", type=_grid_type, default=4001, help="overshoot window grid")
+    p.add_argument("--kind", choices=_KINDS, default="both")
+    p.add_argument("--n", type=_ORDER, default=400, help="truncation order")
+    p.add_argument("--window-fraction", type=_WINDOW, default=0.1)
+    p.add_argument("--subgrid", type=_SUBGRID, default=4001, help="overshoot window grid")
 
     p = sub.add_parser("heat", help="solve the mean-value heat problem")
     _add_common(p)
-    p.add_argument("--k", type=_positive_float, default=1.0, help="diffusivity")
-    p.add_argument("--c", type=_any_float, default=1.0, help="boundary mean temperature")
-    p.add_argument("--n", type=_nonneg_int, default=10, help="truncation order")
-    p.add_argument("--times", type=_times_type, default=(0.0, 0.5, 1.0), metavar="T1,T2,...")
-    p.add_argument("--grid", type=_grid_type, default=101, help="number of x grid points")
+    p.add_argument("--k", type=_POSITIVE, default=1.0, help="diffusivity")
+    p.add_argument("--c", type=_FINITE, default=1.0, help="boundary mean temperature")
+    p.add_argument("--n", type=_ORDER, default=10, help="truncation order")
+    p.add_argument("--times", type=_TIMES, default=(0.0, 0.5, 1.0), metavar="T1,T2,...")
+    p.add_argument("--grid", type=_GRID, default=101, help="number of x grid points")
     p.add_argument("--flux", action="store_true", help="also emit the x-derivative column")
 
     p = sub.add_parser("basis", help="sample the half-integer basis functions")
     _add_common(p, with_function=False)
-    p.add_argument("--n", type=_nonneg_int, default=4, help="largest basis index")
-    p.add_argument("--grid", type=_grid_type, default=101, help="number of x grid points")
+    p.add_argument("--n", type=_ORDER, default=4, help="largest basis index")
+    p.add_argument("--grid", type=_GRID, default=101, help="number of x grid points")
 
     return parser
 
@@ -224,14 +189,6 @@ def _quad_config(args) -> QuadratureConfig:
         raise ValidationError(str(exc)) from exc
 
 
-def _kinds(kind: str):
-    if kind == "classical":
-        return ("classical",)
-    if kind == "anti":
-        return ("antiperiodic",)
-    return ("classical", "antiperiodic")
-
-
 def _compute_series(spec, kinds, N, cfg):
     out = {}
     if "classical" in kinds:
@@ -243,7 +200,7 @@ def _compute_series(spec, kinds, N, cfg):
 
 def _cmd_coeffs(args, cfg) -> str:
     spec = parse_function_spec(args.function, args.interval)
-    kinds = _kinds(args.kind)
+    kinds = _KINDS[args.kind]
     series = _compute_series(spec, kinds, args.n, cfg)
     if args.format == "json":
         if len(series) == 1:
@@ -267,7 +224,7 @@ def _cmd_coeffs(args, cfg) -> str:
 
 def _cmd_eval(args, cfg) -> str:
     spec = parse_function_spec(args.function, args.interval)
-    kinds = _kinds(args.kind)
+    kinds = _KINDS[args.kind]
     if args.coeffs_file:
         loaded = io.load_coefficients(args.coeffs_file)
         series = {}
@@ -298,6 +255,13 @@ def _cmd_eval(args, cfg) -> str:
     return io.csv_text(header, rows)
 
 
+def _table(args, header, rows) -> str:
+    """Rows as a JSON list of objects keyed by ``header``, or as CSV."""
+    if args.format == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows]) + "\n"
+    return io.csv_text(header, rows)
+
+
 def _cmd_compare(args, cfg) -> str:
     if args.grid % 2 == 0 or args.grid < 3:
         raise ValidationError("--grid must be odd and at least 3 for compare")
@@ -313,14 +277,12 @@ def _cmd_compare(args, cfg) -> str:
         window_fraction=args.window_fraction,
         subgrid_points=args.subgrid,
     )
-    if args.format == "json":
-        return json.dumps([{c: getattr(r, c) for c in REPORT_COLUMNS} for r in rows]) + "\n"
-    return io.report_csv(rows)
+    return _table(args, REPORT_COLUMNS, [[getattr(r, c) for c in REPORT_COLUMNS] for r in rows])
 
 
 def _cmd_gibbs(args, cfg) -> str:
     spec = parse_function_spec(args.function, args.interval)
-    kinds = _kinds(args.kind)
+    kinds = _KINDS[args.kind]
     series = _compute_series(spec, kinds, args.n, cfg)
     rows = [
         (
@@ -332,12 +294,7 @@ def _cmd_gibbs(args, cfg) -> str:
         )
         for kind in kinds
     ]
-    if args.format == "json":
-        keys = ("series_kind", "order", "window_fraction", "subgrid_points", "overshoot")
-        return json.dumps([dict(zip(keys, row)) for row in rows]) + "\n"
-    return io.csv_text(
-        ("series_kind", "order", "window_fraction", "subgrid_points", "overshoot"), rows
-    )
+    return _table(args, GIBBS_COLUMNS, rows)
 
 
 def _cmd_heat(args, cfg) -> str:
@@ -345,54 +302,31 @@ def _cmd_heat(args, cfg) -> str:
     problem = HeatProblem(k=args.k, L=args.interval, boundary_mean=args.c, initial=spec)
     sol = solve_heat(problem, args.n, cfg)
     xs = np.linspace(-args.interval, args.interval, args.grid)
-    u_rows = [heat_eval(sol, xs, t) for t in args.times]
-    ux_rows = [heat_eval_dx(sol, xs, t) for t in args.times] if args.flux else None
+    grid = xs.tolist()
+    fields = {"u": heat_eval, "ux": heat_eval_dx} if args.flux else {"u": heat_eval}
+    # one list of values on xs per field and time
+    data = {name: [fn(sol, xs, t).tolist() for t in args.times] for name, fn in fields.items()}
     if args.format == "json":
-        payload = {
-            "solution": io.to_dict(sol),
-            "x": xs.tolist(),
-            "times": list(args.times),
-            "u": [np.asarray(row).tolist() for row in u_rows],
-        }
-        if ux_rows is not None:
-            payload["ux"] = [np.asarray(row).tolist() for row in ux_rows]
-        return json.dumps(payload) + "\n"
-    header = ("x", "t", "u", "ux") if args.flux else ("x", "t", "u")
-    rows = []
-    for j, t in enumerate(args.times):
-        for i, x in enumerate(xs):
-            row = [float(x), float(t), float(u_rows[j][i])]
-            if ux_rows is not None:
-                row.append(float(ux_rows[j][i]))
-            rows.append(row)
-    return io.csv_text(header, rows)
+        payload = {"solution": io.to_dict(sol), "x": grid, "times": list(args.times)}
+        return json.dumps({**payload, **data}) + "\n"
+    rows = [
+        [x, t, *(values[j][i] for values in data.values())]
+        for j, t in enumerate(args.times)
+        for i, x in enumerate(grid)
+    ]
+    return io.csv_text(("x", "t", *data), rows)
 
 
 def _cmd_basis(args, cfg) -> str:
     del cfg  # basis sampling needs no quadrature
     xs = np.linspace(-args.interval, args.interval, args.grid)
-    cos_rows = []
-    sin_rows = []
-    for n in range(args.n + 1):
-        c, s = half_basis(n, args.interval, xs)
-        cos_rows.append(np.asarray(c))
-        sin_rows.append(np.asarray(s))
+    grid = xs.tolist()
+    indices = range(args.n + 1)
+    pairs = [[v.tolist() for v in half_basis(n, args.interval, xs)] for n in indices]
     if args.format == "json":
-        return (
-            json.dumps(
-                {
-                    "x": xs.tolist(),
-                    "n": list(range(args.n + 1)),
-                    "cos": [row.tolist() for row in cos_rows],
-                    "sin": [row.tolist() for row in sin_rows],
-                }
-            )
-            + "\n"
-        )
-    rows = []
-    for n in range(args.n + 1):
-        for i, x in enumerate(xs):
-            rows.append([n, float(x), float(cos_rows[n][i]), float(sin_rows[n][i])])
+        cos, sin = [[pair[k] for pair in pairs] for k in (0, 1)]
+        return json.dumps({"x": grid, "n": list(indices), "cos": cos, "sin": sin}) + "\n"
+    rows = [[n, x, c[i], s[i]] for n, (c, s) in enumerate(pairs) for i, x in enumerate(grid)]
     return io.csv_text(("n", "x", "cos", "sin"), rows)
 
 
@@ -415,7 +349,9 @@ def main(argv=None) -> int:
     try:
         cfg = _quad_config(args)
         text = _HANDLERS[args.command](args, cfg)
-    except (ParseError, ValidationError) as exc:
+        if args.out:
+            io.write_text_atomic(args.out, text)
+    except (ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"antifourier: error: {exc}", file=sys.stderr)
         return 2
     except AntifourierError as exc:
@@ -424,9 +360,7 @@ def main(argv=None) -> int:
             sys.stdout.write(json.dumps(error) + "\n")
         print(f"antifourier: error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        io.write_text_atomic(args.out, text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

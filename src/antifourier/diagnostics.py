@@ -39,6 +39,9 @@ REPORT_COLUMNS = (
 
 DEFAULT_ORDERS = (10, 25, 50, 100, 200, 400)
 
+# Fewest overshoot-window points that resolve the Gibbs spike.
+MIN_SUBGRID_POINTS = 2000
+
 
 @dataclass(frozen=True)
 class ErrorProfile:
@@ -109,8 +112,10 @@ def gibbs_overshoot(
     """
     if not 0.0 < window_fraction < 0.5:
         raise ValueError("window_fraction must lie strictly between 0 and 0.5")
-    if subgrid_points < 2000:
-        raise ValueError("subgrid_points must be at least 2000 to resolve the spike")
+    if subgrid_points < MIN_SUBGRID_POINTS:
+        raise ValueError(
+            f"subgrid_points must be at least {MIN_SUBGRID_POINTS} to resolve the spike"
+        )
     L = f.L
     right = np.linspace(L * (1.0 - window_fraction), L, subgrid_points)
     left = np.linspace(-L, -L * (1.0 - window_fraction), subgrid_points)
@@ -141,9 +146,7 @@ def decay_exponent(series: SeriesCoefficients, order: Optional[int] = None) -> f
     n in [max(2, N // 4), N], excluding magnitudes below 1e-13 (numerical
     zeros).  Raises InsufficientData with fewer than 4 usable entries.
     """
-    N = series.N if order is None else order
-    if order is not None and order > series.N:
-        N = series.N
+    N = series.N if order is None else min(order, series.N)
     n, mags = _magnitude_sequence(series)
     lo = max(2, N // 4)
     window = (n >= lo) & (n <= N)

@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import check_order, freeze_fields, trig_sum
 from ._trig import cospi, sinpi
 from .antiperiodic import _coefficients_with_shift
 from .catalog import FunctionSpec, evaluate
-from .errors import IncompatibleData, NegativeTime, OrderExceedsTruncation
+from .errors import IncompatibleData, NegativeTime
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 # |f(-L) + f(L) - 2c| above this is rejected as incompatible initial data.
@@ -70,16 +71,7 @@ class HeatSolution:
     B: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        if A.size != B.size or A.size == 0:
-            raise ValueError("A and B must have equal, nonzero length")
-        if not (np.isfinite(A).all() and np.isfinite(B).all()):
-            raise ValueError("modal coefficients must be finite")
-        A.flags.writeable = False
-        B.flags.writeable = False
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
+        freeze_fields(self, "A", "B")
 
     @property
     def N(self) -> int:
@@ -115,59 +107,33 @@ def solve_heat(
     The compatibility invariant guarantees the shift of f - c is below
     COMPATIBILITY_TOL, so no residual constant is dropped.
     """
-    if N < 0:
-        raise ValueError("truncation order must be nonnegative")
     A, B = _coefficients_with_shift(problem.initial, problem.boundary_mean, N, cfg)
     return HeatSolution(problem.k, problem.L, problem.boundary_mean, A, B)
 
 
-def _decay_factors(sol: HeatSolution, t: float, M: int):
-    mults = np.arange(M + 1, dtype=float) + 0.5
-    omega = mults * (np.pi / sol.L)
-    return mults, np.exp(-(omega * omega) * (sol.k * t))
-
-
-def _check_eval_args(sol, t, M):
-    if M is None:
-        M = sol.N
-    if M > sol.N:
-        raise OrderExceedsTruncation(f"M={M} exceeds stored order N={sol.N}")
-    if M < 0:
-        raise ValueError("partial-sum order must be nonnegative")
+def _modes(sol: HeatSolution, t: float, M):
+    """Checked order M with multipliers n + 1/2, omega_n and e^(lambda_n k t)."""
+    M = check_order(M, sol.N)
     if t < 0.0:
         raise NegativeTime(f"heat solution is not defined for t={t!r} < 0")
-    return M
+    mults = np.arange(M + 1, dtype=float) + 0.5
+    omega = mults * (np.pi / sol.L)
+    return M, mults, omega, np.exp(-(omega * omega) * (sol.k * t))
 
 
 def heat_eval(sol: HeatSolution, x, t: float, M: int | None = None):
     """Evaluate the order-M solution at position(s) ``x`` and time ``t >= 0``."""
-    M = _check_eval_args(sol, t, M)
-    mults, decay = _decay_factors(sol, t, M)
-    u = np.asarray(x, dtype=float) / sol.L
-    phase = np.multiply.outer(mults, u)
-    value = (
-        sol.boundary_mean
-        + np.tensordot(sol.A[: M + 1] * decay, cospi(phase), axes=1)
-        + np.tensordot(sol.B[: M + 1] * decay, sinpi(phase), axes=1)
-    )
-    if np.ndim(x) == 0:
-        return float(value)
-    return value
+    M, mults, _, decay = _modes(sol, t, M)
+    A, B = sol.A[: M + 1], sol.B[: M + 1]
+    return trig_sum(sol.L, sol.boundary_mean, mults, A * decay, B * decay, x)
 
 
 def heat_eval_dx(sol: HeatSolution, x, t: float, M: int | None = None):
     """Termwise x-derivative of :func:`heat_eval` (the heat flux up to -k)."""
-    M = _check_eval_args(sol, t, M)
-    mults, decay = _decay_factors(sol, t, M)
-    omega = mults * (np.pi / sol.L)
-    u = np.asarray(x, dtype=float) / sol.L
-    phase = np.multiply.outer(mults, u)
-    value = np.tensordot(sol.B[: M + 1] * decay * omega, cospi(phase), axes=1) - np.tensordot(
-        sol.A[: M + 1] * decay * omega, sinpi(phase), axes=1
-    )
-    if np.ndim(x) == 0:
-        return float(value)
-    return value
+    M, mults, omega, decay = _modes(sol, t, M)
+    A, B = sol.A[: M + 1], sol.B[: M + 1]
+    # shift -0.0 adds nothing, not even to the sign of a zero
+    return trig_sum(sol.L, -0.0, mults, B * decay * omega, -(A * decay * omega), x)
 
 
 @dataclass(frozen=True)
@@ -191,8 +157,6 @@ class ResidualReport:
 
 def verify_solution(sol: HeatSolution, xs, ts, h: float, M: int | None = None) -> ResidualReport:
     """Max PDE residual of the order-M evaluation over interior grid points."""
-    if M is None:
-        M = sol.N
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
     if not (h > 0.0 and np.isfinite(h)):
@@ -201,6 +165,7 @@ def verify_solution(sol: HeatSolution, xs, ts, h: float, M: int | None = None) -
         raise ValueError("residual grid must be interior: |x| < L")
     if np.any(ts - h <= 0.0):
         raise ValueError("need t - h > 0 at every grid time")
+    M, _, omega, _ = _modes(sol, 0.0, M)
     worst = 0.0
     for t in ts:
         t = float(t)
@@ -212,8 +177,6 @@ def verify_solution(sol: HeatSolution, xs, ts, h: float, M: int | None = None) -
         ) / (h * h)
         worst = max(worst, float(np.abs(ut - sol.k * uxx).max()))
 
-    mults, _ = _decay_factors(sol, 0.0, M)
-    omega = mults * (np.pi / sol.L)
     amps = np.abs(sol.A[: M + 1]) + np.abs(sol.B[: M + 1])
     t_min = float(ts.min()) - h
     envelope = np.exp(-(omega * omega) * (sol.k * t_min))

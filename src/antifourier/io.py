@@ -17,6 +17,8 @@ import json
 import os
 import tempfile
 
+import numpy as np
+
 from .antiperiodic import AntiperiodicCoefficients
 from .classical import ClassicalCoefficients
 from .diagnostics import REPORT_COLUMNS
@@ -31,59 +33,42 @@ def fmt(value) -> str:
     return str(value)
 
 
+# JSON keys of each kind in written order.  All keys but "N" are the
+# container's constructor arguments in order, the last two being its arrays;
+# "c" is stored as the attribute boundary_mean.
+_SCHEMAS = {
+    "classical": (ClassicalCoefficients, ("L", "N", "a", "b")),
+    "antiperiodic": (AntiperiodicCoefficients, ("L", "N", "gamma", "alpha", "beta")),
+    "heat": (HeatSolution, ("k", "L", "c", "N", "A", "B")),
+}
+
+
 def to_dict(obj) -> dict:
     """Serialize a coefficient or solution object to its JSON schema."""
-    if isinstance(obj, ClassicalCoefficients):
-        return {
-            "kind": "classical",
-            "L": obj.L,
-            "N": obj.N,
-            "a": obj.a.tolist(),
-            "b": obj.b.tolist(),
-        }
-    if isinstance(obj, AntiperiodicCoefficients):
-        return {
-            "kind": "antiperiodic",
-            "L": obj.L,
-            "N": obj.N,
-            "gamma": obj.gamma,
-            "alpha": obj.alpha.tolist(),
-            "beta": obj.beta.tolist(),
-        }
-    if isinstance(obj, HeatSolution):
-        return {
-            "kind": "heat",
-            "k": obj.k,
-            "L": obj.L,
-            "c": obj.boundary_mean,
-            "N": obj.N,
-            "A": obj.A.tolist(),
-            "B": obj.B.tolist(),
-        }
+    for kind, (cls, keys) in _SCHEMAS.items():
+        if isinstance(obj, cls):
+            out = {"kind": kind}
+            for key in keys:
+                value = getattr(obj, "boundary_mean" if key == "c" else key)
+                out[key] = value.tolist() if isinstance(value, np.ndarray) else value
+            return out
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def from_dict(data: dict):
     """Inverse of :func:`to_dict`."""
     try:
-        kind = data["kind"]
-        if kind == "classical":
-            obj = ClassicalCoefficients(float(data["L"]), data["a"], data["b"])
-        elif kind == "antiperiodic":
-            obj = AntiperiodicCoefficients(
-                float(data["L"]), float(data["gamma"]), data["alpha"], data["beta"]
-            )
-        elif kind == "heat":
-            obj = HeatSolution(
-                float(data["k"]), float(data["L"]), float(data["c"]), data["A"], data["B"]
-            )
-        else:
-            raise ValidationError(f"unknown coefficient kind {kind!r}")
+        if data["kind"] not in _SCHEMAS:
+            raise ValidationError(f"unknown coefficient kind {data['kind']!r}")
+        cls, keys = _SCHEMAS[data["kind"]]
+        *scalars, first, second = (key for key in keys if key != "N")
+        obj = cls(*(float(data[key]) for key in scalars), data[first], data[second])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed coefficient object: {exc}") from exc
-    if "N" in data and int(data["N"]) != obj.N:
+    declared = data.get("N", obj.N)
+    if type(declared) is not int or declared != obj.N:
         raise ValidationError(
-            f"declared order N={data['N']} does not match array length {obj.N}"
+            f"declared order N={declared!r} is not the array order {obj.N}"
         )
     return obj
 
@@ -104,7 +89,10 @@ def load_coefficients(path: str) -> dict:
     "classical"/"antiperiodic"/"heat" to deserialized objects.
     """
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: not a JSON file: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object")
     if "kind" in data:
@@ -137,7 +125,10 @@ def write_text_atomic(path: str, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file + rename; never leaves a
     partial file behind."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".antifourier-", suffix=".tmp")
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".antifourier-", suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

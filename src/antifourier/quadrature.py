@@ -1,10 +1,9 @@
-"""Simpson-rule quadrature with absolute error control.
+"""Adaptive Simpson quadrature with absolute error control.
 
-Two engines are provided: a composite rule that doubles the panel count
-until the Richardson error estimate meets the tolerance, and an adaptive
-rule that subdivides intervals where the local estimate is too large.
-Both reuse every integrand evaluation (panel boundaries and midpoints are
-never recomputed), so evaluation counts are deterministic for fixed inputs.
+The rule starts from equal panels and subdivides every interval whose
+Richardson error estimate is too large, all active intervals at once.  It
+reuses every integrand evaluation (panel boundaries and midpoints are never
+recomputed), so evaluation counts are deterministic for fixed inputs.
 Integrands must accept numpy arrays.
 """
 
@@ -16,8 +15,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInterval, NonConvergence
-
-METHODS = ("composite-simpson", "adaptive-simpson")
 
 _EPS = np.finfo(float).eps
 
@@ -35,20 +32,16 @@ _NOISE_FACTOR = 16.0
 class QuadratureConfig:
     """Integrator settings.
 
-    method: "adaptive-simpson" (default) or "composite-simpson".
     abs_tol: absolute error target for the whole integral.
-    max_subdivisions: recursion depth (adaptive) or panel doublings (composite).
+    max_subdivisions: maximum subdivision depth.
     base_panels: initial panel count; must be even and at least 2.
     """
 
-    method: str = "adaptive-simpson"
     abs_tol: float = 1e-10
     max_subdivisions: int = 30
     base_panels: int = 64
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not (np.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise ValueError("abs_tol must be positive and finite")
         if self.max_subdivisions < 1:
@@ -68,22 +61,6 @@ class QuadratureResult:
     refinements: int
 
 
-def composite_simpson(f: Callable, a: float, b: float, panels: int) -> float:
-    """Single-level composite Simpson rule on ``panels`` equal panels.
-
-    Exact for polynomials up to degree 3 (up to rounding).
-    """
-    if not a < b:
-        raise InvalidInterval(f"need a < b, got a={a!r}, b={b!r}")
-    if panels < 2 or panels % 2:
-        raise ValueError("panels must be even and at least 2")
-    xs = a + (b - a) * np.arange(panels + 1) / panels
-    xs[-1] = b
-    fx = np.asarray(f(xs), dtype=float)
-    h = (b - a) / panels
-    return float(h / 3.0 * (fx[0] + fx[-1] + 4.0 * fx[1::2].sum() + 2.0 * fx[2:-1:2].sum()))
-
-
 def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Integrate ``f`` over [a, b] to within ``cfg.abs_tol``.
 
@@ -94,7 +71,7 @@ def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig = DEFAULT_C
     a, b : float
         Integration bounds, a < b.
     cfg : QuadratureConfig
-        Method and tolerance settings.
+        Tolerance and refinement settings.
 
     Returns
     -------
@@ -120,38 +97,14 @@ def integrate_result(
         raise InvalidInterval(f"bounds must be finite, got a={a!r}, b={b!r}")
     if not a < b:
         raise InvalidInterval(f"need a < b, got a={a!r}, b={b!r}")
-    if cfg.method == "composite-simpson":
-        return _composite(f, a, b, cfg)
     return _adaptive(f, a, b, cfg)
 
 
-def _composite(f, a, b, cfg):
-    n = cfg.base_panels
-    xs = a + (b - a) * np.arange(n + 1) / n
-    xs[-1] = b
-    fx = np.asarray(f(xs), dtype=float)
-    evals = n + 1
-    h = (b - a) / n
-    trap = h * (fx.sum() - 0.5 * (fx[0] + fx[-1]))
-    simpson = h / 3.0 * (fx[0] + fx[-1] + 4.0 * fx[1::2].sum() + 2.0 * fx[2:-1:2].sum())
-    for level in range(1, cfg.max_subdivisions + 1):
-        mids = a + (b - a) * (np.arange(n) + 0.5) / n
-        fm = np.asarray(f(mids), dtype=float)
-        evals += n
-        trap_fine = 0.5 * trap + 0.5 * h * fm.sum()
-        simpson_fine = (4.0 * trap_fine - trap) / 3.0  # Simpson on the doubled grid
-        est = abs(simpson_fine - simpson) / 15.0
-        n *= 2
-        h *= 0.5
-        trap, simpson = trap_fine, simpson_fine
-        if est <= cfg.abs_tol:
-            return QuadratureResult(float(simpson), float(est), evals, level)
-    raise NonConvergence(
-        f"composite Simpson did not reach abs_tol={cfg.abs_tol:g} after "
-        f"{cfg.max_subdivisions} doublings (estimate {est:g})",
-        achieved=float(est),
-        target=cfg.abs_tol,
-    )
+def _halves(left, right):
+    """Interleave per-interval values of the left and right halves."""
+    out = np.empty(2 * left.size)
+    out[0::2], out[1::2] = left, right
+    return out
 
 
 def _simpson_batch(lo, hi, flo, fmid, fhi):
@@ -212,23 +165,12 @@ def _adaptive(f, a, b, cfg):
                 f"abs_tol={cfg.abs_tol:g} appears unattainable",
                 target=cfg.abs_tol,
             )
-        k = int(keep.sum())
-        new_lo = np.empty(2 * k)
-        new_hi = np.empty(2 * k)
-        new_mid = np.empty(2 * k)
-        new_flo = np.empty(2 * k)
-        new_fhi = np.empty(2 * k)
-        new_fmid = np.empty(2 * k)
-        new_s = np.empty(2 * k)
-        new_lo[0::2], new_lo[1::2] = lo[keep], mid[keep]
-        new_hi[0::2], new_hi[1::2] = mid[keep], hi[keep]
-        new_mid[0::2], new_mid[1::2] = lm[keep], rm[keep]
-        new_flo[0::2], new_flo[1::2] = flo[keep], fmid[keep]
-        new_fhi[0::2], new_fhi[1::2] = fmid[keep], fhi[keep]
-        new_fmid[0::2], new_fmid[1::2] = flm[keep], frm[keep]
-        new_s[0::2], new_s[1::2] = sl[keep], sr[keep]
-        new_tol = np.repeat(0.5 * tol[keep], 2)
-        lo, hi, mid = new_lo, new_hi, new_mid
-        flo, fhi, fmid = new_flo, new_fhi, new_fmid
-        s, tol = new_s, new_tol
+        # each kept interval is replaced by its left and right half, in order
+        lo, hi, mid, flo, fhi, fmid, s = [
+            _halves(left[keep], right[keep])
+            for left, right in (
+                (lo, mid), (mid, hi), (lm, rm), (flo, fmid), (fmid, fhi), (flm, frm), (sl, sr)
+            )
+        ]
+        tol = np.repeat(0.5 * tol[keep], 2)
     raise AssertionError("unreachable")  # loop exits via return or raise

@@ -12,6 +12,7 @@ from antifourier import (
     Polynomial,
     QuadratureConfig,
     Sampled,
+    ValidationError,
     classical_coefficients,
     classical_partial_sum,
 )
@@ -149,6 +150,14 @@ def test_json_round_trip_is_bit_exact(identity_pi):
     assert back.L == c.L
     np.testing.assert_array_equal(back.a, c.a)
     np.testing.assert_array_equal(back.b, c.b)
+
+
+@pytest.mark.parametrize("declared", ["x", 2.7, 3.0, None, 4])
+def test_declared_order_must_be_the_integer_array_order(identity_pi, declared):
+    d = to_dict(classical_coefficients(identity_pi, 3))
+    d["N"] = declared
+    with pytest.raises(ValidationError, match="declared order"):
+        from_dict(d)
 
 
 def test_serialized_shape(identity_pi):

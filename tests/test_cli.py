@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import antifourier
 from antifourier.cli import main
 from antifourier.diagnostics import REPORT_COLUMNS
 
@@ -308,11 +310,52 @@ class TestErrorsAndPlumbing:
         assert "ANTIFOURIER_QUAD_TOL" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gibbs", "--function", "named:identity", "--n", "4", "--window-fraction", "0.7"],
+        ["compare", "--function", "named:identity", "--orders", "4", "--window-fraction", "0.7"],
+        ["gibbs", "--function", "named:identity", "--n", "4", "--subgrid", "100"],
+        ["compare", "--function", "named:identity", "--orders", "4", "--subgrid", "100"],
+        ["coeffs", "--function", "csv:{tmp}/missing.csv"],
+        ["coeffs", "--function", "csv:{tmp}/latin-1.csv"],
+        ["eval", "--function", "named:identity", "--coeffs-file", "{tmp}/missing.json"],
+        ["eval", "--function", "named:identity", "--coeffs-file", "{tmp}/not-json.json"],
+        ["eval", "--function", "named:identity", "--coeffs-file", "{tmp}/fractional-n.json"],
+        ["basis", "--out", "{tmp}/no-such-dir/out.json"],
+    ],
+    ids=[
+        "gibbs-window", "compare-window", "gibbs-subgrid", "compare-subgrid", "missing-csv",
+        "csv-not-utf8", "missing-coeffs-file", "coeffs-file-not-json", "coeffs-file-fractional-n",
+        "out-dir-missing",
+    ],
+)
+def test_input_and_file_errors_exit_2(capsys, tmp_path, argv):
+    (tmp_path / "not-json.json").write_text("not json\n")
+    (tmp_path / "latin-1.csv").write_bytes(b"x,y\n-3.14,\xe9\n3.14,1\n")
+    blob = {"kind": "antiperiodic", "L": np.pi, "N": 2.7, "gamma": 0.0,
+            "alpha": [0.0, 0.0, 0.0], "beta": [1.0, 0.5, 0.25]}
+    (tmp_path / "fractional-n.json").write_text(json.dumps(blob))
+    inputs = sorted(tmp_path.iterdir())
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--interval", "pi", "--format", "json"]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error" in err and "Traceback" not in err
+    assert out == ""
+    assert sorted(tmp_path.iterdir()) == inputs  # no output or temp file
+
+
 def test_module_entry_point():
+    # the child imports the package from where this process found it, which
+    # under pytest's pythonpath setting need not be on PYTHONPATH
+    package_root = os.path.dirname(os.path.dirname(antifourier.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "antifourier", "basis", "--interval", "1", "--n", "0",
          "--grid", "3", "--format", "json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     data = json.loads(proc.stdout)

@@ -5,13 +5,11 @@ from antifourier import (
     InvalidInterval,
     NonConvergence,
     QuadratureConfig,
-    composite_simpson,
     integrate,
     integrate_result,
 )
 
 ADAPTIVE = QuadratureConfig()
-COMPOSITE = QuadratureConfig(method="composite-simpson")
 TOL = ADAPTIVE.abs_tol
 
 
@@ -25,7 +23,6 @@ def cos_sq_half(x):
 
 class TestConfig:
     def test_defaults(self):
-        assert ADAPTIVE.method == "adaptive-simpson"
         assert ADAPTIVE.abs_tol == 1e-10
         assert ADAPTIVE.base_panels == 64
         assert ADAPTIVE.max_subdivisions == 30
@@ -33,7 +30,6 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"method": "gauss"},
             {"abs_tol": 0.0},
             {"abs_tol": -1e-3},
             {"base_panels": 3},
@@ -46,7 +42,7 @@ class TestConfig:
             QuadratureConfig(**kwargs)
 
 
-@pytest.mark.parametrize("cfg", [ADAPTIVE, COMPOSITE], ids=["adaptive", "composite"])
+@pytest.mark.parametrize("cfg", [ADAPTIVE], ids=["adaptive"])
 class TestKnownIntegrals:
     def test_zero_integrand(self, cfg):
         assert integrate(lambda x: np.zeros_like(x), -np.pi, np.pi, cfg) == 0.0
@@ -86,23 +82,11 @@ class TestKnownIntegrals:
         assert integrate(f, -1.0, 2.0, cfg) == pytest.approx(exact, abs=TOL)
 
 
-def test_single_level_simpson_exact_for_cubics():
-    def f(x):
-        return 3 * x**3 - 2 * x**2 + x - 5
-
-    exact = 0.75 * 2.0**4 - 2 / 3 * 2.0**3 + 0.5 * 2.0**2 - 10.0
-    exact -= 0.75 - (-2 / 3) + 0.5 + 5.0
-    assert composite_simpson(f, -1.0, 2.0, 2) == pytest.approx(exact, abs=1e-13)
-    assert composite_simpson(f, -1.0, 2.0, 64) == pytest.approx(exact, abs=1e-13)
-
-
 def test_invalid_interval():
     with pytest.raises(InvalidInterval):
         integrate(np.sin, 1.0, 1.0)
     with pytest.raises(InvalidInterval):
         integrate(np.sin, 2.0, -1.0)
-    with pytest.raises(InvalidInterval):
-        composite_simpson(np.sin, 1.0, 0.0, 4)
 
 
 def test_nonconvergence_adaptive_depth():
@@ -110,12 +94,6 @@ def test_nonconvergence_adaptive_depth():
     with pytest.raises(NonConvergence) as info:
         integrate(np.exp, 0.0, 1.0, cfg)
     assert info.value.target == 1e-14
-
-
-def test_nonconvergence_composite():
-    cfg = QuadratureConfig(method="composite-simpson", abs_tol=1e-14, max_subdivisions=1, base_panels=2)
-    with pytest.raises(NonConvergence):
-        integrate(np.exp, 0.0, 1.0, cfg)
 
 
 def test_nonconvergence_below_machine_precision():
@@ -140,9 +118,3 @@ def test_evaluation_count_reuses_boundaries():
     assert res.value == 0.0
     assert res.evaluations == 65 + 64 + 128
 
-
-def test_composite_refinement_counts():
-    # cubic: the very first doubling confirms the estimate (Simpson is exact)
-    res = integrate_result(lambda x: x**3, 0.0, 1.0, COMPOSITE)
-    assert res.refinements == 1
-    assert res.evaluations == 65 + 64
