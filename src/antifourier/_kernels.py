@@ -32,7 +32,7 @@ failures with :func:`tag_nonconvergence`.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -148,11 +148,18 @@ def check_order(M, N: int) -> int:
     return M
 
 
-def freeze_fields(obj, first: str, second: str, extra: int = 0) -> None:
+def freeze_fields(obj, first: str, second: str, extra: int = 0, positive=("L",)) -> None:
     """Store two fields of frozen dataclass ``obj`` as finite read-only arrays.
 
     ``first`` must hold ``extra`` more entries than ``second`` and at least one.
+    Every other field is a scalar that must be finite, and > 0 if named in
+    ``positive``.
     """
+    for name in (field.name for field in fields(obj) if field.name not in (first, second)):
+        value = getattr(obj, name)
+        if not np.isfinite(value) or (name in positive and value <= 0.0):
+            rule = "finite and positive" if name in positive else "finite"
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
     arrays = {name: np.asarray(getattr(obj, name), dtype=float) for name in (first, second)}
     if arrays[first].size != arrays[second].size + extra or arrays[first].size == 0:
         raise ValueError(f"expected len({first}) == len({second}) + {extra} > 0")

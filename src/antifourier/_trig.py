@@ -1,43 +1,43 @@
-"""cos(pi*t) and sin(pi*t) with exact values at multiples of one half.
+"""cos(pi*t) and sin(pi*t), exact at every multiple of one half.
 
-Partial sums and basis functions are evaluated through these helpers so that
-basis zeros at the interval endpoints are exact in floating point (plain
-``np.cos(n * np.pi)`` is only zero to rounding).  Argument reduction uses
-``fmod``, which is exact, so accuracy does not degrade for large arguments.
+Both split |t| = k + h + r exactly for every finite t (floor, rint, Sterbenz):
+k an integer, h in {-1/2, 0, 1/2}, |r| <= 1/4 and h != 0 at |r| = 1/4.  Each
+value is one cos or sin of pi*r with a sign, so multiples of one half give
+exactly 0.0 or +-1.0.  Every exact zero is +0.0; else cospi is even, sinpi odd.
 """
 
 import numpy as np
 
 
-def _reduce(t):
-    # fold onto [0, 1) and record the half-period sign flip
-    r = np.fmod(np.asarray(t, dtype=float), 2.0)
-    r = np.where(r < 0.0, r + 2.0, r)
-    sign = np.where(r >= 1.0, -1.0, 1.0)
-    r = np.where(r >= 1.0, r - 1.0, r)
-    return r, sign
+def _split(t):
+    # pi*r and the masks h = 1/2, h = -1/2, k odd and t < 0
+    t = np.asarray(t, dtype=float)
+    r = np.abs(t, out=np.empty_like(t))
+    r -= 2.0 * np.floor(0.5 * r)  # r mod 2, in [0, 2)
+    k = np.rint(r)
+    r -= k  # |r| <= 1/2
+    up, down = r >= 0.25, r <= -0.25
+    np.subtract(r, 0.5, out=r, where=up)
+    np.add(r, 0.5, out=r, where=down)
+    return np.multiply(np.pi, r, out=r), up, down, k == 1.0, t < 0.0
+
+
+def _signed(w, sine, negate):
+    np.cos(w, where=~sine, out=w)
+    np.sin(w, where=sine, out=w)
+    np.subtract(0.0, w, out=w, where=negate)  # 0 - w keeps every zero +0.0
+    return w.item() if w.ndim == 0 else w
 
 
 def cospi(t):
     """Return cos(pi * t); exactly 0.0 at half-integers, +-1.0 at integers."""
-    r, sign = _reduce(t)
-    v = np.where(
-        r < 0.25,
-        np.cos(np.pi * r),
-        np.where(
-            r <= 0.75,
-            np.sin(np.pi * (0.5 - r)),  # exact 0 at r = 0.5
-            -np.cos(np.pi * (1.0 - r)),
-        ),
-    )
-    out = sign * v
-    return out.item() if np.ndim(out) == 0 else out
+    w, up, down, k_odd, _ = _split(t)
+    # (-1)^k times cos(pi*r), -sin(pi*r), sin(pi*r) for h = 0, 1/2, -1/2
+    return _signed(w, up | down, k_odd ^ up)
 
 
 def sinpi(t):
     """Return sin(pi * t); exactly 0.0 at integers, +-1.0 at half-integers."""
-    r, sign = _reduce(t)
-    rr = np.where(r > 0.5, 1.0 - r, r)  # exact by Sterbenz
-    v = np.where(rr < 0.25, np.sin(np.pi * rr), np.cos(np.pi * (0.5 - rr)))
-    out = sign * v
-    return out.item() if np.ndim(out) == 0 else out
+    w, up, down, k_odd, negative = _split(t)
+    # sign(t) (-1)^k times sin(pi*r), cos(pi*r), -cos(pi*r) for h = 0, 1/2, -1/2
+    return _signed(w, ~(up | down), k_odd ^ down ^ negative)

@@ -38,8 +38,6 @@ class AntiperiodicCoefficients:
     beta: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma):
-            raise ValueError("coefficients must be finite")
         freeze_fields(self, "alpha", "beta")
 
     @property

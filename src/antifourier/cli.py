@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 numerical failure (non-convergent quadrature,
 incompatible heat data), 2 flag, function-spec, input-file or output-path
-errors.
+errors; each error ends with ``antifourier <command>: error: <message>``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .diagnostics import (
     compare_orders,
     gibbs_overshoot,
     partial_sum,
+    report_rows,
 )
 from .errors import AntifourierError, ParseError, ValidationError
 from .heat import HeatProblem, heat_eval, heat_eval_dx, solve_heat
@@ -277,7 +278,7 @@ def _cmd_compare(args, cfg) -> str:
         window_fraction=args.window_fraction,
         subgrid_points=args.subgrid,
     )
-    return _table(args, REPORT_COLUMNS, [[getattr(r, c) for c in REPORT_COLUMNS] for r in rows])
+    return _table(args, REPORT_COLUMNS, report_rows(rows))
 
 
 def _cmd_gibbs(args, cfg) -> str:
@@ -346,19 +347,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    error_prefix = f"{parser.prog} {args.command}: error:"  # as argparse's for flag values
     try:
         cfg = _quad_config(args)
         text = _HANDLERS[args.command](args, cfg)
         if args.out:
             io.write_text_atomic(args.out, text)
     except (ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:
-        print(f"antifourier: error: {exc}", file=sys.stderr)
+        print(error_prefix, exc, file=sys.stderr)
         return 2
     except AntifourierError as exc:
         if args.format == "json":
             error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
             sys.stdout.write(json.dumps(error) + "\n")
-        print(f"antifourier: error: {exc}", file=sys.stderr)
+        print(error_prefix, exc, file=sys.stderr)
         return 1
     if not args.out:
         sys.stdout.write(text)

@@ -8,7 +8,7 @@ magnitudes (a log-log least-squares slope).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -22,20 +22,6 @@ SeriesCoefficients = Union[ClassicalCoefficients, AntiperiodicCoefficients]
 
 # Smaller magnitudes are treated as numerically zero and excluded from fits.
 _DECAY_FLOOR = 1e-13
-
-# Fixed column order of CSV diagnostic reports (documented in the CLI help).
-REPORT_COLUMNS = (
-    "series_kind",
-    "order",
-    "endpoint_error_left",
-    "endpoint_error_right",
-    "sup_error",
-    "overshoot",
-    "decay_exponent_classical",
-    "decay_exponent_antiperiodic",
-    "grid_size",
-    "window_fraction",
-)
 
 DEFAULT_ORDERS = (10, 25, 50, 100, 200, 400)
 
@@ -67,6 +53,15 @@ class DiagnosticsReport:
     decay_exponent_antiperiodic: float
     grid_size: int
     window_fraction: float
+
+
+# Fixed column order of CSV diagnostic reports (documented in the CLI help).
+REPORT_COLUMNS = tuple(field.name for field in fields(DiagnosticsReport))
+
+
+def report_rows(reports):
+    """Value rows of diagnostics reports in REPORT_COLUMNS order."""
+    return [astuple(report) for report in reports]
 
 
 def partial_sum(series: SeriesCoefficients, x, M: Optional[int] = None):

@@ -71,7 +71,7 @@ class HeatSolution:
     B: np.ndarray
 
     def __post_init__(self):
-        freeze_fields(self, "A", "B")
+        freeze_fields(self, "A", "B", positive=("k", "L"))
 
     @property
     def N(self) -> int:
@@ -132,8 +132,7 @@ def heat_eval_dx(sol: HeatSolution, x, t: float, M: int | None = None):
     """Termwise x-derivative of :func:`heat_eval` (the heat flux up to -k)."""
     M, mults, omega, decay = _modes(sol, t, M)
     A, B = sol.A[: M + 1], sol.B[: M + 1]
-    # shift -0.0 adds nothing, not even to the sign of a zero
-    return trig_sum(sol.L, -0.0, mults, B * decay * omega, -(A * decay * omega), x)
+    return trig_sum(sol.L, 0.0, mults, B * decay * omega, -(A * decay * omega), x)
 
 
 @dataclass(frozen=True)

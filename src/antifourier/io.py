@@ -21,7 +21,7 @@ import numpy as np
 
 from .antiperiodic import AntiperiodicCoefficients
 from .classical import ClassicalCoefficients
-from .diagnostics import REPORT_COLUMNS
+from .diagnostics import REPORT_COLUMNS, report_rows
 from .errors import ValidationError
 from .heat import HeatSolution
 
@@ -117,8 +117,7 @@ def csv_text(header, rows) -> str:
 
 def report_csv(reports) -> str:
     """CSV text for diagnostics rows in the fixed REPORT_COLUMNS order."""
-    rows = [[getattr(r, column) for column in REPORT_COLUMNS] for r in reports]
-    return csv_text(REPORT_COLUMNS, rows)
+    return csv_text(REPORT_COLUMNS, report_rows(reports))
 
 
 def write_text_atomic(path: str, text: str) -> None:

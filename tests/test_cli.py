@@ -255,6 +255,7 @@ class TestErrorsAndPlumbing:
         )
         assert code == 1
         assert json.loads(out)["error"]["type"] == "NonConvergence"
+        assert err.splitlines()[-1].startswith("antifourier coeffs: error: ")
 
     def test_nonconvergence_csv_emits_no_partial_output(self, capsys):
         code, out, _ = run_cli(
@@ -310,6 +311,26 @@ class TestErrorsAndPlumbing:
         assert "ANTIFOURIER_QUAD_TOL" in err
 
 
+# a valid coefficient object of each kind
+VALID_OBJECTS = {
+    "classical": {"kind": "classical", "L": np.pi, "N": 1, "a": [0.0, 0.0], "b": [2.0]},
+    "antiperiodic": {"kind": "antiperiodic", "L": np.pi, "N": 2, "gamma": 0.0,
+                     "alpha": [0.0, 0.0, 0.0], "beta": [1.0, 0.5, 0.25]},
+    "heat": {"kind": "heat", "k": 1.0, "L": np.pi, "c": 0.0, "N": 0, "A": [1.0], "B": [0.0]},
+}
+# coefficient files that --coeffs-file must refuse: name -> (kind, key, bad value)
+BAD_COEFFICIENT_FILES = {
+    "fractional-n": ("antiperiodic", "N", 2.7),
+    "classical-L-zero": ("classical", "L", 0.0),
+    "heat-L-negative": ("heat", "L", -2.0),
+    "antiperiodic-L-nan": ("antiperiodic", "L", float("nan")),
+    "classical-L-inf": ("classical", "L", float("inf")),
+    "heat-k-zero": ("heat", "k", 0.0),
+    "heat-k-negative": ("heat", "k", -1.0),
+    "heat-k-nan": ("heat", "k", float("nan")),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -321,28 +342,30 @@ class TestErrorsAndPlumbing:
         ["coeffs", "--function", "csv:{tmp}/latin-1.csv"],
         ["eval", "--function", "named:identity", "--coeffs-file", "{tmp}/missing.json"],
         ["eval", "--function", "named:identity", "--coeffs-file", "{tmp}/not-json.json"],
-        ["eval", "--function", "named:identity", "--coeffs-file", "{tmp}/fractional-n.json"],
+        *(["eval", "--function", "named:identity", "--coeffs-file", f"{{tmp}}/{name}.json"]
+          for name in BAD_COEFFICIENT_FILES),
         ["basis", "--out", "{tmp}/no-such-dir/out.json"],
     ],
     ids=[
         "gibbs-window", "compare-window", "gibbs-subgrid", "compare-subgrid", "missing-csv",
-        "csv-not-utf8", "missing-coeffs-file", "coeffs-file-not-json", "coeffs-file-fractional-n",
-        "out-dir-missing",
+        "csv-not-utf8", "missing-coeffs-file", "coeffs-file-not-json",
+        *(f"coeffs-file-{name}" for name in BAD_COEFFICIENT_FILES), "out-dir-missing",
     ],
 )
 def test_input_and_file_errors_exit_2(capsys, tmp_path, argv):
     (tmp_path / "not-json.json").write_text("not json\n")
     (tmp_path / "latin-1.csv").write_bytes(b"x,y\n-3.14,\xe9\n3.14,1\n")
-    blob = {"kind": "antiperiodic", "L": np.pi, "N": 2.7, "gamma": 0.0,
-            "alpha": [0.0, 0.0, 0.0], "beta": [1.0, 0.5, 0.25]}
-    (tmp_path / "fractional-n.json").write_text(json.dumps(blob))
+    for name, (kind, key, value) in BAD_COEFFICIENT_FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({**VALID_OBJECTS[kind], key: value}))
     inputs = sorted(tmp_path.iterdir())
     argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--interval", "pi", "--format", "json"]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "out.json")]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert "error" in err and "Traceback" not in err
+    # rejected flag values and later input errors end on the same line format
+    assert err.splitlines()[-1].startswith(f"antifourier {argv[0]}: error: ")
+    assert "Traceback" not in err
     assert out == ""
     assert sorted(tmp_path.iterdir()) == inputs  # no output or temp file
 

@@ -1,7 +1,10 @@
-"""Property tests: JSON round trips and the exact endpoint zeros of the series.
+"""Property tests: JSON round trips, the exact endpoint zeros of the series and
+the symmetries and exact values of cospi/sinpi.
 
 Coefficients are random finite doubles with |v| <= 1e6 on random
 half-widths L; every claim below is an exact (bitwise or ==) equality.
+Where a sign flip could turn a zero into -0.0, both sides are compared after
+adding +0.0, since every exact zero of cospi/sinpi is +0.0.
 """
 
 import json
@@ -19,6 +22,7 @@ from antifourier import (
     heat_eval,
     heat_eval_dx,
 )
+from antifourier._trig import cospi, sinpi
 from antifourier.io import from_dict, to_dict
 
 VALUES = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -26,6 +30,13 @@ HALF_WIDTHS = st.floats(min_value=1e-3, max_value=1e3)
 TIMES = st.floats(min_value=0.0, max_value=10.0)
 DIFFUSIVITIES = st.floats(min_value=1e-3, max_value=1e3)
 ORDERS = st.integers(min_value=0, max_value=24)
+# every finite double, with subnormals and |t| >= 2^52 drawn on purpose
+ARGUMENTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2.0**-1022, max_value=2.0**-1022),
+    st.floats(min_value=2.0**52, allow_infinity=False),
+    st.floats(max_value=-(2.0**52), allow_infinity=False),
+)
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -38,6 +49,15 @@ def arrays(size):
 def classical(draw):
     N = draw(ORDERS)
     return ClassicalCoefficients(draw(HALF_WIDTHS), draw(arrays(N + 1)), draw(arrays(N)))
+
+
+@st.composite
+def classical_one_parity(draw, kind):
+    """Cosine-only (a_0..a_N, b = 0) or sine-only (a = 0, b_1..b_N) coefficients."""
+    N = draw(ORDERS)
+    a = draw(arrays(N + 1)) if kind == "cos" else np.zeros(N + 1)
+    b = draw(arrays(N)) if kind == "sin" else np.zeros(N)
+    return ClassicalCoefficients(draw(HALF_WIDTHS), a, b)
 
 
 @st.composite
@@ -60,6 +80,11 @@ def heat(draw, zero=None):
 
 def same_bits(x, y):
     return np.asarray(x, dtype=float).tobytes() == np.asarray(y, dtype=float).tobytes()
+
+
+def plus_zero(x):
+    """``x`` with -0.0 turned into +0.0 and every other value kept bit for bit."""
+    return np.asarray(x, dtype=float) + 0.0
 
 
 @SETTINGS
@@ -100,3 +125,40 @@ def test_heat_is_the_boundary_mean_at_both_ends_without_sines(sol, t):
 def test_heat_flux_is_zero_at_both_ends_without_cosines(sol, t):
     assert heat_eval_dx(sol, -sol.L, t) == 0.0
     assert heat_eval_dx(sol, sol.L, t) == 0.0
+
+
+@SETTINGS
+@given(st.lists(ARGUMENTS, min_size=1, max_size=16).map(np.array))
+def test_cospi_is_even_and_sinpi_odd_bitwise(t):
+    assert same_bits(cospi(-t), cospi(t))
+    assert same_bits(sinpi(-t), plus_zero(-sinpi(t)))
+
+
+@SETTINGS
+@given(st.lists(st.floats(min_value=-0.25, max_value=0.25, exclude_min=True, exclude_max=True),
+                min_size=1, max_size=16).map(np.array))
+def test_small_arguments_take_one_plain_trig_call(t):
+    assert same_bits(cospi(t), np.cos(np.pi * t))
+    assert same_bits(sinpi(t), plus_zero(np.sin(np.pi * t)))
+
+
+@SETTINGS
+@given(st.integers(min_value=-(2**53), max_value=2**53))
+def test_multiples_of_one_half_are_exact(m):
+    # cos(m pi / 2) and sin(m pi / 2)
+    cos_m, sin_m = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)][m % 4]
+    t = m / 2.0
+    assert same_bits(cospi(t), cos_m) and same_bits(sinpi(t), sin_m)
+    assert same_bits(cospi(np.array([t])), [cos_m]) and same_bits(sinpi(np.array([t])), [sin_m])
+
+
+@SETTINGS
+@given(classical_one_parity("cos"), st.lists(VALUES, min_size=1, max_size=8).map(np.array))
+def test_cosine_only_classical_sum_is_even_bitwise(c, x):
+    assert same_bits(plus_zero(classical_partial_sum(c, -x)), plus_zero(classical_partial_sum(c, x)))
+
+
+@SETTINGS
+@given(classical_one_parity("sin"), st.lists(VALUES, min_size=1, max_size=8).map(np.array))
+def test_sine_only_classical_sum_is_odd_bitwise(c, x):
+    assert same_bits(plus_zero(classical_partial_sum(c, -x)), plus_zero(-classical_partial_sum(c, x)))
