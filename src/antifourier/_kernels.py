@@ -1,9 +1,11 @@
-"""Projection of a FunctionSpec onto trigonometric kernels.
+"""Projection of a FunctionSpec onto families of trigonometric kernels.
 
-Every coefficient in the package is an integral (1/L) * int_{-L}^{L}
-(f(x) - shift) * K(x) dx where the kernel K is a short sum of atoms
-amp * cos(mult * pi * x / L) or amp * sin(mult * pi * x / L), all of one
-parity.  Two integration paths are used:
+Every coefficient in the package is one of a family (1/L) * int_{-L}^{L}
+(f(x) - shift) * K_n(x) dx over harmonics n, where the kernel K_n is a short
+sum of atoms amp * cos((n + offset) pi x / L) or amp * sin(...), all of one
+parity.  :func:`project` computes a whole family in one call and is the one
+place that re-raises a quadrature failure, tagged with the family, n and
+kind.  Two integration paths are used:
 
 * callable bodies: the symmetric integral is folded onto [0, L] with the
   parity-matched combination of f(x) and f(-x), then handed to the Simpson
@@ -24,14 +26,11 @@ in :func:`trig_sum`: the classical series (shift a_0/2, mult n) in
 ``classical_partial_sum``, the half-integer series (shift gamma, mult
 n + 1/2) in ``antiperiodic_partial_sum``, and the heat solution and its
 x-derivative (weights scaled by e^(lambda_n k t)) in ``heat_eval`` and
-``heat_eval_dx``.  The coefficient containers share :func:`freeze_fields`
-and :func:`check_order`, and every coefficient loop tags quadrature
-failures with :func:`tag_nonconvergence`.
+``heat_eval_dx``.  The containers share :func:`freeze_fields` and :func:`check_order`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -44,80 +43,100 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 
 @dataclass(frozen=True)
 class TrigAtom:
-    """One term amp * trig(mult * pi * x / L); kind is "cos" or "sin"."""
+    """One term amp * trig((n + offset) * pi * x / L) of kernel K_n; kind is
+    "cos" or "sin"."""
 
     kind: str
     amplitude: float
-    mult: float
+    offset: float
 
 
-def kernel_values(atoms, L, x):
-    """Evaluate a sum of atoms at scalar or array ``x``."""
+def kernel_values(terms, L, x):
+    """Evaluate a sum of (kind, amplitude, mult) terms at scalar or array ``x``."""
     u = np.asarray(x, dtype=float) / L
     total = 0.0
-    for atom in atoms:
-        base = cospi(atom.mult * u) if atom.kind == "cos" else sinpi(atom.mult * u)
-        total = total + atom.amplitude * base
+    for kind, amplitude, mult in terms:
+        base = cospi(mult * u) if kind == "cos" else sinpi(mult * u)
+        total = total + amplitude * base
     return total
 
 
 def _kernel_parity(atoms):
     kinds = {atom.kind for atom in atoms}
-    if kinds == {"cos"}:
-        return 1.0
-    if kinds == {"sin"}:
-        return -1.0
-    raise ValueError("kernel atoms must share one parity")
+    if len(kinds) != 1:
+        raise ValueError("kernel atoms must share one parity")
+    return 1.0 if kinds == {"cos"} else -1.0
 
 
-def _atom_table_integral(xs, ys, atom, L):
-    """Exact integral of the piecewise-linear table against one atom."""
-    omega = atom.mult * np.pi / L
-    x0, x1 = xs[:-1], xs[1:]
+def _table_integral(xs, ys, term, L):
+    """Exact integral of the piecewise-linear table against one term."""
+    kind, amplitude, mult = term
+    omega = mult * np.pi / L
     y0, y1 = ys[:-1], ys[1:]
     if omega == 0.0:
-        if atom.kind == "sin":
+        if kind == "sin":
             return 0.0
-        return atom.amplitude * float((0.5 * (y0 + y1) * (x1 - x0)).sum())
-    slope = (y1 - y0) / (x1 - x0)
-    s0, s1 = np.sin(omega * x0), np.sin(omega * x1)
-    c0, c1 = np.cos(omega * x0), np.cos(omega * x1)
-    if atom.kind == "cos":
-        panels = (y1 * s1 - y0 * s0) / omega + slope * (c1 - c0) / omega**2
+        return amplitude * float((0.5 * (y0 + y1) * (xs[1:] - xs[:-1])).sum())
+    slope = (y1 - y0) / (xs[1:] - xs[:-1])
+    s, c = np.sin(omega * xs), np.cos(omega * xs)  # once per node, panel ends by slicing
+    if kind == "cos":
+        panels = (y1 * s[1:] - y0 * s[:-1]) / omega + slope * (c[1:] - c[:-1]) / omega**2
     else:
-        panels = (y0 * c0 - y1 * c1) / omega + slope * (s1 - s0) / omega**2
-    return atom.amplitude * float(panels.sum())
+        panels = (y0 * c[:-1] - y1 * c[1:]) / omega + slope * (s[1:] - s[:-1]) / omega**2
+    return amplitude * float(panels.sum())
+
+
+def _folded_integral(spec, shift, parity, terms, cfg):
+    """int_0^L of the parity-folded (f - shift) times the kernel of ``terms``."""
+    # Keep the initial panel count above the largest frequency multiplier.
+    # With p panels and p > mult, no dyadic refinement grid can contain all
+    # zeros of trig(mult * pi * x / L) (that would need p * 2^d to divide
+    # mult), so an oscillation can never alias to an exact zero estimate.
+    max_mult = max(abs(mult) for _, _, mult in terms)
+    if max_mult >= cfg.base_panels:
+        cfg = replace(cfg, base_panels=2 * (int(max_mult) // 2 + 1))
+
+    def integrand(x):
+        folded = (evaluate(spec, x) - shift) + parity * (evaluate(spec, -x) - shift)
+        return folded * kernel_values(terms, spec.L, x)
+
+    return integrate(integrand, 0.0, spec.L, cfg)
 
 
 def project(
     spec: FunctionSpec,
     shift: float,
     atoms,
+    ns,
+    what: str,
+    kind: str,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
-    """Return int_{-L}^{L} (f(x) - shift) * K(x) dx for kernel K = sum(atoms)."""
-    L = spec.L
+) -> np.ndarray:
+    """Return (1/L) int_{-L}^{L} (f(x) - shift) * K_n(x) dx for every n in ``ns``.
+
+    K_n = sum(atoms), each atom at multiplier n + offset.  A quadrature
+    failure at harmonic n is re-raised as NonConvergence "<what> n=<n> did
+    not converge: ..." with ``index=n`` and ``kind``.
+    """
     body = spec.body
-    if isinstance(body, Sampled):
-        ys = np.asarray(body.ys, dtype=float) - shift
-        xs = np.asarray(body.xs, dtype=float)
-        return sum(_atom_table_integral(xs, ys, atom, L) for atom in atoms)
-
     parity = _kernel_parity(atoms)
-
-    # Keep the initial panel count above the largest frequency multiplier.
-    # With p panels and p > mult, no dyadic refinement grid can contain all
-    # zeros of trig(mult * pi * x / L) (that would need p * 2^d to divide
-    # mult), so an oscillation can never alias to an exact zero estimate.
-    max_mult = max(abs(atom.mult) for atom in atoms)
-    if max_mult >= cfg.base_panels:
-        cfg = replace(cfg, base_panels=2 * (int(max_mult) // 2 + 1))
-
-    def integrand(x):
-        folded = (evaluate(spec, x) - shift) + parity * (evaluate(spec, -x) - shift)
-        return folded * kernel_values(atoms, L, x)
-
-    return integrate(integrand, 0.0, L, cfg)
+    if isinstance(body, Sampled):
+        xs = np.asarray(body.xs, dtype=float)
+        ys = np.asarray(body.ys, dtype=float) - shift
+    values = np.empty(len(ns))
+    for i, n in enumerate(ns):
+        terms = [(atom.kind, atom.amplitude, n + atom.offset) for atom in atoms]
+        if isinstance(body, Sampled):
+            values[i] = sum(_table_integral(xs, ys, term, spec.L) for term in terms)
+            continue
+        try:
+            values[i] = _folded_integral(spec, shift, parity, terms, cfg)
+        except NonConvergence as exc:
+            raise NonConvergence(
+                f"{what} n={n} did not converge: {exc}",
+                achieved=exc.achieved, target=exc.target, index=n, kind=kind,
+            ) from exc
+    return values / spec.L
 
 
 def trig_sum(L, shift, mults, cos_w, sin_w, x):
@@ -168,15 +187,3 @@ def freeze_fields(obj, first: str, second: str, extra: int = 0, positive=("L",))
     for name, array in arrays.items():
         array.flags.writeable = False
         object.__setattr__(obj, name, array)
-
-
-@contextmanager
-def tag_nonconvergence(what: str, index: int, kind: str):
-    """Re-raise NonConvergence as the failure of coefficient ``what`` n=index."""
-    try:
-        yield
-    except NonConvergence as exc:
-        raise NonConvergence(
-            f"{what} n={index} did not converge: {exc}",
-            achieved=exc.achieved, target=exc.target, index=index, kind=kind,
-        ) from exc

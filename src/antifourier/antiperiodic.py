@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import TrigAtom, check_order, freeze_fields, project, tag_nonconvergence, trig_sum
+from ._kernels import TrigAtom, check_order, freeze_fields, project, trig_sum
 from ._trig import cospi, sinpi
 from .catalog import FunctionSpec, evaluate
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
@@ -73,15 +73,9 @@ def _coefficients_with_shift(f, shift, N, cfg):
     """alpha/beta arrays of f - shift on the half-integer basis."""
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
-    L = f.L
-    alpha = np.empty(N + 1)
-    beta = np.empty(N + 1)
-    for n in range(N + 1):
-        mult = n + 0.5
-        with tag_nonconvergence("half-cosine coefficient", n, "cos"):
-            alpha[n] = project(f, shift, (TrigAtom("cos", 1.0, mult),), cfg) / L
-        with tag_nonconvergence("half-sine coefficient", n, "sin"):
-            beta[n] = project(f, shift, (TrigAtom("sin", 1.0, mult),), cfg) / L
+    ns = range(N + 1)
+    alpha = project(f, shift, (TrigAtom("cos", 1.0, 0.5),), ns, "half-cosine coefficient", "cos", cfg)
+    beta = project(f, shift, (TrigAtom("sin", 1.0, 0.5),), ns, "half-sine coefficient", "sin", cfg)
     return alpha, beta
 
 
@@ -126,44 +120,23 @@ def coefficients_via_periodic_split(
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
     gamma = shift_gamma(f)
-    L = f.L
-    K = N + 1
 
-    def _proj(atoms, n, kind):
-        with tag_nonconvergence(f"periodic-split {kind} coefficient", n, kind):
-            return project(f, gamma, atoms, cfg) / L
+    def family(atoms, ns, kind):
+        return project(f, gamma, atoms, ns, f"periodic-split {kind} coefficient", kind, cfg)
 
-    a = np.empty(K + 1)
-    b = np.empty(K + 1)  # b[0] unused
-    at = np.empty(K + 1)
-    bt = np.empty(K + 1)  # bt[0] unused
-    for n in range(K + 1):
-        # cos(n pi x / L) cos(pi x / 2L) = [cos((n-1/2)...) + cos((n+1/2)...)] / 2
-        a[n] = _proj(
-            (TrigAtom("cos", 0.5, n - 0.5), TrigAtom("cos", 0.5, n + 0.5)), n, "cos"
-        )
-        # cos(n pi x / L) sin(pi x / 2L) = [sin((n+1/2)...) + sin((1/2-n)...)] / 2
-        at[n] = _proj(
-            (TrigAtom("sin", 0.5, n + 0.5), TrigAtom("sin", 0.5, 0.5 - n)), n, "cos"
-        )
-    for n in range(1, K + 1):
-        # sin(n pi x / L) cos(pi x / 2L) = [sin((n+1/2)...) + sin((n-1/2)...)] / 2
-        b[n] = _proj(
-            (TrigAtom("sin", 0.5, n + 0.5), TrigAtom("sin", 0.5, n - 0.5)), n, "sin"
-        )
-        # sin(n pi x / L) sin(pi x / 2L) = [cos((n-1/2)...) - cos((n+1/2)...)] / 2
-        bt[n] = _proj(
-            (TrigAtom("cos", 0.5, n - 0.5), TrigAtom("cos", -0.5, n + 0.5)), n, "sin"
-        )
-
-    alpha = np.empty(N + 1)
-    beta = np.empty(N + 1)
-    alpha[0] = (a[0] + a[1] + bt[1]) / 2.0
-    beta[0] = (at[0] - at[1] + b[1]) / 2.0
-    for n in range(1, N + 1):
-        alpha[n] = (a[n] + a[n + 1] - bt[n] + bt[n + 1]) / 2.0
-        beta[n] = (at[n] - at[n + 1] + b[n] + b[n + 1]) / 2.0
-    return AntiperiodicCoefficients(L, gamma, alpha, beta)
+    ns = range(N + 2)
+    # cos(n pi x / L) cos(pi x / 2L) = [cos((n-1/2)...) + cos((n+1/2)...)] / 2
+    a = family((TrigAtom("cos", 0.5, -0.5), TrigAtom("cos", 0.5, 0.5)), ns, "cos")
+    # cos(n pi x / L) sin(pi x / 2L) = [sin((n+1/2)...) - sin((n-1/2)...)] / 2
+    at = family((TrigAtom("sin", 0.5, 0.5), TrigAtom("sin", -0.5, -0.5)), ns, "cos")
+    # sin(n pi x / L) cos(pi x / 2L) = [sin((n+1/2)...) + sin((n-1/2)...)] / 2
+    b = family((TrigAtom("sin", 0.5, 0.5), TrigAtom("sin", 0.5, -0.5)), ns[1:], "sin")
+    # sin(n pi x / L) sin(pi x / 2L) = [cos((n-1/2)...) - cos((n+1/2)...)] / 2
+    bt = family((TrigAtom("cos", 0.5, -0.5), TrigAtom("cos", -0.5, 0.5)), ns[1:], "sin")
+    b, bt = np.append(0.0, b), np.append(0.0, bt)  # b_0 = bt_0 = 0: sin(0) vanishes
+    alpha = (a[:-1] + a[1:] - bt[:-1] + bt[1:]) / 2.0
+    beta = (at[:-1] - at[1:] + b[:-1] + b[1:]) / 2.0
+    return AntiperiodicCoefficients(f.L, gamma, alpha, beta)
 
 
 def jordan_midpoint(left_limit: float, right_limit: float) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import TrigAtom, check_order, freeze_fields, project, tag_nonconvergence, trig_sum
+from ._kernels import TrigAtom, check_order, freeze_fields, project, trig_sum
 from ._trig import cospi, sinpi  # noqa: F401  (bench/tracer.py wraps classical.cospi/sinpi)
 from .catalog import FunctionSpec
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
@@ -58,16 +58,9 @@ def classical_coefficients(
     """
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
-    L = f.L
-    a = np.empty(N + 1)
-    b = np.empty(N)
-    for n in range(N + 1):
-        with tag_nonconvergence("cosine coefficient", n, "cos"):
-            a[n] = project(f, 0.0, (TrigAtom("cos", 1.0, float(n)),), cfg) / L
-    for n in range(1, N + 1):
-        with tag_nonconvergence("sine coefficient", n, "sin"):
-            b[n - 1] = project(f, 0.0, (TrigAtom("sin", 1.0, float(n)),), cfg) / L
-    return ClassicalCoefficients(L, a, b)
+    a = project(f, 0.0, (TrigAtom("cos", 1.0, 0.0),), range(N + 1), "cosine coefficient", "cos", cfg)
+    b = project(f, 0.0, (TrigAtom("sin", 1.0, 0.0),), range(1, N + 1), "sine coefficient", "sin", cfg)
+    return ClassicalCoefficients(f.L, a, b)
 
 
 def classical_partial_sum(coeffs: ClassicalCoefficients, x, M: int | None = None):
