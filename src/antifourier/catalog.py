@@ -24,6 +24,9 @@ import numpy as np
 
 from .errors import OutOfDomain, ParseError, ValidationError
 
+# Most rows, header included, that load_samples reads from one CSV table.
+MAX_TABLE_ROWS = 1 << 18
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -233,12 +236,17 @@ def render_function_spec(spec: FunctionSpec) -> str:
 
 
 def load_samples(path: str, L: float) -> FunctionSpec:
-    """Load a two-column x,y CSV file into a Sampled spec on [-L, L]."""
+    """Load a two-column x,y CSV file into a Sampled spec on [-L, L].
+
+    Reading stops, with a ValidationError, at the first row past MAX_TABLE_ROWS.
+    """
     rows = []
     with open(path, newline="", encoding="utf-8") as handle:
         for row in csv.reader(handle):
             if not row:
                 continue  # skip blank lines
+            if len(rows) == MAX_TABLE_ROWS:
+                raise ValidationError(f"{path}: more than {MAX_TABLE_ROWS} rows, the limit")
             rows.append(row)
     if not rows:
         raise ValidationError(f"{path}: no data rows")

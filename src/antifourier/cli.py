@@ -1,7 +1,7 @@
 """Command-line interface emitting JSON/CSV plot data.
 
 Exit codes: 0 success, 1 numerical failure (non-convergent quadrature,
-incompatible heat data), 2 flag, function-spec, input-file or output-path
+incompatible heat data), 2 flag, size, function-spec, input-file or output-path
 errors; each error ends with ``antifourier <command>: error: <message>``.
 """
 
@@ -38,6 +38,10 @@ _KINDS = {
     "classical": ("classical",), "anti": ("antiperiodic",), "both": ("classical", "antiperiodic")
 }
 GIBBS_COLUMNS = ("series_kind", "order", "window_fraction", "subgrid_points", "overshoot")
+# Most values one array of a command may hold: (largest order + 1) x (largest
+# grid), and for heat also times x grid.  The default compare ladder needs
+# 401 x 4001, about 1.6M.
+MAX_VALUES = 1 << 23
 
 _EPILOG = f"""\
 function spec grammar:
@@ -91,6 +95,7 @@ _POSITIVE = _arg(float, _positive, "a positive number")
 _FINITE = _arg(float, math.isfinite, "a finite number")
 _ORDER = _arg(int, lambda v: v >= 0, "a nonnegative integer")
 _GRID = _arg(int, lambda v: v >= 2, "an integer of at least 2")
+_ODD_GRID = _arg(int, lambda v: v >= 3 and v % 2 == 1, "an odd integer of at least 3")
 # the window and subgrid rules of gibbs_overshoot, checked before any work
 _WINDOW = _arg(float, lambda v: 0.0 < v < 0.5, "a number strictly between 0 and 0.5")
 _SUBGRID = _arg(int, lambda v: v >= MIN_SUBGRID_POINTS, f"at least {MIN_SUBGRID_POINTS} points")
@@ -145,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--orders", type=_ORDERS, default=DEFAULT_ORDERS, metavar="M1,M2,...",
         help=f"truncation orders (default {','.join(map(str, DEFAULT_ORDERS))})",
     )
-    p.add_argument("--grid", type=_GRID, default=2001, help="error-profile grid (odd)")
+    p.add_argument("--grid", type=_ODD_GRID, default=2001, help="error-profile grid (odd)")
     p.add_argument("--window-fraction", type=_WINDOW, default=0.1)
     p.add_argument("--subgrid", type=_SUBGRID, default=4001, help="overshoot window grid")
 
@@ -171,6 +176,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_GRID, default=101, help="number of x grid points")
 
     return parser
+
+
+def _check_size(args) -> None:
+    """Refuse, before any work, a command whose largest array passes MAX_VALUES."""
+    order = max(args.orders) if args.command == "compare" else args.n
+    grid = max(getattr(args, "grid", 0), getattr(args, "subgrid", 0))  # coeffs has neither
+    sizes = {"(largest order + 1) x (largest grid)": (order + 1) * grid}
+    if args.command == "heat":
+        sizes["times x grid"] = len(args.times) * args.grid
+    for what, size in sizes.items():
+        if size > MAX_VALUES:
+            raise ValidationError(f"{what} is {size} values, above the limit of {MAX_VALUES}")
 
 
 def _quad_config(args) -> QuadratureConfig:
@@ -264,8 +281,6 @@ def _table(args, header, rows) -> str:
 
 
 def _cmd_compare(args, cfg) -> str:
-    if args.grid % 2 == 0 or args.grid < 3:
-        raise ValidationError("--grid must be odd and at least 3 for compare")
     spec = parse_function_spec(args.function, args.interval)
     N = max(args.orders)
     series = _compute_series(spec, ("classical", "antiperiodic"), N, cfg)
@@ -349,6 +364,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     error_prefix = f"{parser.prog} {args.command}: error:"  # as argparse's for flag values
     try:
+        _check_size(args)
         cfg = _quad_config(args)
         text = _HANDLERS[args.command](args, cfg)
         if args.out:

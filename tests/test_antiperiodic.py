@@ -104,10 +104,13 @@ class TestCoefficients:
         np.testing.assert_allclose(up.beta, base.beta, atol=2e-10, rtol=0)
 
     def test_nonconvergence_is_tagged(self, identity_pi):
+        # every alpha_n of the odd identity folds to an exact zero, so beta_0
+        # is the first integral that cannot reach the tolerance
         cfg = QuadratureConfig(abs_tol=1e-18)
         with pytest.raises(NonConvergence) as info:
             antiperiodic_coefficients(identity_pi, 2, cfg)
-        assert info.value.kind in ("cos", "sin")
+        assert (info.value.index, info.value.kind) == (0, "sin")
+        assert str(info.value).startswith("half-sine coefficient n=0 did not converge: ")
 
 
 class TestPartialSum:
@@ -190,6 +193,15 @@ class TestPeriodicSplit:
         assert split.gamma == direct.gamma
         np.testing.assert_allclose(split.alpha, direct.alpha, atol=1e-8, rtol=0)
         np.testing.assert_allclose(split.beta, direct.beta, atol=1e-8, rtol=0)
+
+    def test_nonconvergence_is_tagged(self, identity_pi):
+        # the a_n family (cosine atoms) folds to exact zeros on the identity;
+        # at_0, the classical cosine coefficient of f sin(pi x / 2L), fails first
+        cfg = QuadratureConfig(abs_tol=1e-18)
+        with pytest.raises(NonConvergence) as info:
+            coefficients_via_periodic_split(identity_pi, 2, cfg)
+        assert (info.value.index, info.value.kind) == (0, "cos")
+        assert str(info.value).startswith("periodic-split cos coefficient n=0 did not converge: ")
 
     def test_sampled_split_identity(self):
         xs = np.linspace(-1.0, 1.0, 41)

@@ -80,11 +80,13 @@ class TestCoefficients:
             classical_coefficients(identity_pi, -1)
 
     def test_nonconvergence_is_tagged(self, identity_pi):
+        # every a_n of the odd identity folds to an exact zero, so b_1 is the
+        # first integral that cannot reach the tolerance
         cfg = QuadratureConfig(abs_tol=1e-18)
         with pytest.raises(NonConvergence) as info:
             classical_coefficients(identity_pi, 3, cfg)
-        assert info.value.kind == "sin"
-        assert info.value.index is not None
+        assert (info.value.index, info.value.kind) == (1, "sin")
+        assert str(info.value).startswith("sine coefficient n=1 did not converge: ")
 
 
 class TestPartialSum:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import antifourier
-from antifourier.cli import main
+from antifourier import ValidationError, catalog
+from antifourier.cli import MAX_VALUES, _check_size, build_parser, main
 from antifourier.diagnostics import REPORT_COLUMNS
 
 
@@ -345,11 +346,23 @@ BAD_COEFFICIENT_FILES = {
         *(["eval", "--function", "named:identity", "--coeffs-file", f"{{tmp}}/{name}.json"]
           for name in BAD_COEFFICIENT_FILES),
         ["basis", "--out", "{tmp}/no-such-dir/out.json"],
+        ["compare", "--function", "named:identity", "--orders", "4", "--grid", "100"],
+        # refused by size before any work, so none of these allocates anything
+        ["eval", "--function", "named:identity", "--n", "1000", "--grid", "10000"],
+        ["compare", "--function", "named:identity", "--orders", "10,4000"],
+        ["compare", "--function", "named:identity", "--orders", "4", "--grid", "2000001"],
+        ["gibbs", "--function", "named:identity", "--n", "400", "--subgrid", "100000"],
+        ["heat", "--function", "named:identity", "--c", "0", "--grid", "1000000"],
+        ["heat", "--function", "named:identity", "--c", "0", "--n", "0",
+         "--times", ",".join(["1"] * 100), "--grid", "100000"],
+        ["basis", "--n", "100000", "--grid", "100001"],
     ],
     ids=[
         "gibbs-window", "compare-window", "gibbs-subgrid", "compare-subgrid", "missing-csv",
         "csv-not-utf8", "missing-coeffs-file", "coeffs-file-not-json",
         *(f"coeffs-file-{name}" for name in BAD_COEFFICIENT_FILES), "out-dir-missing",
+        "compare-even-grid", "eval-size", "compare-orders-size", "compare-grid-size",
+        "gibbs-size", "heat-size", "heat-times-size", "basis-size",
     ],
 )
 def test_input_and_file_errors_exit_2(capsys, tmp_path, argv):
@@ -368,6 +381,34 @@ def test_input_and_file_errors_exit_2(capsys, tmp_path, argv):
     assert "Traceback" not in err
     assert out == ""
     assert sorted(tmp_path.iterdir()) == inputs  # no output or temp file
+
+
+@pytest.mark.parametrize("command", ["coeffs", "eval", "compare", "gibbs", "heat", "basis"])
+def test_defaults_pass_the_size_guard(command):
+    function = [] if command == "basis" else ["--function", "named:identity"]
+    _check_size(build_parser().parse_args([command, *function, "--interval", "pi"]))
+
+
+def test_size_guard_refuses_one_value_past_the_limit():
+    def basis(grid):
+        return build_parser().parse_args(["basis", "--interval", "1", "--n", "0", "--grid", grid])
+
+    _check_size(basis(str(MAX_VALUES)))
+    with pytest.raises(ValidationError) as info:
+        _check_size(basis(str(MAX_VALUES + 1)))
+    assert f"is {MAX_VALUES + 1} values, above the limit of {MAX_VALUES}" in str(info.value)
+
+
+def test_table_past_the_row_cap_is_refused(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(catalog, "MAX_TABLE_ROWS", 4)
+    path = tmp_path / "table.csv"
+    argv = ["coeffs", "--function", f"csv:{path}", "--interval", "1", "--n", "1"]
+    path.write_text("x,y\n-1,0\n0,1\n1,0\n")  # 4 rows, header included
+    assert run_cli(capsys, *argv)[0] == 0
+    path.write_text("x,y\n-1,0\n-0.5,1\n0,1\n1,0\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"antifourier coeffs: error: {path}: more than 4 rows, the limit"
 
 
 def test_module_entry_point():

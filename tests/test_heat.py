@@ -10,8 +10,10 @@ from antifourier import (
     IncompatibleData,
     Named,
     NegativeTime,
+    NonConvergence,
     OrderExceedsTruncation,
     Polynomial,
+    QuadratureConfig,
     antiperiodic_coefficients,
     antiperiodic_partial_sum,
     eigenpair,
@@ -107,6 +109,16 @@ class TestSolve:
     def test_half_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             HeatProblem(1.0, 2.0, 1.0, FunctionSpec(np.pi, Named("scaled-square")))
+
+
+    def test_nonconvergence_is_tagged(self):
+        # the modes are the half-integer coefficients of f - c: for the
+        # identity every A_n folds to an exact zero and B_0 fails first
+        problem = HeatProblem(1.0, np.pi, 0.0, FunctionSpec(np.pi, Named("identity")))
+        with pytest.raises(NonConvergence) as info:
+            solve_heat(problem, 2, QuadratureConfig(abs_tol=1e-18))
+        assert (info.value.index, info.value.kind) == (0, "sin")
+        assert str(info.value).startswith("half-sine coefficient n=0 did not converge: ")
 
 
 class TestEval:

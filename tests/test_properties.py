@@ -1,10 +1,12 @@
-"""Property tests: JSON round trips, the exact endpoint zeros of the series and
-the symmetries and exact values of cospi/sinpi.
+"""Property tests: JSON round trips, the exact endpoint zeros of the series,
+the symmetries and exact values of cospi/sinpi, and the coefficient families
+of random low-degree polynomials.
 
 Coefficients are random finite doubles with |v| <= 1e6 on random
-half-widths L; every claim below is an exact (bitwise or ==) equality.
-Where a sign flip could turn a zero into -0.0, both sides are compared after
-adding +0.0, since every exact zero of cospi/sinpi is +0.0.
+half-widths L; every claim below but the split agreement is an exact
+(bitwise or ==) equality.  Where a sign flip could turn a zero into -0.0,
+both sides are compared after adding +0.0, since every exact zero of
+cospi/sinpi is +0.0.
 """
 
 import json
@@ -14,11 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antifourier import (
+    DEFAULT_CONFIG,
     AntiperiodicCoefficients,
     ClassicalCoefficients,
+    FunctionSpec,
     HeatSolution,
+    Polynomial,
+    antiperiodic_coefficients,
     antiperiodic_partial_sum,
+    classical_coefficients,
     classical_partial_sum,
+    coefficients_via_periodic_split,
     heat_eval,
     heat_eval_dx,
 )
@@ -39,6 +47,11 @@ ARGUMENTS = st.one_of(
 )
 
 SETTINGS = settings(max_examples=200, deadline=None)
+# each example projects a few coefficient families by quadrature
+FAMILY_SETTINGS = settings(max_examples=15, deadline=None)
+POLY_COEFFICIENTS = st.floats(min_value=-4.0, max_value=4.0)
+POLY_HALF_WIDTHS = st.floats(min_value=0.1, max_value=4.0)
+FAMILY_ORDERS = st.integers(min_value=0, max_value=6)
 
 
 def arrays(size):
@@ -162,3 +175,43 @@ def test_cosine_only_classical_sum_is_even_bitwise(c, x):
 @given(classical_one_parity("sin"), st.lists(VALUES, min_size=1, max_size=8).map(np.array))
 def test_sine_only_classical_sum_is_odd_bitwise(c, x):
     assert same_bits(plus_zero(classical_partial_sum(c, -x)), plus_zero(-classical_partial_sum(c, x)))
+
+
+@st.composite
+def polynomials(draw, parity=None):
+    """A polynomial of degree <= 4 on a random [-L, L]; ``parity`` "odd" or
+    "even" zeroes the other powers."""
+    coefficients = draw(st.lists(POLY_COEFFICIENTS, min_size=1, max_size=5))
+    if parity is not None:
+        keep = 1 if parity == "odd" else 0
+        coefficients = [c if k % 2 == keep else 0.0 for k, c in enumerate(coefficients)]
+    return FunctionSpec(draw(POLY_HALF_WIDTHS), Polynomial(tuple(coefficients)))
+
+
+@FAMILY_SETTINGS
+@given(polynomials(), FAMILY_ORDERS)
+def test_direct_and_split_half_integer_coefficients_agree(f, N):
+    direct = antiperiodic_coefficients(f, N)
+    split = coefficients_via_periodic_split(f, N)
+    budget = 10.0 * DEFAULT_CONFIG.abs_tol / min(f.L, 1.0)
+    assert split.gamma == direct.gamma
+    assert np.abs(split.alpha - direct.alpha).max() <= budget
+    assert np.abs(split.beta - direct.beta).max() <= budget
+
+
+@FAMILY_SETTINGS
+@given(polynomials("odd"), FAMILY_ORDERS)
+def test_odd_polynomials_have_exactly_zero_cosine_coefficients(f, N):
+    anti = antiperiodic_coefficients(f, N)
+    assert anti.gamma == 0.0
+    assert (classical_coefficients(f, N).a == 0.0).all()
+    assert (anti.alpha == 0.0).all()
+    assert (coefficients_via_periodic_split(f, N).alpha == 0.0).all()
+
+
+@FAMILY_SETTINGS
+@given(polynomials("even"), FAMILY_ORDERS)
+def test_even_polynomials_have_exactly_zero_sine_coefficients(f, N):
+    assert (classical_coefficients(f, N).b == 0.0).all()
+    assert (antiperiodic_coefficients(f, N).beta == 0.0).all()
+    assert (coefficients_via_periodic_split(f, N).beta == 0.0).all()
