@@ -43,8 +43,7 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 
 @dataclass(frozen=True)
 class TrigAtom:
-    """One term amp * trig((n + offset) * pi * x / L) of kernel K_n; kind is
-    "cos" or "sin"."""
+    """Kernel term amp * trig((n + offset) * pi * x / L); kind is "cos" or "sin"."""
 
     kind: str
     amplitude: float
@@ -63,9 +62,11 @@ def kernel_values(terms, L, x):
 
 def _kernel_parity(atoms):
     kinds = {atom.kind for atom in atoms}
-    if len(kinds) != 1:
-        raise ValueError("kernel atoms must share one parity")
-    return 1.0 if kinds == {"cos"} else -1.0
+    if kinds == {"cos"}:
+        return 1.0
+    if kinds == {"sin"}:
+        return -1.0
+    raise ValueError("kernel atoms must share one parity")
 
 
 def _table_integral(xs, ys, term, L):

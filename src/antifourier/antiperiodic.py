@@ -74,8 +74,9 @@ def _coefficients_with_shift(f, shift, N, cfg):
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
     ns = range(N + 1)
-    alpha = project(f, shift, (TrigAtom("cos", 1.0, 0.5),), ns, "half-cosine coefficient", "cos", cfg)
-    beta = project(f, shift, (TrigAtom("sin", 1.0, 0.5),), ns, "half-sine coefficient", "sin", cfg)
+    cos, sin = (TrigAtom("cos", 1.0, 0.5),), (TrigAtom("sin", 1.0, 0.5),)
+    alpha = project(f, shift, cos, ns, "half-cosine coefficient", "cos", cfg)
+    beta = project(f, shift, sin, ns, "half-sine coefficient", "sin", cfg)
     return alpha, beta
 
 
@@ -107,12 +108,11 @@ def coefficients_via_periodic_split(
 
     The classical coefficients (a_n, b_n) of (f - gamma) cos(pi x / 2L) and
     (at_n, bt_n) of (f - gamma) sin(pi x / 2L) are computed to order N + 1
-    (the recombination references index n + 1) and combined as
+    (the recombination references index n + 1) and combined, with
+    b_0 = bt_0 = 0, as
 
-        alpha_0 = (a_0 + a_1 + bt_1) / 2
-        beta_0  = (at_0 - at_1 + b_1) / 2
         alpha_n = (a_n + a_{n+1} - bt_n + bt_{n+1}) / 2
-        beta_n  = (at_n - at_{n+1} + b_n + b_{n+1}) / 2    (n >= 1).
+        beta_n  = (at_n - at_{n+1} + b_n + b_{n+1}) / 2.
 
     The product integrands are reduced to sums of pure cosines/sines of
     half-integer multiples, so sampled specs stay on the exact table path.

@@ -58,8 +58,9 @@ def classical_coefficients(
     """
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
-    a = project(f, 0.0, (TrigAtom("cos", 1.0, 0.0),), range(N + 1), "cosine coefficient", "cos", cfg)
-    b = project(f, 0.0, (TrigAtom("sin", 1.0, 0.0),), range(1, N + 1), "sine coefficient", "sin", cfg)
+    cos, sin = (TrigAtom("cos", 1.0, 0.0),), (TrigAtom("sin", 1.0, 0.0),)
+    a = project(f, 0.0, cos, range(N + 1), "cosine coefficient", "cos", cfg)
+    b = project(f, 0.0, sin, range(1, N + 1), "sine coefficient", "sin", cfg)
     return ClassicalCoefficients(f.L, a, b)
 
 
