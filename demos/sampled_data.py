@@ -25,14 +25,14 @@ rng = np.random.default_rng(7)
 xs = np.linspace(-2.0, 2.0, 81)
 ys = np.tanh(1.5 * xs) + 0.4 * xs + 0.02 * rng.standard_normal(xs.size)
 
-path = os.path.join(tempfile.mkdtemp(), "profile.csv")
-with open(path, "w", encoding="utf-8") as handle:
-    handle.write("x,y\n")
-    for x, y in zip(xs, ys):
-        handle.write(f"{float(x)!r},{float(y)!r}\n")
-
-spec = parse_function_spec(f"csv:{path}", 2.0)
-print(f"loaded {len(spec.body.xs)} samples from {path}")
+with tempfile.TemporaryDirectory() as directory:
+    path = os.path.join(directory, "profile.csv")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("x,y\n")
+        for x, y in zip(xs, ys):
+            handle.write(f"{float(x)!r},{float(y)!r}\n")
+    spec = parse_function_spec(f"csv:{path}", 2.0)  # the table is read here, once
+print(f"loaded {len(spec.body.xs)} samples from {os.path.basename(path)}")
 print(f"f(-L) = {evaluate(spec, -2.0):+.4f}, f(L) = {evaluate(spec, 2.0):+.4f}, "
       f"shift gamma = {shift_gamma(spec):+.4f}")
 

@@ -1,11 +1,14 @@
 """Projection of a FunctionSpec onto families of trigonometric kernels.
 
 Every coefficient in the package is one of a family (1/L) * int_{-L}^{L}
-(f(x) - shift) * K_n(x) dx over harmonics n, where the kernel K_n is a short
-sum of atoms amp * cos((n + offset) pi x / L) or amp * sin(...), all of one
-parity.  :func:`project` computes a whole family in one call and is the one
-place that re-raises a quadrature failure, tagged with the family, n and
-kind.  Two integration paths are used:
+(f(x) - shift) * K_n(x) dx over harmonics n.  A family is described by one
+trig kind, "cos" or "sin", and a tuple of (amplitude, offset) pairs: K_n is
+the sum of amplitude * trig((n + offset) pi x / L) over the pairs, so every
+kernel of a family has one parity.  The classical series uses ((1.0, 0.0),),
+the half-integer series and the heat modes ((1.0, 0.5),), and the periodic
+split two pairs at offsets -1/2 and +1/2.  :func:`project` computes a whole
+family in one call and is the one place that re-raises a quadrature failure,
+tagged with the family, n and kind.  Two integration paths are used:
 
 * callable bodies: the symmetric integral is folded onto [0, L] with the
   parity-matched combination of f(x) and f(-x), then handed to the Simpson
@@ -15,8 +18,8 @@ kind.  Two integration paths are used:
   odd kernel vanishes.
 
 * sampled bodies: each panel of the piecewise-linear interpolant is
-  integrated against each atom in closed form, so no quadrature error is
-  aliased with interpolation error.
+  integrated against each pair's trig term in closed form, so no quadrature
+  error is aliased with interpolation error.
 
 Every series in the package is evaluated by one sum,
 
@@ -31,7 +34,7 @@ x-derivative (weights scaled by e^(lambda_n k t)) in ``heat_eval`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -41,65 +44,37 @@ from .errors import NonConvergence, OrderExceedsTruncation
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 
 
-@dataclass(frozen=True)
-class TrigAtom:
-    """Kernel term amp * trig((n + offset) * pi * x / L); kind is "cos" or "sin"."""
-
-    kind: str
-    amplitude: float
-    offset: float
-
-
-def kernel_values(terms, L, x):
-    """Evaluate a sum of (kind, amplitude, mult) terms at scalar or array ``x``."""
-    u = np.asarray(x, dtype=float) / L
-    total = 0.0
-    for kind, amplitude, mult in terms:
-        base = cospi(mult * u) if kind == "cos" else sinpi(mult * u)
-        total = total + amplitude * base
-    return total
-
-
-def _kernel_parity(atoms):
-    kinds = {atom.kind for atom in atoms}
-    if kinds == {"cos"}:
-        return 1.0
-    if kinds == {"sin"}:
-        return -1.0
-    raise ValueError("kernel atoms must share one parity")
-
-
-def _table_integral(xs, ys, term, L):
-    """Exact integral of the piecewise-linear table against one term."""
-    kind, amplitude, mult = term
+def _table_integral(xs, ys, trig, amplitude, mult, L):
+    """Exact integral of the piecewise-linear table against amplitude * trig(mult pi x / L)."""
     omega = mult * np.pi / L
     y0, y1 = ys[:-1], ys[1:]
-    if omega == 0.0:
-        if kind == "sin":
-            return 0.0
+    if omega == 0.0:  # the classical a_0 kernel, the one zero frequency
         return amplitude * float((0.5 * (y0 + y1) * (xs[1:] - xs[:-1])).sum())
     slope = (y1 - y0) / (xs[1:] - xs[:-1])
     s, c = np.sin(omega * xs), np.cos(omega * xs)  # once per node, panel ends by slicing
-    if kind == "cos":
+    if trig == "cos":
         panels = (y1 * s[1:] - y0 * s[:-1]) / omega + slope * (c[1:] - c[:-1]) / omega**2
     else:
         panels = (y0 * c[:-1] - y1 * c[1:]) / omega + slope * (s[1:] - s[:-1]) / omega**2
     return amplitude * float(panels.sum())
 
 
-def _folded_integral(spec, shift, parity, terms, cfg):
-    """int_0^L of the parity-folded (f - shift) times the kernel of ``terms``."""
+def _folded_integral(spec, shift, trig, atoms, n, cfg):
+    """int_0^L of the parity-folded (f - shift) times the kernel K_n."""
     # Keep the initial panel count above the largest frequency multiplier.
     # With p panels and p > mult, no dyadic refinement grid can contain all
     # zeros of trig(mult * pi * x / L) (that would need p * 2^d to divide
     # mult), so an oscillation can never alias to an exact zero estimate.
-    max_mult = max(abs(mult) for _, _, mult in terms)
+    max_mult = max(abs(n + offset) for _, offset in atoms)
     if max_mult >= cfg.base_panels:
         cfg = replace(cfg, base_panels=2 * (int(max_mult) // 2 + 1))
+    # cosine kernels are even and keep f(x) + f(-x); sine kernels are odd
+    basis, parity = (cospi, 1.0) if trig == "cos" else (sinpi, -1.0)
 
     def integrand(x):
         folded = (evaluate(spec, x) - shift) + parity * (evaluate(spec, -x) - shift)
-        return folded * kernel_values(terms, spec.L, x)
+        u = x / spec.L
+        return folded * sum(amplitude * basis((n + offset) * u) for amplitude, offset in atoms)
 
     return integrate(integrand, 0.0, spec.L, cfg)
 
@@ -107,6 +82,7 @@ def _folded_integral(spec, shift, parity, terms, cfg):
 def project(
     spec: FunctionSpec,
     shift: float,
+    trig: str,
     atoms,
     ns,
     what: str,
@@ -115,23 +91,24 @@ def project(
 ) -> np.ndarray:
     """Return (1/L) int_{-L}^{L} (f(x) - shift) * K_n(x) dx for every n in ``ns``.
 
-    K_n = sum(atoms), each atom at multiplier n + offset.  A quadrature
-    failure at harmonic n is re-raised as NonConvergence "<what> n=<n> did
-    not converge: ..." with ``index=n`` and ``kind``.
+    K_n(x) = sum of amplitude * trig((n + offset) pi x / L) over the
+    (amplitude, offset) pairs ``atoms``; ``trig`` is "cos" or "sin".  A
+    quadrature failure at harmonic n is re-raised as NonConvergence "<what>
+    n=<n> did not converge: ..." with ``index=n`` and ``kind``.
     """
-    body = spec.body
-    parity = _kernel_parity(atoms)
-    if isinstance(body, Sampled):
-        xs = np.asarray(body.xs, dtype=float)
-        ys = np.asarray(body.ys, dtype=float) - shift
     values = np.empty(len(ns))
+    if isinstance(spec.body, Sampled):
+        xs = np.asarray(spec.body.xs, dtype=float)
+        ys = np.asarray(spec.body.ys, dtype=float) - shift
+        for i, n in enumerate(ns):
+            values[i] = sum(
+                _table_integral(xs, ys, trig, amplitude, n + offset, spec.L)
+                for amplitude, offset in atoms
+            )
+        return values / spec.L
     for i, n in enumerate(ns):
-        terms = [(atom.kind, atom.amplitude, n + atom.offset) for atom in atoms]
-        if isinstance(body, Sampled):
-            values[i] = sum(_table_integral(xs, ys, term, spec.L) for term in terms)
-            continue
         try:
-            values[i] = _folded_integral(spec, shift, parity, terms, cfg)
+            values[i] = _folded_integral(spec, shift, trig, atoms, n, cfg)
         except NonConvergence as exc:
             raise NonConvergence(
                 f"{what} n={n} did not converge: {exc}",

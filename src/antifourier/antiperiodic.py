@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import TrigAtom, check_order, freeze_fields, project, trig_sum
+from ._kernels import check_order, freeze_fields, project, trig_sum
 from ._trig import cospi, sinpi
 from .catalog import FunctionSpec, evaluate
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
@@ -74,9 +74,8 @@ def _coefficients_with_shift(f, shift, N, cfg):
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
     ns = range(N + 1)
-    cos, sin = (TrigAtom("cos", 1.0, 0.5),), (TrigAtom("sin", 1.0, 0.5),)
-    alpha = project(f, shift, cos, ns, "half-cosine coefficient", "cos", cfg)
-    beta = project(f, shift, sin, ns, "half-sine coefficient", "sin", cfg)
+    alpha = project(f, shift, "cos", ((1.0, 0.5),), ns, "half-cosine coefficient", "cos", cfg)
+    beta = project(f, shift, "sin", ((1.0, 0.5),), ns, "half-sine coefficient", "sin", cfg)
     return alpha, beta
 
 
@@ -121,18 +120,18 @@ def coefficients_via_periodic_split(
         raise ValueError("truncation order must be nonnegative")
     gamma = shift_gamma(f)
 
-    def family(atoms, ns, kind):
-        return project(f, gamma, atoms, ns, f"periodic-split {kind} coefficient", kind, cfg)
+    def family(trig, atoms, ns, kind):
+        return project(f, gamma, trig, atoms, ns, f"periodic-split {kind} coefficient", kind, cfg)
 
     ns = range(N + 2)
     # cos(n pi x / L) cos(pi x / 2L) = [cos((n-1/2)...) + cos((n+1/2)...)] / 2
-    a = family((TrigAtom("cos", 0.5, -0.5), TrigAtom("cos", 0.5, 0.5)), ns, "cos")
+    a = family("cos", ((0.5, -0.5), (0.5, 0.5)), ns, "cos")
     # cos(n pi x / L) sin(pi x / 2L) = [sin((n+1/2)...) - sin((n-1/2)...)] / 2
-    at = family((TrigAtom("sin", 0.5, 0.5), TrigAtom("sin", -0.5, -0.5)), ns, "cos")
+    at = family("sin", ((0.5, 0.5), (-0.5, -0.5)), ns, "cos")
     # sin(n pi x / L) cos(pi x / 2L) = [sin((n+1/2)...) + sin((n-1/2)...)] / 2
-    b = family((TrigAtom("sin", 0.5, 0.5), TrigAtom("sin", 0.5, -0.5)), ns[1:], "sin")
+    b = family("sin", ((0.5, 0.5), (0.5, -0.5)), ns[1:], "sin")
     # sin(n pi x / L) sin(pi x / 2L) = [cos((n-1/2)...) - cos((n+1/2)...)] / 2
-    bt = family((TrigAtom("cos", 0.5, -0.5), TrigAtom("cos", -0.5, 0.5)), ns[1:], "sin")
+    bt = family("cos", ((0.5, -0.5), (-0.5, 0.5)), ns[1:], "sin")
     b, bt = np.append(0.0, b), np.append(0.0, bt)  # b_0 = bt_0 = 0: sin(0) vanishes
     alpha = (a[:-1] + a[1:] - bt[:-1] + bt[1:]) / 2.0
     beta = (at[:-1] - at[1:] + b[:-1] + b[1:]) / 2.0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import TrigAtom, check_order, freeze_fields, project, trig_sum
+from ._kernels import check_order, freeze_fields, project, trig_sum
 from ._trig import cospi, sinpi  # noqa: F401  (bench/tracer.py wraps classical.cospi/sinpi)
 from .catalog import FunctionSpec
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
@@ -58,9 +58,8 @@ def classical_coefficients(
     """
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
-    cos, sin = (TrigAtom("cos", 1.0, 0.0),), (TrigAtom("sin", 1.0, 0.0),)
-    a = project(f, 0.0, cos, range(N + 1), "cosine coefficient", "cos", cfg)
-    b = project(f, 0.0, sin, range(1, N + 1), "sine coefficient", "sin", cfg)
+    a = project(f, 0.0, "cos", ((1.0, 0.0),), range(N + 1), "cosine coefficient", "cos", cfg)
+    b = project(f, 0.0, "sin", ((1.0, 0.0),), range(1, N + 1), "sine coefficient", "sin", cfg)
     return ClassicalCoefficients(f.L, a, b)
 
 

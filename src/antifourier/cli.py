@@ -30,7 +30,7 @@ from .diagnostics import (
 )
 from .errors import AntifourierError, ParseError, ValidationError
 from .heat import HeatProblem, heat_eval, heat_eval_dx, solve_heat
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import _MAX_ACTIVE_INTERVALS, DEFAULT_CONFIG, QuadratureConfig
 
 ENV_QUAD_TOL = "ANTIFOURIER_QUAD_TOL"
 # --kind choices and the series each one selects
@@ -42,6 +42,9 @@ GIBBS_COLUMNS = ("series_kind", "order", "window_fraction", "subgrid_points", "o
 # grid), and for heat also times x grid.  The default compare ladder needs
 # 401 x 4001, about 1.6M.
 MAX_VALUES = 1 << 23
+# Most harmonics of a command: past this the top callable harmonic would start
+# with more quadrature panels than the integrator's interval budget.
+MAX_HARMONICS = _MAX_ACTIVE_INTERVALS
 
 _EPILOG = f"""\
 function spec grammar:
@@ -179,15 +182,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_size(args) -> None:
-    """Refuse, before any work, a command whose largest array passes MAX_VALUES."""
+    """Refuse, before any work, a command whose largest array passes MAX_VALUES
+    or whose largest order + 1 passes MAX_HARMONICS."""
     order = max(args.orders) if args.command == "compare" else args.n
     grid = max(getattr(args, "grid", 0), getattr(args, "subgrid", 0))  # coeffs has neither
-    sizes = {"(largest order + 1) x (largest grid)": (order + 1) * grid}
+    sizes = {
+        "largest order + 1": (order + 1, "harmonics", MAX_HARMONICS),
+        "(largest order + 1) x (largest grid)": ((order + 1) * grid, "values", MAX_VALUES),
+    }
     if args.command == "heat":
-        sizes["times x grid"] = len(args.times) * args.grid
-    for what, size in sizes.items():
-        if size > MAX_VALUES:
-            raise ValidationError(f"{what} is {size} values, above the limit of {MAX_VALUES}")
+        sizes["times x grid"] = (len(args.times) * args.grid, "values", MAX_VALUES)
+    for what, (size, unit, limit) in sizes.items():
+        if size > limit:
+            raise ValidationError(f"{what} is {size} {unit}, above the limit of {limit}")
 
 
 def _quad_config(args) -> QuadratureConfig:
@@ -325,11 +332,11 @@ def _cmd_heat(args, cfg) -> str:
     if args.format == "json":
         payload = {"solution": io.to_dict(sol), "x": grid, "times": list(args.times)}
         return json.dumps({**payload, **data}) + "\n"
-    rows = [
-        [x, t, *(values[j][i] for values in data.values())]
+    rows = (
+        (x, t, *(values[j][i] for values in data.values()))
         for j, t in enumerate(args.times)
         for i, x in enumerate(grid)
-    ]
+    )
     return io.csv_text(("x", "t", *data), rows)
 
 
@@ -342,7 +349,7 @@ def _cmd_basis(args, cfg) -> str:
     if args.format == "json":
         cos, sin = [[pair[k] for pair in pairs] for k in (0, 1)]
         return json.dumps({"x": grid, "n": list(indices), "cos": cos, "sin": sin}) + "\n"
-    rows = [[n, x, c[i], s[i]] for n, (c, s) in enumerate(pairs) for i, x in enumerate(grid)]
+    rows = ((n, x, c[i], s[i]) for n, (c, s) in enumerate(pairs) for i, x in enumerate(grid))
     return io.csv_text(("n", "x", "cos", "sin"), rows)
 
 

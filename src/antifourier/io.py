@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from io import StringIO
 
 import numpy as np
 
@@ -109,10 +110,12 @@ def load_coefficients(path: str) -> dict:
 
 
 def csv_text(header, rows) -> str:
-    """Assemble CSV text (comma separated, trailing newline)."""
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    """Assemble CSV text (comma separated, trailing newline) from any iterable
+    of rows, without holding a list of lines."""
+    out = StringIO()
+    out.write(",".join(header) + "\n")
+    out.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
+    return out.getvalue()
 
 
 def report_csv(reports) -> str:

@@ -1,15 +1,14 @@
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-import antifourier
 from antifourier import ValidationError, catalog
-from antifourier.cli import MAX_VALUES, _check_size, build_parser, main
+from antifourier.cli import MAX_HARMONICS, MAX_VALUES, _check_size, build_parser, main
 from antifourier.diagnostics import REPORT_COLUMNS
+from conftest import child_env
 
 
 def run_cli(capsys, *argv):
@@ -356,13 +355,14 @@ BAD_COEFFICIENT_FILES = {
         ["heat", "--function", "named:identity", "--c", "0", "--n", "0",
          "--times", ",".join(["1"] * 100), "--grid", "100000"],
         ["basis", "--n", "100000", "--grid", "100001"],
+        ["coeffs", "--function", "named:identity", "--n", "1000000000000"],
     ],
     ids=[
         "gibbs-window", "compare-window", "gibbs-subgrid", "compare-subgrid", "missing-csv",
         "csv-not-utf8", "missing-coeffs-file", "coeffs-file-not-json",
         *(f"coeffs-file-{name}" for name in BAD_COEFFICIENT_FILES), "out-dir-missing",
         "compare-even-grid", "eval-size", "compare-orders-size", "compare-grid-size",
-        "gibbs-size", "heat-size", "heat-times-size", "basis-size",
+        "gibbs-size", "heat-size", "heat-times-size", "basis-size", "coeffs-order",
     ],
 )
 def test_input_and_file_errors_exit_2(capsys, tmp_path, argv):
@@ -399,6 +399,20 @@ def test_size_guard_refuses_one_value_past_the_limit():
     assert f"is {MAX_VALUES + 1} values, above the limit of {MAX_VALUES}" in str(info.value)
 
 
+def test_order_guard_refuses_one_harmonic_past_the_limit():
+    def coeffs(n):
+        return build_parser().parse_args(
+            ["coeffs", "--function", "named:identity", "--interval", "pi", "--n", str(n)]
+        )
+
+    _check_size(coeffs(MAX_HARMONICS - 1))
+    with pytest.raises(ValidationError) as info:
+        _check_size(coeffs(MAX_HARMONICS))
+    assert str(info.value) == (
+        f"largest order + 1 is {MAX_HARMONICS + 1} harmonics, above the limit of {MAX_HARMONICS}"
+    )
+
+
 def test_table_past_the_row_cap_is_refused(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(catalog, "MAX_TABLE_ROWS", 4)
     path = tmp_path / "table.csv"
@@ -412,14 +426,10 @@ def test_table_past_the_row_cap_is_refused(capsys, tmp_path, monkeypatch):
 
 
 def test_module_entry_point():
-    # the child imports the package from where this process found it, which
-    # under pytest's pythonpath setting need not be on PYTHONPATH
-    package_root = os.path.dirname(os.path.dirname(antifourier.__file__))
-    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "antifourier", "basis", "--interval", "1", "--n", "0",
          "--grid", "3", "--format", "json"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     data = json.loads(proc.stdout)

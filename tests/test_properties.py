@@ -1,6 +1,7 @@
 """Property tests: JSON round trips, the exact endpoint zeros of the series,
-the symmetries and exact values of cospi/sinpi, and the coefficient families
-of random low-degree polynomials.
+the symmetries and exact values of cospi/sinpi, the coefficient families
+of random low-degree polynomials, and the round trips of rendered function
+specs and of CSV cells over every finite double.
 
 Coefficients are random finite doubles with |v| <= 1e6 on random
 half-widths L; every claim below but the split agreement is an exact
@@ -21,6 +22,7 @@ from antifourier import (
     ClassicalCoefficients,
     FunctionSpec,
     HeatSolution,
+    Named,
     Polynomial,
     antiperiodic_coefficients,
     antiperiodic_partial_sum,
@@ -29,9 +31,12 @@ from antifourier import (
     coefficients_via_periodic_split,
     heat_eval,
     heat_eval_dx,
+    parse_function_spec,
+    render_function_spec,
 )
 from antifourier._trig import cospi, sinpi
-from antifourier.io import from_dict, to_dict
+from antifourier.catalog import NAMED_FUNCTIONS
+from antifourier.io import fmt, from_dict, to_dict
 
 VALUES = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 HALF_WIDTHS = st.floats(min_value=1e-3, max_value=1e3)
@@ -215,3 +220,49 @@ def test_even_polynomials_have_exactly_zero_sine_coefficients(f, N):
     assert (classical_coefficients(f, N).b == 0.0).all()
     assert (antiperiodic_coefficients(f, N).beta == 0.0).all()
     assert (coefficients_via_periodic_split(f, N).beta == 0.0).all()
+
+
+# every finite double, with -0.0, subnormals and the largest magnitudes drawn on purpose
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.just(-0.0),
+    st.floats(min_value=-(2.0**-1022), max_value=2.0**-1022),
+    st.floats(min_value=1e300, allow_infinity=False),
+    st.floats(max_value=-1e300, allow_infinity=False),
+)
+
+
+@st.composite
+def rendered_specs(draw):
+    """A poly: or named: spec on a random [-L, L]."""
+    L = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    if draw(st.booleans()):
+        return FunctionSpec(L, Polynomial(tuple(draw(st.lists(FINITE, min_size=1, max_size=6)))))
+    name = draw(st.sampled_from(sorted(NAMED_FUNCTIONS)))
+    params = tuple(draw(FINITE) for _ in range(NAMED_FUNCTIONS[name].arity))
+    return FunctionSpec(L, Named(name, params))
+
+
+def numbers(spec):
+    body = spec.body
+    return (spec.L, *(body.coefficients if isinstance(body, Polynomial) else body.params))
+
+
+@SETTINGS
+@given(rendered_specs())
+def test_rendered_spec_parses_back_to_itself(spec):
+    back = parse_function_spec(render_function_spec(spec), spec.L)
+    assert back == spec
+    assert same_bits(numbers(back), numbers(spec))  # == does not tell -0.0 from 0.0
+
+
+@SETTINGS
+@given(FINITE)
+def test_csv_cells_round_trip_every_double(x):
+    assert same_bits(float(fmt(x)), x)
+
+
+@SETTINGS
+@given(st.integers(min_value=-(2**70), max_value=2**70))
+def test_csv_cells_write_integers_as_str(n):
+    assert fmt(n) == str(n)
