@@ -49,7 +49,6 @@ from .diagnostics import (
     error_profile,
     gibbs_overshoot,
     partial_sum,
-    series_kind,
 )
 from .errors import (
     AntifourierError,
@@ -136,7 +135,6 @@ __all__ = [
     "parse_function_spec",
     "partial_sum",
     "render_function_spec",
-    "series_kind",
     "shift_gamma",
     "solve_heat",
     "verify_solution",

@@ -25,11 +25,10 @@ Every series in the package is evaluated by one sum,
 
     shift + sum_m (c_m cos(mult_m pi x / L) + s_m sin(mult_m pi x / L)),
 
-in :func:`trig_sum`: the classical series (shift a_0/2, mult n) in
-``classical_partial_sum``, the half-integer series (shift gamma, mult
-n + 1/2) in ``antiperiodic_partial_sum``, and the heat solution and its
-x-derivative (weights scaled by e^(lambda_n k t)) in ``heat_eval`` and
-``heat_eval_dx``.  The containers share :func:`freeze_fields` and :func:`check_order`.
+in :func:`trig_sum`: the classical series (shift a_0/2, mult n) and the
+half-integer series (shift gamma, mult n + 1/2) from their containers'
+``terms`` views, and the heat solution and its x-derivative (weights scaled
+by e^(lambda_n k t)) in ``heat_eval`` and ``heat_eval_dx``.  The containers share :func:`freeze_fields` and :func:`check_order`.
 """
 
 from __future__ import annotations
@@ -146,7 +145,7 @@ def check_order(M, N: int) -> int:
 
 
 def freeze_fields(obj, first: str, second: str, extra: int = 0, positive=("L",)) -> None:
-    """Store two fields of frozen dataclass ``obj`` as finite read-only arrays.
+    """Store two fields of frozen dataclass ``obj`` as finite read-only 1-D arrays.
 
     ``first`` must hold ``extra`` more entries than ``second`` and at least one.
     Every other field is a scalar that must be finite, and > 0 if named in
@@ -158,6 +157,8 @@ def freeze_fields(obj, first: str, second: str, extra: int = 0, positive=("L",))
             rule = "finite and positive" if name in positive else "finite"
             raise ValueError(f"{name} must be {rule}, got {value!r}")
     arrays = {name: np.asarray(getattr(obj, name), dtype=float) for name in (first, second)}
+    if any(array.ndim != 1 for array in arrays.values()):
+        raise ValueError(f"{first} and {second} must be one-dimensional")
     if arrays[first].size != arrays[second].size + extra or arrays[first].size == 0:
         raise ValueError(f"expected len({first}) == len({second}) + {extra} > 0")
     if not all(np.isfinite(array).all() for array in arrays.values()):

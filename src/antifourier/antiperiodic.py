@@ -51,6 +51,12 @@ class AntiperiodicCoefficients:
             self.L, self.gamma, self.alpha[: M + 1].copy(), self.beta[: M + 1].copy()
         )
 
+    def terms(self, M: int | None = None):
+        """(shift gamma, multipliers n + 1/2 for n <= M, alpha_0..alpha_M, beta_0..beta_M)."""
+        M = check_order(M, self.N)
+        mults = np.arange(M + 1, dtype=float) + 0.5
+        return self.gamma, mults, self.alpha[: M + 1], self.beta[: M + 1]
+
 
 def shift_gamma(f: FunctionSpec) -> float:
     """Return (f(-L) + f(L)) / 2, the constant making f - gamma antiperiodic."""
@@ -93,11 +99,7 @@ def antiperiodic_partial_sum(coeffs: AntiperiodicCoefficients, x, M: int | None 
 
     Defined for all real x; the sum minus gamma is 2L-antiperiodic.
     """
-    M = check_order(M, coeffs.N)
-    mults = np.arange(M + 1, dtype=float) + 0.5
-    return trig_sum(
-        coeffs.L, coeffs.gamma, mults, coeffs.alpha[: M + 1], coeffs.beta[: M + 1], x
-    )
+    return trig_sum(coeffs.L, *coeffs.terms(M), x)
 
 
 def coefficients_via_periodic_split(

@@ -57,42 +57,25 @@ Body = Union[Polynomial, Named, Sampled]
 
 @dataclass(frozen=True)
 class NamedFunction:
-    """Registry metadata: arity, continuity, and an antiperiodicity predicate."""
+    """Registry entry: name, parameter count and vectorized ``evaluate(x, params)``."""
 
     name: str
     arity: int
-    continuous: bool
     evaluate: Callable
-    antiperiodic: Callable  # (L, params) -> bool
 
 
 NAMED_FUNCTIONS = {
-    "identity": NamedFunction(
-        "identity", 0, True,
-        lambda x, p: np.asarray(x, dtype=float),
-        lambda L, p: True,
-    ),
-    "const": NamedFunction(
-        "const", 1, True,
-        lambda x, p: np.full(np.shape(x), p[0], dtype=float),
-        lambda L, p: p[0] == 0.0,
-    ),
+    "identity": NamedFunction("identity", 0, lambda x, p: np.asarray(x, dtype=float)),
+    "const": NamedFunction("const", 1, lambda x, p: np.full(np.shape(x), p[0], dtype=float)),
     # sign(0) = 0 keeps signum odd: all cosine coefficients vanish and the
     # midpoint value at the jump is exactly representable.
-    "signum": NamedFunction(
-        "signum", 0, False,
-        lambda x, p: np.sign(np.asarray(x, dtype=float)),
-        lambda L, p: True,
-    ),
+    "signum": NamedFunction("signum", 0, lambda x, p: np.sign(np.asarray(x, dtype=float))),
     "x-plus-sign": NamedFunction(
-        "x-plus-sign", 0, False,
+        "x-plus-sign", 0,
         lambda x, p: np.asarray(x, dtype=float) + np.sign(np.asarray(x, dtype=float)),
-        lambda L, p: True,
     ),
     "scaled-square": NamedFunction(
-        "scaled-square", 0, True,
-        lambda x, p: (np.asarray(x, dtype=float) / np.pi) ** 2,
-        lambda L, p: False,  # f(-L) + f(L) = 2 (L/pi)^2 > 0
+        "scaled-square", 0, lambda x, p: (np.asarray(x, dtype=float) / np.pi) ** 2
     ),
 }
 

@@ -47,6 +47,11 @@ class ClassicalCoefficients:
         M = check_order(M, self.N)
         return ClassicalCoefficients(self.L, self.a[: M + 1].copy(), self.b[:M].copy())
 
+    def terms(self, M: int | None = None):
+        """(shift a_0/2, multipliers 1..M, cos weights a_1..a_M, sin weights b_1..b_M)."""
+        M = check_order(M, self.N)
+        return 0.5 * self.a[0], np.arange(1, M + 1, dtype=float), self.a[1 : M + 1], self.b[:M]
+
 
 def classical_coefficients(
     f: FunctionSpec, N: int, cfg: QuadratureConfig = DEFAULT_CONFIG
@@ -68,6 +73,4 @@ def classical_partial_sum(coeffs: ClassicalCoefficients, x, M: int | None = None
 
     Defined for all real x (the sum is the 2L-periodic extension).
     """
-    M = check_order(M, coeffs.N)
-    mults = np.arange(1, M + 1, dtype=float)
-    return trig_sum(coeffs.L, 0.5 * coeffs.a[0], mults, coeffs.a[1 : M + 1], coeffs.b[:M], x)
+    return trig_sum(coeffs.L, *coeffs.terms(M), x)

@@ -280,10 +280,15 @@ def _cmd_eval(args, cfg) -> str:
     return io.csv_text(header, rows)
 
 
+def _json_value(value):
+    """``value``, or None (JSON null) for a nan or infinite float, which RFC 8259 lacks."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _table(args, header, rows) -> str:
-    """Rows as a JSON list of objects keyed by ``header``, or as CSV."""
+    """Rows as a JSON list of objects keyed by ``header`` (undefined values null), or as CSV."""
     if args.format == "json":
-        return json.dumps([dict(zip(header, row)) for row in rows]) + "\n"
+        return json.dumps([dict(zip(header, map(_json_value, row))) for row in rows]) + "\n"
     return io.csv_text(header, rows)
 
 

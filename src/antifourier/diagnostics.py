@@ -73,10 +73,6 @@ def partial_sum(series: SeriesCoefficients, x, M: Optional[int] = None):
     raise TypeError(f"unsupported series type {type(series).__name__}")
 
 
-def series_kind(series: SeriesCoefficients) -> str:
-    return "classical" if isinstance(series, ClassicalCoefficients) else "antiperiodic"
-
-
 def error_profile(
     f: FunctionSpec, series: SeriesCoefficients, M: int, grid_size: int
 ) -> ErrorProfile:
@@ -123,17 +119,6 @@ def gibbs_overshoot(
     return max(right_excess, left_excess)
 
 
-def _magnitude_sequence(series: SeriesCoefficients):
-    """(harmonic indices, combined magnitudes) for the decay fit."""
-    if isinstance(series, ClassicalCoefficients):
-        n = np.arange(1, series.N + 1)
-        mags = np.maximum(np.abs(series.a[1:]), np.abs(series.b))
-    else:
-        n = np.arange(0, series.N + 1)
-        mags = np.maximum(np.abs(series.alpha), np.abs(series.beta))
-    return n, mags
-
-
 def decay_exponent(series: SeriesCoefficients, order: Optional[int] = None) -> float:
     """Fitted decay rate p of the coefficients, assuming magnitude ~ n^(-p).
 
@@ -142,7 +127,9 @@ def decay_exponent(series: SeriesCoefficients, order: Optional[int] = None) -> f
     zeros).  Raises InsufficientData with fewer than 4 usable entries.
     """
     N = series.N if order is None else min(order, series.N)
-    n, mags = _magnitude_sequence(series)
+    _, mults, cos_w, sin_w = series.terms()
+    n = np.floor(mults)  # harmonic n of multiplier n or n + 1/2
+    mags = np.maximum(np.abs(cos_w), np.abs(sin_w))
     lo = max(2, N // 4)
     window = (n >= lo) & (n <= N)
     n, mags = n[window], mags[window]
@@ -177,12 +164,12 @@ def compare_orders(
     for M in orders:
         dec_c = _decay_or_nan(classical, M)
         dec_a = _decay_or_nan(antiperiodic, M)
-        for series in (classical, antiperiodic):
+        for kind, series in (("classical", classical), ("antiperiodic", antiperiodic)):
             profile = error_profile(f, series, M, grid_size)
             over = gibbs_overshoot(f, series, M, window_fraction, subgrid_points)
             rows.append(
                 DiagnosticsReport(
-                    series_kind=series_kind(series),
+                    series_kind=kind,
                     order=M,
                     endpoint_error_left=profile.endpoint_error_left,
                     endpoint_error_right=profile.endpoint_error_right,

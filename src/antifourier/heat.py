@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import check_order, freeze_fields, trig_sum
-from ._trig import cospi, sinpi
-from .antiperiodic import _coefficients_with_shift
+from ._trig import cospi, sinpi  # noqa: F401  (bench/tracer.py wraps heat.cospi/sinpi)
+from .antiperiodic import _coefficients_with_shift, half_basis
 from .catalog import FunctionSpec, evaluate
 from .errors import IncompatibleData, NegativeTime
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
@@ -83,20 +83,14 @@ def eigenpair(n: int, L: float):
     X'(-L) = -X'(L).
 
     Returns (lambda_n, X_n, Xt_n) with lambda_n = -((2n+1) pi / (2L))^2,
-    X_n(x) = cos((2n+1) pi x / 2L) and Xt_n(x) = sin((2n+1) pi x / 2L).
+    X_n(x) = cos((2n+1) pi x / 2L) and Xt_n(x) = sin((2n+1) pi x / 2L), the
+    two functions of ``half_basis(n, L, x)``.
     """
     if n < 0:
         raise ValueError("mode index must be nonnegative")
     omega = (n + 0.5) * (np.pi / L)
     lam = -(omega * omega)
-
-    def X(x, _m=n + 0.5, _L=L):
-        return cospi(_m * (np.asarray(x, dtype=float) / _L))
-
-    def Xt(x, _m=n + 0.5, _L=L):
-        return sinpi(_m * (np.asarray(x, dtype=float) / _L))
-
-    return float(lam), X, Xt
+    return float(lam), lambda x: half_basis(n, L, x)[0], lambda x: half_basis(n, L, x)[1]
 
 
 def solve_heat(

@@ -56,13 +56,24 @@ def to_dict(obj) -> dict:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def from_dict(data: dict):
-    """Inverse of :func:`to_dict`."""
+    """Inverse of :func:`to_dict`; every scalar and array entry must be a JSON number."""
     try:
         if data["kind"] not in _SCHEMAS:
             raise ValidationError(f"unknown coefficient kind {data['kind']!r}")
         cls, keys = _SCHEMAS[data["kind"]]
         *scalars, first, second = (key for key in keys if key != "N")
+        for key in scalars:
+            if not _is_number(data[key]):
+                raise TypeError(f"{key} must be a number, got {data[key]!r}")
+        for key in (first, second):
+            if not (isinstance(data[key], list) and all(map(_is_number, data[key]))):
+                raise TypeError(f"{key} must be a flat list of numbers")
         obj = cls(*(float(data[key]) for key in scalars), data[first], data[second])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed coefficient object: {exc}") from exc

@@ -162,6 +162,37 @@ class TestPartialSum:
             antiperiodic_partial_sum(c, 0.0, 5)
 
 
+class TestTerms:
+    C = AntiperiodicCoefficients(2.0, 0.75, [1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
+
+    @pytest.mark.parametrize(
+        "M, mults, cos_w, sin_w",
+        [(None, [0.5, 1.5, 2.5], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]), (0, [0.5], [1.0], [4.0]),
+         (2, [0.5, 1.5, 2.5], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0])],
+    )
+    def test_shift_multipliers_and_weights(self, M, mults, cos_w, sin_w):
+        terms = self.C.terms(M)
+        assert terms[0] == 0.75  # gamma
+        for got, want in zip(terms[1:], (mults, cos_w, sin_w)):
+            np.testing.assert_array_equal(got, np.array(want, dtype=float), strict=True)
+
+    def test_order_exceeds_truncation(self):
+        with pytest.raises(OrderExceedsTruncation):
+            self.C.terms(3)
+
+    def test_weights_are_read_only(self):
+        _, _, cos_w, sin_w = self.C.terms(1)
+        for weights in (cos_w, sin_w):
+            with pytest.raises(ValueError):
+                weights[0] = 0.0
+
+
+@pytest.mark.parametrize("alpha, beta", [([[1.0], [2.0]], [3.0, 4.0]), (1.0, 2.0)])
+def test_coefficient_arrays_must_be_flat(alpha, beta):
+    with pytest.raises(ValueError, match="one-dimensional"):
+        AntiperiodicCoefficients(1.0, 0.0, alpha, beta)
+
+
 class TestPeriodicSplit:
     def test_identity_matches_direct(self, identity_pi):
         direct = antiperiodic_coefficients(identity_pi, 8)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from antifourier import (
-    NAMED_FUNCTIONS,
     FunctionSpec,
     Named,
     OutOfDomain,
@@ -193,22 +192,3 @@ class TestDefect:
     def test_defect_is_twice_gamma(self):
         for spec in catalog_specs():
             assert antiperiodic_defect(spec) == 2.0 * shift_gamma(spec)
-
-
-def test_registry_flags_match_evaluation():
-    # declared antiperiodicity must agree with the defect at +-L
-    for spec in catalog_specs(L=np.pi) + catalog_specs(L=1.5):
-        entry = NAMED_FUNCTIONS[spec.body.name]
-        declared = entry.antiperiodic(spec.L, spec.body.params)
-        assert declared == (antiperiodic_defect(spec) == 0.0), spec.body.name
-
-
-def test_registry_continuity_flags():
-    flags = {name: entry.continuous for name, entry in NAMED_FUNCTIONS.items()}
-    assert flags == {
-        "identity": True,
-        "const": True,
-        "signum": False,
-        "x-plus-sign": False,
-        "scaled-square": True,
-    }

@@ -138,6 +138,37 @@ class TestPartialSum:
             c.truncated(9)
 
 
+class TestTerms:
+    C = ClassicalCoefficients(2.0, [1.0, 2.0, 3.0], [4.0, 5.0])
+
+    @pytest.mark.parametrize(
+        "M, mults, cos_w, sin_w",
+        [(None, [1.0, 2.0], [2.0, 3.0], [4.0, 5.0]), (0, [], [], []),
+         (2, [1.0, 2.0], [2.0, 3.0], [4.0, 5.0])],
+    )
+    def test_shift_multipliers_and_weights(self, M, mults, cos_w, sin_w):
+        terms = self.C.terms(M)
+        assert terms[0] == 0.5  # a_0 / 2
+        for got, want in zip(terms[1:], (mults, cos_w, sin_w)):
+            np.testing.assert_array_equal(got, np.array(want, dtype=float), strict=True)
+
+    def test_order_exceeds_truncation(self):
+        with pytest.raises(OrderExceedsTruncation):
+            self.C.terms(3)
+
+    def test_weights_are_read_only(self):
+        _, _, cos_w, sin_w = self.C.terms(1)
+        for weights in (cos_w, sin_w):
+            with pytest.raises(ValueError):
+                weights[0] = 0.0
+
+
+@pytest.mark.parametrize("a, b", [([[0.0, 0.0]], [2.0]), (1.0, [])])
+def test_coefficient_arrays_must_be_flat(a, b):
+    with pytest.raises(ValueError, match="one-dimensional"):
+        ClassicalCoefficients(1.0, a, b)
+
+
 def test_coefficients_are_immutable():
     c = identity_coefficients(4)
     with pytest.raises(ValueError):

@@ -138,6 +138,21 @@ class TestCompare:
         assert float(classical_50[3]) == pytest.approx(np.pi, abs=1e-12)
         assert float(anti_50[4]) < float(classical_50[4])  # sup_error column
 
+    def test_undefined_fits_are_json_null_and_csv_nan(self, capsys):
+        argv = ["compare", "--function", "named:const:1", "--interval", "1",
+                "--orders", "10,25", "--grid", "101"]
+
+        def refuse(token):
+            raise ValueError(f"{token} is not RFC 8259 JSON")
+
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        rows = json.loads(out, parse_constant=refuse)
+        assert {row["decay_exponent_classical"] for row in rows} == {None}
+        assert {row["decay_exponent_antiperiodic"] for row in rows} == {None}
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert [row[6:8] for row in parse_csv(out)[1]] == [["nan", "nan"]] * 4
+
     def test_grid_must_be_odd(self, capsys):
         code, _, err = run_cli(
             capsys, "compare", "--function", "named:identity", "--interval", "pi",
@@ -328,7 +343,16 @@ BAD_COEFFICIENT_FILES = {
     "heat-k-zero": ("heat", "k", 0.0),
     "heat-k-negative": ("heat", "k", -1.0),
     "heat-k-nan": ("heat", "k", float("nan")),
+    "antiperiodic-nested-alpha": ("antiperiodic", "alpha", [[0.0], [0.0], [0.0]]),
+    "classical-nested-a": ("classical", "a", [[0.0, 0.0]]),
+    "antiperiodic-string-entry": ("antiperiodic", "beta", [1.0, "2", 0.25]),
+    "antiperiodic-string-gamma": ("antiperiodic", "gamma", "0"),
+    "classical-boolean-entry": ("classical", "b", [True]),
+    "antiperiodic-boolean-gamma": ("antiperiodic", "gamma", False),
 }
+# the eval --kind that reads each kind of file; with it and --n 0, a file that
+# loads is evaluated instead of refused for a missing kind or a low order
+EVAL_KIND = {"classical": ["--kind", "classical"], "antiperiodic": ["--kind", "anti"], "heat": []}
 
 
 @pytest.mark.parametrize(
@@ -342,8 +366,9 @@ BAD_COEFFICIENT_FILES = {
         ["coeffs", "--function", "csv:{tmp}/latin-1.csv"],
         ["eval", "--function", "named:identity", "--coeffs-file", "{tmp}/missing.json"],
         ["eval", "--function", "named:identity", "--coeffs-file", "{tmp}/not-json.json"],
-        *(["eval", "--function", "named:identity", "--coeffs-file", f"{{tmp}}/{name}.json"]
-          for name in BAD_COEFFICIENT_FILES),
+        *(["eval", "--function", "named:identity", *EVAL_KIND[kind], "--n", "0",
+           "--coeffs-file", f"{{tmp}}/{name}.json"]
+          for name, (kind, _, _) in BAD_COEFFICIENT_FILES.items()),
         ["basis", "--out", "{tmp}/no-such-dir/out.json"],
         ["compare", "--function", "named:identity", "--orders", "4", "--grid", "100"],
         # refused by size before any work, so none of these allocates anything

@@ -140,6 +140,28 @@ class TestDecayExponent:
         assert p_small == pytest.approx(1.0, abs=0.1)
         assert p_large == pytest.approx(1.0, abs=0.02)
 
+    @pytest.mark.parametrize("order", [None, 8, 17, 40, 64, 100])
+    def test_equals_the_documented_fit_exactly(self, order):
+        rng = np.random.default_rng(3)
+        cos_w, sin_w = rng.standard_normal((2, 65)) / np.arange(1, 66) ** 1.5
+        cos_w[::7] = sin_w[::7] = 1e-14  # numerical zeros, left out of the fit
+        N = 64 if order is None else min(order, 64)
+
+        def fit(n, c, s):
+            mags = np.maximum(np.abs(c), np.abs(s))
+            keep = (n >= max(2, N // 4)) & (n <= N) & (mags > 1e-13)
+            return -np.polyfit(np.log(n[keep] + 1.0), np.log(mags[keep]), 1)[0]
+
+        classical = ClassicalCoefficients(1.0, cos_w, sin_w[1:])
+        anti = AntiperiodicCoefficients(1.0, 0.5, cos_w, sin_w)
+        assert decay_exponent(classical, order) == fit(np.arange(1, 65), cos_w[1:], sin_w[1:])
+        assert decay_exponent(anti, order) == fit(np.arange(65), cos_w, sin_w)
+
+    def test_negative_order_is_insufficient_data(self):
+        for series in (identity_classical(64), identity_anti(64)):
+            with pytest.raises(InsufficientData):
+                decay_exponent(series, order=-1)
+
 
 class TestComparative:
     def test_antiperiodic_beats_classical_when_endpoints_disagree(self):

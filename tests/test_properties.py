@@ -1,5 +1,6 @@
 """Property tests: JSON round trips, the exact endpoint zeros of the series,
-the symmetries and exact values of cospi/sinpi, the coefficient families
+the heat eigenfunctions as the half-integer basis, the symmetries and exact
+values of cospi/sinpi, the coefficient families
 of random low-degree polynomials, and the round trips of rendered function
 specs and of CSV cells over every finite double.
 
@@ -29,6 +30,8 @@ from antifourier import (
     classical_coefficients,
     classical_partial_sum,
     coefficients_via_periodic_split,
+    eigenpair,
+    half_basis,
     heat_eval,
     heat_eval_dx,
     parse_function_spec,
@@ -143,6 +146,16 @@ def test_heat_is_the_boundary_mean_at_both_ends_without_sines(sol, t):
 def test_heat_flux_is_zero_at_both_ends_without_cosines(sol, t):
     assert heat_eval_dx(sol, -sol.L, t) == 0.0
     assert heat_eval_dx(sol, sol.L, t) == 0.0
+
+
+@SETTINGS
+@given(st.integers(min_value=0, max_value=10**4), HALF_WIDTHS, st.data())
+def test_heat_eigenfunctions_are_the_half_basis_bitwise(n, L, data):
+    points = st.floats(min_value=-L, max_value=L)
+    x = data.draw(st.one_of(points, st.lists(points, min_size=1, max_size=8).map(np.array)))
+    _, X, Xt = eigenpair(n, L)
+    cos, sin = half_basis(n, L, x)
+    assert same_bits(X(x), cos) and same_bits(Xt(x), sin)
 
 
 @SETTINGS
