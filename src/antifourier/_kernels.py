@@ -18,8 +18,9 @@ tagged with the family, n and kind.  Two integration paths are used:
   odd kernel vanishes.
 
 * sampled bodies: each panel of the piecewise-linear interpolant is
-  integrated against each pair's trig term in closed form, so no quadrature
-  error is aliased with interpolation error.
+  integrated against each pair's trig term in closed form, by parts, so no
+  quadrature error is aliased with interpolation error.  One trig function
+  is taken per node and harmonic.
 
 Every series in the package is evaluated by one sum,
 
@@ -28,7 +29,9 @@ Every series in the package is evaluated by one sum,
 in :func:`trig_sum`: the classical series (shift a_0/2, mult n) and the
 half-integer series (shift gamma, mult n + 1/2) from their containers'
 ``terms`` views, and the heat solution and its x-derivative (weights scaled
-by e^(lambda_n k t)) in ``heat_eval`` and ``heat_eval_dx``.  The containers share :func:`freeze_fields` and :func:`check_order`.
+by e^(lambda_n k t)) in ``heat_eval`` and ``heat_eval_dx``.  It takes both
+trig functions of each phase from one ``cossinpi`` split.  The containers
+share :func:`freeze_fields` and :func:`check_order`.
 """
 
 from __future__ import annotations
@@ -37,25 +40,30 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from ._trig import cospi, sinpi
+from ._trig import cospi, cossinpi, sinpi
 from .catalog import FunctionSpec, Sampled, evaluate
-from .errors import NonConvergence, OrderExceedsTruncation
+from .errors import NonConvergence, OrderExceedsTruncation, ValidationError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 
 
-def _table_integral(xs, ys, trig, amplitude, mult, L):
-    """Exact integral of the piecewise-linear table against amplitude * trig(mult pi x / L)."""
+def _table_integral(xs, ys, slope, trig, amplitude, mult, L):
+    """Exact integral of the piecewise-linear table against amplitude * trig(mult pi x / L).
+
+    Each panel is integrated by parts.  The value terms telescope to the two
+    table ends, so the kernel's antiderivative (sin for cos, cos for sin) is
+    taken there only; the slope terms take ``trig`` itself at every node.
+    """
     omega = mult * np.pi / L
-    y0, y1 = ys[:-1], ys[1:]
     if omega == 0.0:  # the classical a_0 kernel, the one zero frequency
-        return amplitude * float((0.5 * (y0 + y1) * (xs[1:] - xs[:-1])).sum())
-    slope = (y1 - y0) / (xs[1:] - xs[:-1])
-    s, c = np.sin(omega * xs), np.cos(omega * xs)  # once per node, panel ends by slicing
-    if trig == "cos":
-        panels = (y1 * s[1:] - y0 * s[:-1]) / omega + slope * (c[1:] - c[:-1]) / omega**2
-    else:
-        panels = (y0 * c[:-1] - y1 * c[1:]) / omega + slope * (s[1:] - s[:-1]) / omega**2
-    return amplitude * float(panels.sum())
+        return amplitude * float((0.5 * (ys[:-1] + ys[1:]) * np.diff(xs)).sum())
+    left, right = omega * xs[0], omega * xs[-1]
+    if trig == "cos":  # y sin / omega + slope cos / omega^2 on each panel
+        ends = ys[-1] * np.sin(right) - ys[0] * np.sin(left)
+        steps = np.diff(np.cos(omega * xs))
+    else:  # -y cos / omega + slope sin / omega^2 on each panel
+        ends = ys[0] * np.cos(left) - ys[-1] * np.cos(right)
+        steps = np.diff(np.sin(omega * xs))
+    return amplitude * float(ends / omega + (slope * steps).sum() / omega**2)
 
 
 def _folded_integral(spec, shift, trig, atoms, n, cfg):
@@ -93,18 +101,29 @@ def project(
     K_n(x) = sum of amplitude * trig((n + offset) pi x / L) over the
     (amplitude, offset) pairs ``atoms``; ``trig`` is "cos" or "sin".  A
     quadrature failure at harmonic n is re-raised as NonConvergence "<what>
-    n=<n> did not converge: ..." with ``index=n`` and ``kind``.
+    n=<n> did not converge: ..." with ``index=n`` and ``kind``; a table
+    integral that overflows raises ValidationError "<what> n=<n> is not
+    finite: ...".
     """
     values = np.empty(len(ns))
     if isinstance(spec.body, Sampled):
         xs = np.asarray(spec.body.xs, dtype=float)
-        ys = np.asarray(spec.body.ys, dtype=float) - shift
-        for i, n in enumerate(ns):
-            values[i] = sum(
-                _table_integral(xs, ys, trig, amplitude, n + offset, spec.L)
-                for amplitude, offset in atoms
+        # an overflow leaves a nan or an infinity, refused below by harmonic
+        with np.errstate(over="ignore", invalid="ignore"):
+            ys = np.asarray(spec.body.ys, dtype=float) - shift
+            slope = np.diff(ys) / np.diff(xs)
+            for i, n in enumerate(ns):
+                values[i] = sum(
+                    _table_integral(xs, ys, slope, trig, amplitude, n + offset, spec.L)
+                    for amplitude, offset in atoms
+                )
+            values /= spec.L
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValidationError(
+                f"{what} n={ns[bad[0]]} is not finite: the table's values are too large"
             )
-        return values / spec.L
+        return values
     for i, n in enumerate(ns):
         try:
             values[i] = _folded_integral(spec, shift, trig, atoms, n, cfg)
@@ -122,12 +141,8 @@ def trig_sum(L, shift, mults, cos_w, sin_w, x):
     Scalar ``x`` gives a float, array ``x`` an array of its shape.
     """
     u = np.asarray(x, dtype=float) / L
-    phase = np.multiply.outer(mults, u)
-    value = (
-        shift
-        + np.tensordot(cos_w, cospi(phase), axes=1)
-        + np.tensordot(sin_w, sinpi(phase), axes=1)
-    )
+    cos_t, sin_t = cossinpi(np.multiply.outer(mults, u))
+    value = shift + np.tensordot(cos_w, cos_t, axes=1) + np.tensordot(sin_w, sin_t, axes=1)
     if np.ndim(x) == 0:
         return float(value)
     return value

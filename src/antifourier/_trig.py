@@ -4,6 +4,7 @@ Both split |t| = k + h + r exactly for every finite t (floor, rint, Sterbenz):
 k an integer, h in {-1/2, 0, 1/2}, |r| <= 1/4 and h != 0 at |r| = 1/4.  Each
 value is one cos or sin of pi*r with a sign, so multiples of one half give
 exactly 0.0 or +-1.0.  Every exact zero is +0.0; else cospi is even, sinpi odd.
+:func:`cossinpi` returns both from one split, with the same bits.
 """
 
 import numpy as np
@@ -41,3 +42,10 @@ def sinpi(t):
     w, up, down, k_odd, negative = _split(t)
     # sign(t) (-1)^k times sin(pi*r), cos(pi*r), -cos(pi*r) for h = 0, 1/2, -1/2
     return _signed(w, ~(up | down), k_odd ^ down ^ negative)
+
+
+def cossinpi(t):
+    """Return (cospi(t), sinpi(t)) from one split, bit for bit the two calls."""
+    w, up, down, k_odd, negative = _split(t)
+    half = up | down
+    return _signed(w.copy(), half, k_odd ^ up), _signed(w, ~half, k_odd ^ down ^ negative)

@@ -13,6 +13,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ._kernels import check_order, trig_sum
 from .antiperiodic import AntiperiodicCoefficients, antiperiodic_partial_sum
 from .catalog import FunctionSpec, evaluate
 from .classical import ClassicalCoefficients, classical_partial_sum
@@ -73,6 +74,37 @@ def partial_sum(series: SeriesCoefficients, x, M: Optional[int] = None):
     raise TypeError(f"unsupported series type {type(series).__name__}")
 
 
+def _grid(L, grid_size):
+    """Uniform grid over [-L, L]; ``grid_size`` odd and >= 3 puts 0 and +-L on it."""
+    if grid_size < 3 or grid_size % 2 == 0:
+        raise ValueError("grid_size must be odd and at least 3")
+    return np.linspace(-L, L, grid_size)
+
+
+def _windows(L, window_fraction, subgrid_points):
+    """The right overshoot window [L (1 - w), L] and its mirror on the left."""
+    if not 0.0 < window_fraction < 0.5:
+        raise ValueError("window_fraction must lie strictly between 0 and 0.5")
+    if subgrid_points < MIN_SUBGRID_POINTS:
+        raise ValueError(
+            f"subgrid_points must be at least {MIN_SUBGRID_POINTS} to resolve the spike"
+        )
+    right = np.linspace(L * (1.0 - window_fraction), L, subgrid_points)
+    left = np.linspace(-L, -L * (1.0 - window_fraction), subgrid_points)
+    return right, left
+
+
+def _profile(sums, values) -> ErrorProfile:
+    err = np.abs(sums - values)
+    return ErrorProfile(float(err[0]), float(err[-1]), float(err.max()), err.size)
+
+
+def _overshoot(sums_right, values_right, sums_left, values_left) -> float:
+    right_excess = float(sums_right.max() - values_right.max())
+    left_excess = float(values_left.min() - sums_left.min())
+    return max(right_excess, left_excess)
+
+
 def error_profile(
     f: FunctionSpec, series: SeriesCoefficients, M: int, grid_size: int
 ) -> ErrorProfile:
@@ -80,11 +112,8 @@ def error_profile(
 
     ``grid_size`` must be odd and >= 3 so that 0 and +-L are grid points.
     """
-    if grid_size < 3 or grid_size % 2 == 0:
-        raise ValueError("grid_size must be odd and at least 3")
-    xs = np.linspace(-f.L, f.L, grid_size)
-    err = np.abs(partial_sum(series, xs, M) - evaluate(f, xs))
-    return ErrorProfile(float(err[0]), float(err[-1]), float(err.max()), grid_size)
+    xs = _grid(f.L, grid_size)
+    return _profile(partial_sum(series, xs, M), evaluate(f, xs))
 
 
 def gibbs_overshoot(
@@ -101,22 +130,33 @@ def gibbs_overshoot(
     The larger of the two is returned.  It may be nonpositive when the sum
     stays inside the function's range (no overshoot).
     """
-    if not 0.0 < window_fraction < 0.5:
-        raise ValueError("window_fraction must lie strictly between 0 and 0.5")
-    if subgrid_points < MIN_SUBGRID_POINTS:
-        raise ValueError(
-            f"subgrid_points must be at least {MIN_SUBGRID_POINTS} to resolve the spike"
-        )
-    L = f.L
-    right = np.linspace(L * (1.0 - window_fraction), L, subgrid_points)
-    left = np.linspace(-L, -L * (1.0 - window_fraction), subgrid_points)
-    right_excess = float(
-        partial_sum(series, right, M).max() - evaluate(f, right).max()
+    right, left = _windows(f.L, window_fraction, subgrid_points)
+    return _overshoot(
+        partial_sum(series, right, M), evaluate(f, right),
+        partial_sum(series, left, M), evaluate(f, left),
     )
-    left_excess = float(
-        evaluate(f, left).min() - partial_sum(series, left, M).min()
-    )
-    return max(right_excess, left_excess)
+
+
+def _ladder(series: SeriesCoefficients, orders, grids):
+    """Partial sums of ``series`` on each of ``grids``, for each of ``orders``.
+
+    Each order is checked as ``partial_sum`` checks it.  The distinct orders
+    are taken in ascending order, and each adds only the modes above the
+    previous one to that order's sums, so every mode up to the top order is
+    evaluated once on each grid.
+    """
+    orders = [check_order(M, series.N) for M in orders]
+    shift, mults, cos_w, sin_w = series.terms(max(orders, default=0))
+    harmonics = np.floor(mults)  # n for mode n and for mode n + 1/2
+    sums, totals, start = {}, [shift] * len(grids), 0
+    for M in sorted(set(orders)):
+        new = slice(start, int(np.searchsorted(harmonics, M, side="right")))
+        totals = [
+            total + trig_sum(series.L, 0.0, mults[new], cos_w[new], sin_w[new], x)
+            for total, x in zip(totals, grids)
+        ]
+        sums[M], start = totals, new.stop
+    return [sums[M] for M in orders]
 
 
 def decay_exponent(series: SeriesCoefficients, order: Optional[int] = None) -> float:
@@ -159,14 +199,26 @@ def compare_orders(
     window_fraction: float = 0.1,
     subgrid_points: int = 4001,
 ):
-    """Diagnostics ladder: one report row per (series kind, order)."""
+    """Diagnostics ladder: one report row per (series kind, order).
+
+    The grid arguments are checked first, then each order as ``partial_sum``
+    checks it.  Rows keep the given orders, duplicates included.  f is
+    evaluated once on each grid, and the partial sums of each series come
+    from one :func:`_ladder`.
+    """
+    pairs = (("classical", classical), ("antiperiodic", antiperiodic))
+    grids = (_grid(f.L, grid_size), *_windows(f.L, window_fraction, subgrid_points))
+    orders = list(orders)
+    ladders = [_ladder(series, orders, grids) for _, series in pairs]
+    f_grid, f_right, f_left = (evaluate(f, x) for x in grids)
     rows = []
-    for M in orders:
+    for i, M in enumerate(orders):
         dec_c = _decay_or_nan(classical, M)
         dec_a = _decay_or_nan(antiperiodic, M)
-        for kind, series in (("classical", classical), ("antiperiodic", antiperiodic)):
-            profile = error_profile(f, series, M, grid_size)
-            over = gibbs_overshoot(f, series, M, window_fraction, subgrid_points)
+        for (kind, _), ladder in zip(pairs, ladders):
+            at_grid, at_right, at_left = ladder[i]
+            profile = _profile(at_grid, f_grid)
+            over = _overshoot(at_right, f_right, at_left, f_left)
             rows.append(
                 DiagnosticsReport(
                     series_kind=kind,

@@ -14,6 +14,7 @@ from antifourier import (
     Sampled,
     antiperiodic_coefficients,
     antiperiodic_partial_sum,
+    classical_coefficients,
     coefficients_via_periodic_split,
     half_basis,
     integrate,
@@ -94,6 +95,53 @@ class TestCoefficients:
         n = np.arange(17)
         assert np.all(c.alpha == 0.0)
         np.testing.assert_allclose(c.beta, identity_beta(n), atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("L", [0.7, np.pi, 3.0])
+    @pytest.mark.parametrize("rows", [2, 3001])
+    def test_identity_table_matches_closed_forms_at_400(self, L, rows):
+        # the interpolant of a table of f(x) = x is the identity itself
+        xs = np.linspace(-L, L, rows)
+        table = FunctionSpec(L, Sampled(tuple(xs), tuple(xs)))
+        classical = classical_coefficients(table, 400)
+        anti = antiperiodic_coefficients(table, 400)
+        n = np.arange(401)
+        np.testing.assert_allclose(classical.a, 0.0, atol=1e-14, rtol=0)
+        np.testing.assert_allclose(
+            classical.b, 2.0 * L * (-1.0) ** (n[1:] + 1) / (n[1:] * np.pi), atol=1e-14, rtol=0
+        )
+        assert anti.gamma == 0.0
+        np.testing.assert_allclose(anti.alpha, 0.0, atol=1e-14, rtol=0)
+        np.testing.assert_allclose(
+            anti.beta, 8.0 * L * (-1.0) ** n / ((2 * n + 1) ** 2 * np.pi**2), atol=1e-14, rtol=0
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_table_coefficients_are_the_sum_of_panel_integrals(self, seed):
+        # the per-panel closed form, each panel on its own, as the reference
+        rng = np.random.default_rng(seed)
+        L = float(rng.uniform(0.5, 4.0))
+        xs = np.sort(np.concatenate(([-L, L], rng.uniform(-L, L, 60))))
+        ys = rng.standard_normal(xs.size)
+        table = FunctionSpec(L, Sampled(tuple(xs), tuple(ys)))
+        classical = classical_coefficients(table, 40)
+        anti = antiperiodic_coefficients(table, 40)
+        x0, x1, y0, y1 = xs[:-1], xs[1:], ys[:-1], ys[1:]
+        slope = (y1 - y0) / (x1 - x0)
+        families = [(classical.a[1:], "cos", np.arange(1, 41.0), 0.0),
+                    (classical.b, "sin", np.arange(1, 41.0), 0.0),
+                    (anti.alpha, "cos", np.arange(41) + 0.5, anti.gamma),
+                    (anti.beta, "sin", np.arange(41) + 0.5, anti.gamma)]
+        for values, trig, mults, shift in families:
+            for value, mult in zip(values, mults):
+                w = mult * np.pi / L
+                c0, c1, s0, s1 = np.cos(w * x0), np.cos(w * x1), np.sin(w * x0), np.sin(w * x1)
+                u0, u1 = y0 - shift, y1 - shift
+                if trig == "cos":
+                    panels = np.stack(((u1 * s1 - u0 * s0) / w, slope * (c1 - c0) / w**2))
+                else:
+                    panels = np.stack(((u0 * c0 - u1 * c1) / w, slope * (s1 - s0) / w**2))
+                bound = 64.0 * np.finfo(float).eps * np.abs(panels).sum() / L
+                assert abs(value - panels.sum() / L) <= bound
 
     def test_shift_consistency(self, identity_pi):
         shifted = FunctionSpec(np.pi, Polynomial((1.5, 1.0)))

@@ -450,6 +450,25 @@ def test_table_past_the_row_cap_is_refused(capsys, tmp_path, monkeypatch):
     assert err.splitlines()[-1] == f"antifourier coeffs: error: {path}: more than 4 rows, the limit"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["coeffs", "--n", "2"], ["compare", "--orders", "2", "--grid", "101"]],
+    ids=["coeffs", "compare"],
+)
+def test_table_whose_integrals_overflow_is_refused(capsys, tmp_path, argv):
+    table, target = tmp_path / "huge.csv", tmp_path / "out.json"
+    table.write_text("-1,1e308\n0,0\n1,-1e308\n")
+    code, out, err = run_cli(
+        capsys, *argv, "--function", f"csv:{table}", "--interval", "1", "--out", str(target)
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"antifourier {argv[0]}: error: cosine coefficient n=1 is not finite: "
+        "the table's values are too large"
+    ]
+    assert not target.exists()
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "antifourier", "basis", "--interval", "1", "--n", "0",

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import antifourier._kernels
 from antifourier import (
     AntiperiodicCoefficients,
     ClassicalCoefficients,
     FunctionSpec,
     InsufficientData,
     Named,
+    OrderExceedsTruncation,
     antiperiodic_coefficients,
     classical_coefficients,
     compare_orders,
@@ -15,7 +17,7 @@ from antifourier import (
     gibbs_overshoot,
     partial_sum,
 )
-from antifourier.diagnostics import REPORT_COLUMNS
+from antifourier.diagnostics import REPORT_COLUMNS, _ladder
 
 
 def identity_classical(N):
@@ -193,6 +195,97 @@ class TestCompareOrders:
                 assert hasattr(row, column)
         by_kind = {(r.series_kind, r.order): r for r in rows}
         assert by_kind[("antiperiodic", 50)].sup_error < by_kind[("classical", 50)].sup_error
+
+    def test_each_basis_value_is_taken_once(self, ident, monkeypatch):
+        # every mode up to N = 400 of both series, once on each of the three grids
+        received = []
+        cossinpi = antifourier._kernels.cossinpi
+        monkeypatch.setattr(
+            antifourier._kernels, "cossinpi", lambda t: received.append(np.size(t)) or cossinpi(t)
+        )
+        compare_orders(ident, identity_classical(400), identity_anti(400))
+        assert sum(received) == (400 + 401) * (2001 + 2 * 4001)
+
+
+def random_series(rng, kind, N, L):
+    weights = rng.standard_normal((2, N + 1)) * 10.0 ** rng.uniform(-3, 3, (2, N + 1))
+    if kind == "classical":
+        return ClassicalCoefficients(L, weights[0], weights[1][1:])
+    return AntiperiodicCoefficients(L, float(rng.standard_normal()), *weights)
+
+
+def sum_bound(series, M):
+    """16 eps (|shift| + sum |weights|) of the order-M partial sum."""
+    shift, _, cos_w, sin_w = series.terms(M)
+    return 16.0 * np.finfo(float).eps * (abs(shift) + np.abs(cos_w).sum() + np.abs(sin_w).sum())
+
+
+# unsorted, with a duplicate, order 0 and the top order 60
+LADDER = (25, 0, 60, 7, 25, 1, 40)
+
+
+class TestLadder:
+    @pytest.mark.parametrize("kind", ["classical", "antiperiodic"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_order_is_the_partial_sum(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        series = random_series(rng, kind, 60, float(10.0 ** rng.uniform(-2, 2)))
+        grids = [rng.uniform(-3 * series.L, 3 * series.L, size) for size in (1, 17, 301)]
+        ladder = _ladder(series, LADDER, grids)
+        assert len(ladder) == len(LADDER)
+        for M, sums in zip(LADDER, ladder):
+            for x, value in zip(grids, sums):
+                assert np.abs(value - partial_sum(series, x, M)).max() <= sum_bound(series, M)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_compare_rows_are_the_single_order_diagnostics(self, seed):
+        rng = np.random.default_rng(seed)
+        f = FunctionSpec(float(rng.uniform(0.5, 4.0)), Named("x-plus-sign"))
+        classical = random_series(rng, "classical", 60, f.L)
+        anti = random_series(rng, "antiperiodic", 60, f.L)
+        rows = compare_orders(f, classical, anti, LADDER, 301, 0.2, 2001)
+        assert [(row.series_kind, row.order) for row in rows] == [
+            (kind, M) for M in LADDER for kind in ("classical", "antiperiodic")
+        ]
+        for row in rows:
+            series = classical if row.series_kind == "classical" else anti
+            bound = sum_bound(series, row.order)
+            profile = error_profile(f, series, row.order, 301)
+            assert abs(row.endpoint_error_left - profile.endpoint_error_left) <= bound
+            assert abs(row.endpoint_error_right - profile.endpoint_error_right) <= bound
+            assert abs(row.sup_error - profile.sup_error) <= bound
+            assert abs(row.overshoot - gibbs_overshoot(f, series, row.order, 0.2, 2001)) <= bound
+            decay = (decay_or_nan(classical, row.order), decay_or_nan(anti, row.order))
+            assert np.array_equal(
+                (row.decay_exponent_classical, row.decay_exponent_antiperiodic), decay,
+                equal_nan=True,
+            )
+            assert (row.grid_size, row.window_fraction) == (301, 0.2)
+
+    def test_orders_are_checked_as_partial_sums_check_them(self, ident):
+        classical, anti = identity_classical(50), identity_anti(50)
+        with pytest.raises(ValueError):
+            compare_orders(ident, classical, anti, (10, -1), 301, 0.1, 2001)
+        with pytest.raises(OrderExceedsTruncation):
+            compare_orders(ident, classical, anti, (10, 51), 301, 0.1, 2001)
+
+    @pytest.mark.parametrize(
+        "grid_size, window_fraction, subgrid_points",
+        [(300, 0.1, 2001), (301, 0.6, 2001), (301, 0.1, 100)],
+    )
+    def test_grid_arguments_are_checked(self, ident, grid_size, window_fraction, subgrid_points):
+        with pytest.raises(ValueError):
+            compare_orders(
+                ident, identity_classical(10), identity_anti(10), (4, 10),
+                grid_size, window_fraction, subgrid_points,
+            )
+
+
+def decay_or_nan(series, order):
+    try:
+        return decay_exponent(series, order)
+    except InsufficientData:
+        return np.nan
 
 
 def test_partial_sum_dispatch(ident):

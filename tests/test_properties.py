@@ -1,8 +1,8 @@
 """Property tests: JSON round trips, the exact endpoint zeros of the series,
 the heat eigenfunctions as the half-integer basis, the symmetries and exact
-values of cospi/sinpi, the coefficient families
-of random low-degree polynomials, and the round trips of rendered function
-specs and of CSV cells over every finite double.
+values of cospi/sinpi, cossinpi as the two of them bit for bit, the
+coefficient families of random low-degree polynomials, and the round trips
+of rendered function specs and of CSV cells over every finite double.
 
 Coefficients are random finite doubles with |v| <= 1e6 on random
 half-widths L; every claim below but the split agreement is an exact
@@ -37,7 +37,7 @@ from antifourier import (
     parse_function_spec,
     render_function_spec,
 )
-from antifourier._trig import cospi, sinpi
+from antifourier._trig import cospi, cossinpi, sinpi
 from antifourier.catalog import NAMED_FUNCTIONS
 from antifourier.io import fmt, from_dict, to_dict
 
@@ -181,6 +181,24 @@ def test_multiples_of_one_half_are_exact(m):
     t = m / 2.0
     assert same_bits(cospi(t), cos_m) and same_bits(sinpi(t), sin_m)
     assert same_bits(cospi(np.array([t])), [cos_m]) and same_bits(sinpi(np.array([t])), [sin_m])
+
+
+# every finite double as above, the multiples of one quarter, and nan
+TRIG_ARGUMENTS = st.one_of(
+    ARGUMENTS,
+    st.integers(min_value=-(2**53), max_value=2**53).map(lambda m: m / 4.0),
+    st.just(float("nan")),
+)
+
+
+@SETTINGS
+@given(st.one_of(TRIG_ARGUMENTS, st.lists(TRIG_ARGUMENTS, min_size=1, max_size=16).map(np.array)))
+def test_cossinpi_is_cospi_and_sinpi_bitwise(t):
+    cos_t, sin_t = cossinpi(t)
+    assert type(cos_t) is type(cospi(t)) and type(sin_t) is type(sinpi(t))
+    assert same_bits(cos_t, cospi(t)) and same_bits(sin_t, sinpi(t))
+    assert np.array_equal(np.isnan(cos_t), np.isnan(t))
+    assert np.array_equal(np.isnan(sin_t), np.isnan(t))
 
 
 @SETTINGS
