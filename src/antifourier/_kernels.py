@@ -15,7 +15,12 @@ tagged with the family, n and kind.  Two integration paths are used:
   engine.  The fold makes the integral of an odd integrand exactly zero in
   floating point (the combination cancels pointwise before multiplication),
   and it removes the catalog sign-function jumps at the origin, where every
-  odd kernel vanishes.
+  odd kernel vanishes.  The harmonics that start on the same panels are one
+  several-row ``integrate`` call, one row each: the engine refines them on
+  shared abscissae, where f is folded once and the kernels of the rows still
+  refining are taken as one block, and every coefficient keeps the bits of
+  its own one-row integration.  A folded sample that is not finite (f
+  overflows) is refused as a ValidationError.
 
 * sampled bodies: each panel of the piecewise-linear interpolant is
   integrated against each pair's trig term in closed form, by parts, so no
@@ -66,24 +71,43 @@ def _table_integral(xs, ys, slope, trig, amplitude, mult, L):
     return amplitude * float(ends / omega + (slope * steps).sum() / omega**2)
 
 
-def _folded_integral(spec, shift, trig, atoms, n, cfg):
-    """int_0^L of the parity-folded (f - shift) times the kernel K_n."""
-    # Keep the initial panel count above the largest frequency multiplier.
-    # With p panels and p > mult, no dyadic refinement grid can contain all
-    # zeros of trig(mult * pi * x / L) (that would need p * 2^d to divide
-    # mult), so an oscillation can never alias to an exact zero estimate.
-    max_mult = max(abs(n + offset) for _, offset in atoms)
-    if max_mult >= cfg.base_panels:
-        cfg = replace(cfg, base_panels=2 * (int(max_mult) // 2 + 1))
+def _panels(ns, atoms, cfg):
+    """Starting panel count of each harmonic in ``ns``.
+
+    Keep the initial panel count above the largest frequency multiplier.
+    With p panels and p > mult, no dyadic refinement grid can contain all
+    zeros of trig(mult * pi * x / L) (that would need p * 2^d to divide
+    mult), so an oscillation can never alias to an exact zero estimate.
+    """
+    max_mult = np.max(np.abs(np.add.outer(ns, [offset for _, offset in atoms])), axis=1)
+    bumped = 2 * (max_mult.astype(int) // 2 + 1)
+    return np.where(max_mult < cfg.base_panels, cfg.base_panels, bumped)
+
+
+def _folded_kernels(spec, shift, trig, atoms, harmonics, what):
+    """Integrand of :func:`integrate` with one row per harmonic: the
+    parity-folded (f - shift) times K_n on [0, L].  Each call folds f once and
+    takes the kernels of the rows asked for as one rows x abscissae block,
+    which the engine's cap bounds."""
     # cosine kernels are even and keep f(x) + f(-x); sine kernels are odd
     basis, parity = (cospi, 1.0) if trig == "cos" else (sinpi, -1.0)
+    mults = [harmonics + offset for _, offset in atoms]
 
-    def integrand(x):
-        folded = (evaluate(spec, x) - shift) + parity * (evaluate(spec, -x) - shift)
+    def integrand(x, rows):
+        # an overflow leaves a nan or an infinity, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            folded = (evaluate(spec, x) - shift) + parity * (evaluate(spec, -x) - shift)
+        if not np.isfinite(folded).all():
+            raise ValidationError(
+                f"{what} n={harmonics[rows[0]]} is not finite: the function's values are too large"
+            )
         u = x / spec.L
-        return folded * sum(amplitude * basis((n + offset) * u) for amplitude, offset in atoms)
+        return folded * sum(
+            amplitude * basis(np.multiply.outer(mult[rows], u))
+            for (amplitude, _), mult in zip(atoms, mults)
+        )
 
-    return integrate(integrand, 0.0, spec.L, cfg)
+    return integrand
 
 
 def project(
@@ -100,10 +124,11 @@ def project(
 
     K_n(x) = sum of amplitude * trig((n + offset) pi x / L) over the
     (amplitude, offset) pairs ``atoms``; ``trig`` is "cos" or "sin".  A
-    quadrature failure at harmonic n is re-raised as NonConvergence "<what>
-    n=<n> did not converge: ..." with ``index=n`` and ``kind``; a table
-    integral that overflows raises ValidationError "<what> n=<n> is not
-    finite: ...".
+    quadrature failure is re-raised for the lowest failing harmonic n as
+    NonConvergence "<what> n=<n> did not converge: ..." with ``index=n`` and
+    ``kind``; a table integral that overflows, or a callable body whose
+    folded values do, raises ValidationError "<what> n=<n> is not finite:
+    ...".
     """
     values = np.empty(len(ns))
     if isinstance(spec.body, Sampled):
@@ -124,10 +149,19 @@ def project(
                 f"{what} n={ns[bad[0]]} is not finite: the table's values are too large"
             )
         return values
-    for i, n in enumerate(ns):
+    ns = np.asarray(ns, dtype=int)
+    panels = _panels(ns, atoms, cfg)
+    # one integrate call per run of harmonics that start on the same panels
+    for at in np.split(np.arange(ns.size), np.flatnonzero(np.diff(panels)) + 1):
+        if not at.size:
+            continue
+        group = ns[at]
+        integrand = _folded_kernels(spec, shift, trig, atoms, group, what)
+        run = replace(cfg, base_panels=int(panels[at[0]]))
         try:
-            values[i] = _folded_integral(spec, shift, trig, atoms, n, cfg)
+            values[at] = integrate(integrand, 0.0, spec.L, run, rows=group.size)
         except NonConvergence as exc:
+            n = int(group[exc.index])
             raise NonConvergence(
                 f"{what} n={n} did not converge: {exc}",
                 achieved=exc.achieved, target=exc.target, index=n, kind=kind,

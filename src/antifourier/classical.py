@@ -6,8 +6,9 @@ Coefficients follow the usual normalization
     b_n = (1/L) int_{-L}^{L} f(x) sin(n pi x / L) dx,   n = 1..N,
 
 and the partial sum is a_0/2 + sum_{n=1}^{M} (a_n cos + b_n sin).  Each
-coefficient is an independent quadrature (no FFT), so arbitrary function
-specs and tolerances are supported.  Basis values are computed with the
+coefficient has its own adaptive quadrature (no FFT): a family's harmonics
+share one engine run and its abscissae, but each keeps its own intervals and
+error control, so arbitrary function specs and tolerances are supported.  Basis values are computed with the
 exact-at-half-multiples helpers, which makes sin(n pi) at x = +-L exactly
 zero and the endpoint symmetry S(-L) == S(L) hold bitwise.
 """

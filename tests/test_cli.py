@@ -381,6 +381,8 @@ EVAL_KIND = {"classical": ["--kind", "classical"], "antiperiodic": ["--kind", "a
          "--times", ",".join(["1"] * 100), "--grid", "100000"],
         ["basis", "--n", "100000", "--grid", "100001"],
         ["coeffs", "--function", "named:identity", "--n", "1000000000000"],
+        # f overflows to inf on [-pi, pi]: refused as not finite, with no warning
+        ["coeffs", "--function", "poly:1e308,1e308", "--n", "2"],
     ],
     ids=[
         "gibbs-window", "compare-window", "gibbs-subgrid", "compare-subgrid", "missing-csv",
@@ -388,6 +390,7 @@ EVAL_KIND = {"classical": ["--kind", "classical"], "antiperiodic": ["--kind", "a
         *(f"coeffs-file-{name}" for name in BAD_COEFFICIENT_FILES), "out-dir-missing",
         "compare-even-grid", "eval-size", "compare-orders-size", "compare-grid-size",
         "gibbs-size", "heat-size", "heat-times-size", "basis-size", "coeffs-order",
+        "coeffs-overflow",
     ],
 )
 def test_input_and_file_errors_exit_2(capsys, tmp_path, argv):
@@ -465,6 +468,20 @@ def test_table_whose_integrals_overflow_is_refused(capsys, tmp_path, argv):
     assert err.splitlines() == [
         f"antifourier {argv[0]}: error: cosine coefficient n=1 is not finite: "
         "the table's values are too large"
+    ]
+    assert not target.exists()
+
+
+def test_callable_whose_values_overflow_is_refused(capsys, tmp_path):
+    target = tmp_path / "out.json"
+    code, out, err = run_cli(
+        capsys, "coeffs", "--function", "poly:1e308,1e308", "--interval", "1", "--n", "2",
+        "--out", str(target),
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "antifourier coeffs: error: cosine coefficient n=0 is not finite: "
+        "the function's values are too large"
     ]
     assert not target.exists()
 

@@ -1,8 +1,9 @@
 """Property tests: JSON round trips, the exact endpoint zeros of the series,
 the heat eigenfunctions as the half-integer basis, the symmetries and exact
 values of cospi/sinpi, cossinpi as the two of them bit for bit, the
-coefficient families of random low-degree polynomials, and the round trips
-of rendered function specs and of CSV cells over every finite double.
+coefficient families of random low-degree polynomials, each family projected
+in one run as the per-harmonic loop bit for bit, and the round trips of
+rendered function specs and of CSV cells over every finite double.
 
 Coefficients are random finite doubles with |v| <= 1e6 on random
 half-widths L; every claim below but the split agreement is an exact
@@ -12,9 +13,12 @@ cospi/sinpi is +0.0.
 """
 
 import json
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antifourier import (
@@ -37,8 +41,10 @@ from antifourier import (
     parse_function_spec,
     render_function_spec,
 )
+from antifourier import quadrature
+from antifourier._kernels import project
 from antifourier._trig import cospi, cossinpi, sinpi
-from antifourier.catalog import NAMED_FUNCTIONS
+from antifourier.catalog import NAMED_FUNCTIONS, evaluate
 from antifourier.io import fmt, from_dict, to_dict
 
 VALUES = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -251,6 +257,53 @@ def test_even_polynomials_have_exactly_zero_sine_coefficients(f, N):
     assert (classical_coefficients(f, N).b == 0.0).all()
     assert (antiperiodic_coefficients(f, N).beta == 0.0).all()
     assert (coefficients_via_periodic_split(f, N).beta == 0.0).all()
+
+
+def per_harmonic(spec, shift, trig, atoms, ns, cfg=DEFAULT_CONFIG):
+    """The projection one harmonic at a time, one integrate_result each: the
+    oracle of :func:`project`."""
+    basis, parity = (cospi, 1.0) if trig == "cos" else (sinpi, -1.0)
+    values = np.empty(len(ns))
+    for i, n in enumerate(ns):
+        max_mult = max(abs(n + offset) for _, offset in atoms)
+        run = cfg
+        if max_mult >= cfg.base_panels:
+            run = replace(cfg, base_panels=2 * (int(max_mult) // 2 + 1))
+
+        def integrand(x, n=n):
+            folded = (evaluate(spec, x) - shift) + parity * (evaluate(spec, -x) - shift)
+            u = x / spec.L
+            return folded * sum(amplitude * basis((n + offset) * u) for amplitude, offset in atoms)
+
+        values[i] = quadrature.integrate_result(integrand, 0.0, spec.L, run).value
+    return values / spec.L
+
+
+# (trig, atoms) of the classical, half-integer and two periodic-split families
+FAMILIES = st.sampled_from([
+    ("cos", ((1.0, 0.0),)), ("sin", ((1.0, 0.0),)), ("cos", ((1.0, 0.5),)), ("sin", ((1.0, 0.5),)),
+    ("cos", ((0.5, -0.5), (0.5, 0.5))), ("sin", ((0.5, 0.5), (-0.5, -0.5))),
+])
+BODIES = st.one_of(
+    polynomials(),
+    st.builds(FunctionSpec, POLY_HALF_WIDTHS, st.sampled_from(
+        [Named("identity"), Named("signum"), Named("x-plus-sign"), Named("scaled-square")])),
+)
+# a window of up to 8 harmonics below 72, so that some windows cross the
+# 64-panel start of the harmonics above 63
+HARMONICS = st.tuples(st.integers(min_value=0, max_value=64), st.integers(1, 8)).map(
+    lambda window: range(window[0], window[0] + window[1]))
+
+
+@pytest.mark.parametrize("cap", [quadrature._MAX_CELLS, 1 << 9], ids=["default-cap", "deferring"])
+@FAMILY_SETTINGS
+@given(BODIES, st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), FAMILIES, HARMONICS)
+@example(FunctionSpec(np.pi, Named("identity")), 0.0, ("sin", ((1.0, 0.5),)), range(58, 66))
+def test_project_is_the_per_harmonic_loop_bitwise(cap, f, shift, family, ns):
+    trig, atoms = family
+    with mock.patch.object(quadrature, "_MAX_CELLS", cap):
+        values = project(f, shift, trig, atoms, ns, "coefficient", trig)
+    assert same_bits(values, per_harmonic(f, shift, trig, atoms, ns))
 
 
 # every finite double, with -0.0, subnormals and the largest magnitudes drawn on purpose

@@ -8,6 +8,7 @@ from antifourier import (
     integrate,
     integrate_result,
 )
+from antifourier import quadrature
 
 ADAPTIVE = QuadratureConfig()
 TOL = ADAPTIVE.abs_tol
@@ -118,3 +119,126 @@ def test_evaluation_count_reuses_boundaries():
     assert res.value == 0.0
     assert res.evaluations == 65 + 64 + 128
 
+
+
+# Rows of one several-row run: smooth, oscillating, kinked, a steep step, zero.
+ROWS = (
+    x_sin_x,
+    lambda x: np.sin(7.0 * x) * x**2,
+    lambda x: np.abs(x - 0.3) ** 1.5,
+    lambda x: np.tanh(40.0 * (x - 0.7)),
+    np.zeros_like,
+    np.exp,
+)
+
+
+def stacked(fs, calls=None):
+    """Several-row integrand whose row i is ``fs[i]``; ``calls`` records the
+    (rows, points) of every call."""
+
+    def f(x, idx):
+        if calls is not None:
+            calls.append((len(idx), len(x)))
+        return np.array([fs[i](x) for i in idx])
+
+    return f
+
+
+def assert_rows_are_one_row_runs(result, fs, a, b, cfg):
+    for i, g in enumerate(fs):
+        alone = integrate_result(g, a, b, cfg)
+        assert result.value[i].tobytes() == np.float64(alone.value).tobytes()
+        assert result.error_estimate[i].tobytes() == np.float64(alone.error_estimate).tobytes()
+        assert (result.evaluations[i], result.refinements[i]) == (
+            alone.evaluations, alone.refinements)
+
+
+@pytest.mark.parametrize("cap", [quadrature._MAX_CELLS, 1 << 9], ids=["default-cap", "deferring"])
+def test_rows_are_their_one_row_runs_bitwise(monkeypatch, cap):
+    monkeypatch.setattr(quadrature, "_MAX_CELLS", cap)
+    for cfg in (ADAPTIVE, QuadratureConfig(abs_tol=1e-12, base_panels=6)):
+        result = integrate_result(stacked(ROWS), -1.0, 2.0, cfg, rows=len(ROWS))
+        assert_rows_are_one_row_runs(result, ROWS, -1.0, 2.0, cfg)
+        assert integrate(stacked(ROWS), -1.0, 2.0, cfg, rows=len(ROWS)).tobytes() == (
+            result.value.tobytes())
+
+
+def test_scalar_result_keeps_its_types():
+    res = integrate_result(x_sin_x, -np.pi, np.pi)
+    assert [type(v) for v in (res.value, res.error_estimate, res.evaluations, res.refinements)] == [
+        float, float, int, int]
+
+
+def test_each_row_counts_its_own_evaluations():
+    res = integrate_result(stacked([np.zeros_like] * 3), 0.0, 1.0, ADAPTIVE, rows=3)
+    assert res.evaluations.tolist() == [65 + 64 + 128] * 3
+
+
+def test_row_count_must_be_positive():
+    with pytest.raises(ValueError):
+        integrate(stacked(ROWS), 0.0, 1.0, rows=0)
+
+
+def test_lowest_failed_row_is_raised(monkeypatch):
+    # row 2 oscillates everywhere and passes the interval budget at depth 0;
+    # row 1 keeps only the interval at its jump and exhausts the depth later
+    monkeypatch.setattr(quadrature, "_MAX_ACTIVE_INTERVALS", 8)
+    cfg = QuadratureConfig(max_subdivisions=3, base_panels=8)
+    fs = (np.zeros_like, lambda x: np.where(x < 0.3, 1.0, 0.0), lambda x: np.sin(50.0 * x))
+    with pytest.raises(NonConvergence) as first:
+        integrate(fs[2], 0.0, 1.0, cfg)
+    assert "interval budget exceeded at depth 0" in str(first.value)
+    with pytest.raises(NonConvergence) as alone:
+        integrate(fs[1], 0.0, 1.0, cfg)
+    with pytest.raises(NonConvergence) as info:
+        integrate(stacked(fs), 0.0, 1.0, cfg, rows=3)
+    assert info.value.index == 1
+    assert str(info.value) == str(alone.value)
+    assert str(info.value).startswith("adaptive Simpson exhausted max_subdivisions=3 ")
+    assert (info.value.achieved, info.value.target) == (alone.value.achieved, 1e-10)
+    assert alone.value.index is None
+
+
+def test_rows_failing_at_one_depth_raise_the_lowest(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_ACTIVE_INTERVALS", 8)
+    fs = (np.zeros_like, lambda x: np.sin(50.0 * x), lambda x: np.sin(60.0 * x))
+    with pytest.raises(NonConvergence) as info:
+        integrate(stacked(fs), 0.0, 1.0, QuadratureConfig(base_panels=8), rows=3)
+    assert info.value.index == 1
+    assert "interval budget exceeded at depth 0" in str(info.value)
+
+
+def test_a_failure_stops_the_waiting_rows_above_it(monkeypatch):
+    # the cap leaves row 3 waiting at depth 1; rows 1-3 all fail at depth 3
+    monkeypatch.setattr(quadrature, "_MAX_CELLS", 64)
+    cfg = QuadratureConfig(max_subdivisions=3, base_panels=8)
+    step = lambda x: np.where(x < 0.3, 1.0, 0.0)  # noqa: E731
+    fs = (np.zeros_like, step, lambda x: np.sin(40.0 * x), lambda x: np.sin(41.0 * x))
+    calls = []
+    with pytest.raises(NonConvergence) as info:
+        integrate(stacked(fs, calls), 0.0, 1.0, cfg, rows=4)
+    assert info.value.index == 1
+    assert (2, 32) in calls  # rows 1 and 2 went on without row 3
+
+
+def test_one_row_runs_keep_their_bits():
+    # each depth adds its accepted intervals with one numpy sum, in interval order
+    res = integrate_result(x_sin_x, -np.pi, np.pi)
+    assert (res.value.hex(), res.error_estimate.hex(), res.evaluations, res.refinements) == (
+        "0x1.921fb54442d1ap+2", "0x1.98132e565d555p-36", 1769, 3)
+    res = integrate_result(lambda x: np.sin(40.0 * x) * x, 0.0, 3.0)
+    assert (res.value.hex(), res.error_estimate.hex(), res.evaluations, res.refinements) == (
+        "-0x1.f142933a7dd44p-5", "0x1.62ae01be8f6abp-35", 17061, 7)
+
+
+def test_integrand_calls_stay_within_the_cap(monkeypatch):
+    cap = 1 << 10
+    monkeypatch.setattr(quadrature, "_MAX_CELLS", cap)
+    fs = [lambda x, k=k: np.sin(k * x) * x for k in range(12)]
+    calls, splits = [], []
+    part = quadrature._part
+    monkeypatch.setattr(quadrature, "_part", lambda *args: splits.append(args[0]) or part(*args))
+    result = integrate_result(stacked(fs, calls), 0.0, 3.0, ADAPTIVE, rows=len(fs))
+    assert all(rows * points <= cap for rows, points in calls if rows > 1)
+    assert splits  # the cap deferred rows
+    assert_rows_are_one_row_runs(result, fs, 0.0, 3.0, ADAPTIVE)
