@@ -22,7 +22,8 @@ integrand call of a several-row run receives.  A level that would pass it
 defers the upper half of its rows, as often as needed.  Deferred rows keep
 their intervals, values and sums, and go on where they stopped once the rows
 below them are done; each deferred part holds about half the cap.  One row
-is never deferred; ``_MAX_ACTIVE_INTERVALS`` bounds it.  A row that fails
+is never deferred; ``_MAX_ACTIVE_INTERVALS`` bounds it.  A row whose
+Simpson sums overflow fails at once, with no warning.  A row that fails
 stops the rows above it, deferred ones included, and the lowest failed row
 is raised, so a run fails where a loop over its rows would.
 """
@@ -135,7 +136,8 @@ def integrate_result(
         raise ValueError("rows must be at least 1")
     scalar = rows is None  # the one-row case
     g = (lambda x, idx: np.asarray(f(x), dtype=float)[None]) if scalar else f
-    result, failure = _adaptive(g, a, b, cfg, 1 if scalar else rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows fails
+        result, failure = _adaptive(g, a, b, cfg, 1 if scalar else rows)
     if failure is not None:
         row, message, achieved = failure
         raise NonConvergence(
@@ -236,7 +238,7 @@ def _adaptive(f, a, b, cfg, m):
                 noise = np.abs(sl)
                 noise += np.abs(sr)
                 noise *= _NOISE_FACTOR * _EPS
-                stuck = (keep & (np.abs(delta) <= noise)).any(axis=1)
+                stuck = (keep & ((np.abs(delta) <= noise) | ~np.isfinite(delta))).any(axis=1)
             over = 2 * kept > _MAX_ACTIVE_INTERVALS
             if stuck.any() or over.any():
                 last = int(np.argmax(stuck | over))
@@ -283,6 +285,8 @@ def _failure(cfg, depth, stuck, missed):
     """(message, achieved) for a row that failed at ``depth``; ``missed`` holds
     its rejected decrements, ``stuck`` is False for an interval-budget failure."""
     worst = float(np.abs(missed).max() / 15.0)
+    if not np.isfinite(worst):
+        return f"the integrand's values overflow the Simpson rule at depth {depth}", None
     if not stuck:
         return (f"adaptive Simpson interval budget exceeded at depth {depth}; "
                 f"abs_tol={cfg.abs_tol:g} appears unattainable"), None

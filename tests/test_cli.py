@@ -486,6 +486,19 @@ def test_callable_whose_values_overflow_is_refused(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_callable_whose_rule_overflows_is_a_numerical_failure(capsys):
+    # finite samples of 1e308 overflow the Simpson sums: exit 1, no warning
+    code, out, err = run_cli(
+        capsys, "coeffs", "--function", "poly:5e307,5e307", "--interval", "1", "--n", "2",
+        "--format", "json",
+    )
+    message = ("cosine coefficient n=0 did not converge: "
+               "the integrand's values overflow the Simpson rule at depth 0")
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "NonConvergence", "message": message}}
+    assert err.splitlines() == [f"antifourier coeffs: error: {message}"]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "antifourier", "basis", "--interval", "1", "--n", "0",

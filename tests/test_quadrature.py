@@ -231,6 +231,15 @@ def test_one_row_runs_keep_their_bits():
         "-0x1.f142933a7dd44p-5", "0x1.62ae01be8f6abp-35", 17061, 7)
 
 
+def test_values_that_overflow_the_rule_fail_at_once():
+    # finite values whose Simpson sums overflow fail at depth 0, with no warning
+    fs = (x_sin_x, lambda x: np.full_like(x, 1e308), np.exp)
+    with pytest.raises(NonConvergence) as info:
+        integrate(stacked(fs), 0.0, 1.0, rows=3)
+    assert (info.value.index, info.value.achieved) == (1, None)
+    assert str(info.value) == "the integrand's values overflow the Simpson rule at depth 0"
+
+
 def test_integrand_calls_stay_within_the_cap(monkeypatch):
     cap = 1 << 10
     monkeypatch.setattr(quadrature, "_MAX_CELLS", cap)
