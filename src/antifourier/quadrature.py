@@ -239,6 +239,7 @@ def _adaptive(f, a, b, cfg, m):
                 noise += np.abs(sr)
                 noise *= _NOISE_FACTOR * _EPS
                 stuck = (keep & ((np.abs(delta) <= noise) | ~np.isfinite(delta))).any(axis=1)
+                del noise
             over = 2 * kept > _MAX_ACTIVE_INTERVALS
             if stuck.any() or over.any():
                 last = int(np.argmax(stuck | over))
@@ -276,7 +277,7 @@ def _adaptive(f, a, b, cfg, m):
             s = _halves(sl, sr, live, cols)
             active = np.repeat(keep if cols is None else keep.take(cols, axis=1), 2, axis=1)
             tol = np.repeat(0.5 * (tol if cols is None else tol.take(cols)), 2)
-            # no array of this level is alive at the next integrand call
+            # free this level's arrays before the next integrand call
             del fnew, flm, frm, sl, sr, s2, delta, accept, taken, keep, parts, errs
     return (value, error, evals, depths), failure
 
