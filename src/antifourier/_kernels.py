@@ -34,8 +34,9 @@ Every series in the package is evaluated by one sum,
 in :func:`trig_sum`: the classical series (shift a_0/2, mult n) and the
 half-integer series (shift gamma, mult n + 1/2) from their containers'
 ``terms`` views, and the heat solution and its x-derivative (weights scaled
-by e^(lambda_n k t)) in ``heat_eval`` and ``heat_eval_dx``.  It takes both
-trig functions of each phase from one ``cossinpi`` split.  The containers
+by e^(lambda_n k t), one row of weights per time) in ``heat_eval`` and
+``heat_eval_dx``.  It takes both trig functions of each phase from one
+``cossinpi`` split.  The containers
 share :func:`freeze_fields` and :func:`check_order`.
 """
 
@@ -172,11 +173,23 @@ def project(
 def trig_sum(L, shift, mults, cos_w, sin_w, x):
     """Return shift + sum_m (cos_w[m] cospi(mults[m] x / L) + sin_w[m] sinpi(...)).
 
-    Scalar ``x`` gives a float, array ``x`` an array of its shape.
+    Scalar ``x`` gives a float, array ``x`` an array of its shape.  2-D
+    weights give one such sum per row, stacked: shape (rows, *x.shape).  The
+    basis is taken once for every row, and each row is the same two
+    ``tensordot`` calls as its 1-D weights alone, so it keeps their bits.
     """
     u = np.asarray(x, dtype=float) / L
     cos_t, sin_t = cossinpi(np.multiply.outer(mults, u))
-    value = shift + np.tensordot(cos_w, cos_t, axes=1) + np.tensordot(sin_w, sin_t, axes=1)
+
+    def row(cos_row, sin_row):
+        return shift + np.tensordot(cos_row, cos_t, axes=1) + np.tensordot(sin_row, sin_t, axes=1)
+
+    if np.ndim(cos_w) == 2:
+        out = np.empty((len(cos_w), *u.shape))
+        for j, (cos_row, sin_row) in enumerate(zip(cos_w, sin_w)):
+            out[j] = row(cos_row, sin_row)
+        return out
+    value = row(cos_w, sin_w)
     if np.ndim(x) == 0:
         return float(value)
     return value

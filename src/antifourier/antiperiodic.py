@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import check_order, freeze_fields, project, trig_sum
-from ._trig import cospi, sinpi
+from ._trig import cospi, sinpi  # noqa: F401  (bench/tracer.py wraps antiperiodic.cospi/sinpi)
+from ._trig import cossinpi
 from .catalog import FunctionSpec, evaluate
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
@@ -71,8 +72,7 @@ def half_basis(n: int, L: float, x):
     if n < 0:
         raise ValueError("basis index must be nonnegative")
     u = np.asarray(x, dtype=float) / L
-    t = (n + 0.5) * u
-    return cospi(t), sinpi(t)
+    return cossinpi((n + 0.5) * u)
 
 
 def _coefficients_with_shift(f, shift, N, cfg):

@@ -332,17 +332,15 @@ def _cmd_heat(args, cfg) -> str:
     xs = np.linspace(-args.interval, args.interval, args.grid)
     grid = xs.tolist()
     fields = {"u": heat_eval, "ux": heat_eval_dx} if args.flux else {"u": heat_eval}
-    # one list of values on xs per field and time
-    data = {name: [fn(sol, xs, t).tolist() for t in args.times] for name, fn in fields.items()}
+    # one call per field, one list of values on xs per time
+    times = np.array(args.times)
+    data = {name: fn(sol, xs, times).tolist() for name, fn in fields.items()}
     if args.format == "json":
         payload = {"solution": io.to_dict(sol), "x": grid, "times": list(args.times)}
         return json.dumps({**payload, **data}) + "\n"
-    rows = (
-        (x, t, *(values[j][i] for values in data.values()))
-        for j, t in enumerate(args.times)
-        for i, x in enumerate(grid)
-    )
-    return io.csv_text(("x", "t", *data), rows)
+    # one block of rows per time, all on the one grid list
+    blocks = ([grid, t, *(values[j] for values in data.values())] for j, t in enumerate(args.times))
+    return io.csv_text(("x", "t", *data), blocks)
 
 
 def _cmd_basis(args, cfg) -> str:
@@ -354,8 +352,8 @@ def _cmd_basis(args, cfg) -> str:
     if args.format == "json":
         cos, sin = [[pair[k] for pair in pairs] for k in (0, 1)]
         return json.dumps({"x": grid, "n": list(indices), "cos": cos, "sin": sin}) + "\n"
-    rows = ((n, x, c[i], s[i]) for n, (c, s) in enumerate(pairs) for i, x in enumerate(grid))
-    return io.csv_text(("n", "x", "cos", "sin"), rows)
+    blocks = ([n, grid, c, s] for n, (c, s) in enumerate(pairs))  # one block of rows per mode
+    return io.csv_text(("n", "x", "cos", "sin"), blocks)
 
 
 _HANDLERS = {

@@ -17,6 +17,8 @@ import json
 import os
 import tempfile
 from io import StringIO
+from itertools import chain
+from operator import is_
 
 import numpy as np
 
@@ -122,10 +124,36 @@ def load_coefficients(path: str) -> dict:
 
 def csv_text(header, rows) -> str:
     """Assemble CSV text (comma separated, trailing newline) from any iterable
-    of rows, without holding a list of lines."""
+    of rows, without holding a list of lines.
+
+    A row with list cells is a block of rows: each list is a column of
+    floats, all of one length, and every other cell repeats down the block.
+    A block gives the bytes of its rows written one by one.  A column that
+    holds the very objects of the previous block's column (a shared grid) is
+    formatted once for both.
+    """
     out = StringIO()
     out.write(",".join(header) + "\n")
-    out.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
+    previous = {}  # column -> (its items, their text) in the last block
+    for row in rows:
+        if list not in map(type, row):
+            out.write(",".join(map(fmt, row)) + "\n")
+            continue
+        columns = {j: cell for j, cell in enumerate(row) if type(cell) is list}
+        lengths = {len(column) for column in columns.values()}
+        if len(lengths) > 1:
+            raise ValueError(f"block columns differ in length: {sorted(lengths)}")
+        for j, column in columns.items():
+            items = previous.get(j, ((),))[0]
+            if len(items) != len(column) or not all(map(is_, items, column)):
+                items = tuple(column)  # one "%.17g" template: fmt's text of each float
+                previous[j] = (items, ("%.17g\n" * len(items) % items).splitlines())
+        # list cells become %s slots, every other cell its text with % escaped
+        line = ",".join(
+            "%s" if j in columns else fmt(cell).replace("%", "%%") for j, cell in enumerate(row)
+        )
+        cells = zip(*(previous[j][1] for j in columns))
+        out.write(f"{line}\n" * lengths.pop() % tuple(chain.from_iterable(cells)))
     return out.getvalue()
 
 

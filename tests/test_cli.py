@@ -5,7 +5,19 @@ import sys
 import numpy as np
 import pytest
 
-from antifourier import ValidationError, catalog
+from antifourier import (
+    FunctionSpec,
+    HeatProblem,
+    Named,
+    ValidationError,
+    catalog,
+    cli,
+    half_basis,
+    heat_eval,
+    heat_eval_dx,
+    io,
+    solve_heat,
+)
 from antifourier.cli import MAX_HARMONICS, MAX_VALUES, _check_size, build_parser, main
 from antifourier.diagnostics import REPORT_COLUMNS
 from conftest import child_env
@@ -243,6 +255,97 @@ class TestBasis:
         for row in rows:
             for cell in row[1:]:
                 assert f"{float(cell):.17g}" == cell
+
+
+HEAT_ARGV = ("heat", "--function", "named:scaled-square", "--interval", "pi", "--k", "0.7",
+             "--c", "1", "--n", "9", "--times", "0,0.3,1e-9,2.5", "--grid", "41", "--flux")
+
+
+def per_row_csv(header, rows):
+    return ",".join(header) + "\n" + "".join(",".join(map(io.fmt, row)) + "\n" for row in rows)
+
+
+class TestOutputOracles:
+    """heat and basis output against the row-by-row generators they replaced."""
+
+    @staticmethod
+    def heat_oracle():
+        spec = FunctionSpec(np.pi, Named("scaled-square"))
+        sol = solve_heat(HeatProblem(0.7, np.pi, 1.0, spec), 9)
+        xs = np.linspace(-np.pi, np.pi, 41)
+        times = (0.0, 0.3, 1e-9, 2.5)
+        fields = {"u": heat_eval, "ux": heat_eval_dx}
+        data = {name: [fn(sol, xs, t).tolist() for t in times] for name, fn in fields.items()}
+        return sol, xs.tolist(), times, data
+
+    def test_heat_flux_csv(self, capsys):
+        _, grid, times, data = self.heat_oracle()
+        rows = (
+            (x, t, *(values[j][i] for values in data.values()))
+            for j, t in enumerate(times)
+            for i, x in enumerate(grid)
+        )
+        code, out, _ = run_cli(capsys, *HEAT_ARGV, "--format", "csv")
+        assert code == 0
+        assert out == per_row_csv(("x", "t", "u", "ux"), rows)
+
+    def test_heat_flux_json(self, capsys):
+        sol, grid, times, data = self.heat_oracle()
+        payload = {"solution": io.to_dict(sol), "x": grid, "times": list(times), **data}
+        code, out, _ = run_cli(capsys, *HEAT_ARGV, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(payload) + "\n"
+
+    def test_basis_csv(self, capsys):
+        xs = np.linspace(-2.5, 2.5, 9)
+        grid = xs.tolist()
+        pairs = [[v.tolist() for v in half_basis(n, 2.5, xs)] for n in range(4)]
+        rows = ((n, x, c[i], s[i]) for n, (c, s) in enumerate(pairs) for i, x in enumerate(grid))
+        code, out, _ = run_cli(
+            capsys, "basis", "--interval", "2.5", "--n", "3", "--grid", "9", "--format", "csv"
+        )
+        assert code == 0
+        assert out == per_row_csv(("n", "x", "cos", "sin"), rows)
+
+
+# one CSV call of every command
+CSV_CALLS = {
+    "coeffs": ("coeffs", "--function", "named:identity", "--interval", "pi", "--n", "3"),
+    "eval": ("eval", "--function", "named:signum", "--interval", "1", "--n", "4", "--grid", "9"),
+    "compare": ("compare", "--function", "named:identity", "--interval", "1", "--orders", "2,4",
+                "--grid", "11", "--subgrid", "2001"),
+    "gibbs": ("gibbs", "--function", "named:signum", "--interval", "1", "--n", "8",
+              "--subgrid", "2001"),
+    "heat": HEAT_ARGV,
+    "basis": ("basis", "--interval", "pi", "--n", "2", "--grid", "7"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CSV_CALLS))
+def test_csv_output_goes_through_csv_text(capsys, monkeypatch, command):
+    """The benchmark's tracer times io.csv_text, cli.heat_eval and
+    cli.heat_eval_dx by name: every CSV byte is written in csv_text, and heat
+    evaluates each field in one call."""
+    results = {}
+
+    def recorded(module, name):
+        fn = getattr(module, name)
+        results[name] = []
+
+        def wrapper(*args):
+            results[name].append(fn(*args))
+            return results[name][-1]
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    recorded(io, "csv_text")
+    recorded(cli, "heat_eval")
+    recorded(cli, "heat_eval_dx")
+    code, out, _ = run_cli(capsys, *CSV_CALLS[command], "--format", "csv")
+    assert code == 0
+    assert results["csv_text"] == [out]
+    calls = (1, 1) if command == "heat" else (0, 0)
+    assert (len(results["heat_eval"]), len(results["heat_eval_dx"])) == calls
 
 
 class TestErrorsAndPlumbing:

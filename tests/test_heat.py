@@ -195,11 +195,33 @@ class TestVerifySolution:
         assert coarse.max_residual / fine.max_residual == pytest.approx(4.0, abs=0.8)
         assert coarse.max_residual <= coarse.reference_scale
 
+    @pytest.mark.parametrize("M", [None, 3])
+    def test_residual_is_the_per_time_loop_bitwise(self, scaled_square_solution, M):
+        sol, h = scaled_square_solution, 1e-3
+        xs = np.linspace(-0.9 * np.pi, 0.9 * np.pi, 17)
+        ts = [0.05, 0.25, 1.0, 3.0]
+        worst = 0.0
+        for t in ts:  # five scalar-time evaluations per time
+            ut = (heat_eval(sol, xs, t + h, M) - heat_eval(sol, xs, t - h, M)) / (2.0 * h)
+            uxx = (
+                heat_eval(sol, xs + h, t, M)
+                - 2.0 * heat_eval(sol, xs, t, M)
+                + heat_eval(sol, xs - h, t, M)
+            ) / (h * h)
+            worst = max(worst, float(np.abs(ut - sol.k * uxx).max()))
+        report = verify_solution(sol, xs, ts, h, M)
+        assert report.max_residual.hex() == worst.hex()
+        assert report.grid_shape == (17, 4)
+
     def test_grid_validation(self, scaled_square_solution):
         with pytest.raises(ValueError):
             verify_solution(scaled_square_solution, [np.pi], [0.5], 1e-4)
         with pytest.raises(ValueError):
             verify_solution(scaled_square_solution, [0.0], [1e-5], 1e-4)
+        with pytest.raises(ValueError, match="interior"):
+            verify_solution(scaled_square_solution, [0.0, np.nan], [0.5], 1e-4)
+        with pytest.raises(ValueError, match="t - h > 0"):
+            verify_solution(scaled_square_solution, [0.0], [0.5, np.nan], 1e-4)
 
 
 def test_json_round_trip(scaled_square_solution):

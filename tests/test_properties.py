@@ -13,6 +13,7 @@ cospi/sinpi is +0.0.
 """
 
 import json
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -42,10 +43,11 @@ from antifourier import (
     render_function_spec,
 )
 from antifourier import quadrature
-from antifourier._kernels import project
+from antifourier._kernels import project, trig_sum
 from antifourier._trig import cospi, cossinpi, sinpi
 from antifourier.catalog import NAMED_FUNCTIONS, evaluate
-from antifourier.io import fmt, from_dict, to_dict
+from antifourier.errors import NegativeTime
+from antifourier.io import csv_text, fmt, from_dict, to_dict
 
 VALUES = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 HALF_WIDTHS = st.floats(min_value=1e-3, max_value=1e3)
@@ -152,6 +154,45 @@ def test_heat_is_the_boundary_mean_at_both_ends_without_sines(sol, t):
 def test_heat_flux_is_zero_at_both_ends_without_cosines(sol, t):
     assert heat_eval_dx(sol, -sol.L, t) == 0.0
     assert heat_eval_dx(sol, sol.L, t) == 0.0
+
+
+def positions(L):
+    """A scalar x or a short array of them, on and past [-L, L]."""
+    points = st.floats(min_value=-2.0 * L, max_value=2.0 * L)
+    return st.one_of(points, st.lists(points, min_size=1, max_size=8).map(np.array))
+
+
+@SETTINGS
+@given(heat(), st.lists(st.one_of(st.just(0.0), TIMES), min_size=1, max_size=6), st.data())
+def test_heat_over_times_is_the_stacked_scalar_calls_bitwise(sol, times, data):
+    M = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=sol.N)))
+    x = data.draw(positions(sol.L))
+    for fn in (heat_eval, heat_eval_dx):
+        rows = fn(sol, x, np.array(times), M)
+        assert rows.shape == (len(times), *np.shape(x))
+        assert same_bits(rows, [fn(sol, x, t, M) for t in times])
+
+
+@SETTINGS
+@given(heat(), st.lists(TIMES, max_size=4), st.floats(max_value=0.0, exclude_max=True),
+       st.lists(st.floats(min_value=-10.0, max_value=10.0), max_size=4))
+def test_any_negative_time_is_refused_by_name(sol, before, negative, after):
+    times = np.array([*before, negative, *after])
+    for fn in (heat_eval, heat_eval_dx):
+        with pytest.raises(NegativeTime, match=rf"t={re.escape(repr(negative))} < 0"):
+            fn(sol, 0.0, times)
+
+
+@SETTINGS
+@given(st.integers(min_value=1, max_value=25), st.integers(min_value=1, max_value=5),
+       st.sampled_from([0.0, 0.5]), HALF_WIDTHS, VALUES, st.data())
+def test_trig_sum_rows_are_its_one_row_calls_bitwise(m, rows, offset, L, shift, data):
+    mults = np.arange(m, dtype=float) + offset
+    cos_w = data.draw(arrays(rows * m)).reshape(rows, m)
+    sin_w = data.draw(arrays(rows * m)).reshape(rows, m)
+    x = data.draw(positions(L))
+    stacked = [trig_sum(L, shift, mults, c, s, x) for c, s in zip(cos_w, sin_w)]
+    assert same_bits(trig_sum(L, shift, mults, cos_w, sin_w, x), stacked)
 
 
 @SETTINGS
@@ -350,3 +391,71 @@ def test_csv_cells_round_trip_every_double(x):
 @given(st.integers(min_value=-(2**70), max_value=2**70))
 def test_csv_cells_write_integers_as_str(n):
     assert fmt(n) == str(n)
+
+
+# every double a CSV cell may hold, the specials drawn on purpose
+CELLS = st.one_of(
+    FINITE,
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.0**-1074 * 3,
+                     2.0**-1030, 1e308, -1e308]),
+)
+# scalar cells of a block: a float, an int or a str (with a '%' now and then)
+SCALAR_CELLS = st.one_of(CELLS, st.integers(min_value=-(2**70), max_value=2**70),
+                         st.sampled_from(["classical", "a%sb", "100%", ""]))
+
+
+@st.composite
+def csv_blocks(draw):
+    """Up to four rows of four cells: blocks of 1-5 rows with one to three
+    float columns (the first block's grid shared by the next when drawn so),
+    and now and then a plain row of scalars."""
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            rows.append([draw(SCALAR_CELLS) for _ in range(4)])
+            continue
+        n = draw(st.integers(min_value=1, max_value=5))
+        columns = set(draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1)))
+        row = [draw(st.lists(CELLS, min_size=n, max_size=n)) if j in columns else draw(SCALAR_CELLS)
+               for j in range(4)]
+        if rows and isinstance(rows[-1][0], list) and len(rows[-1][0]) == n and draw(st.booleans()):
+            row[0] = rows[-1][0]  # the same grid list as the last block
+        rows.append(row)
+    return rows
+
+
+def per_row(rows):
+    """Each block spelled out as its rows, the oracle of csv_text's blocks."""
+    for row in rows:
+        lists = [cell for cell in row if isinstance(cell, list)]
+        if not lists:
+            yield row
+            continue
+        for i in range(len(lists[0])):
+            yield [cell[i] if isinstance(cell, list) else cell for cell in row]
+
+
+@SETTINGS
+@given(csv_blocks())
+@example([[[0.5], 3, "a%sb", [float("nan")]], [[0.5], -0.0, [5e-324], [-float("inf")]]])
+def test_csv_blocks_are_their_rows_bytewise(rows):
+    header = ("a", "b", "c", "d")
+    text = csv_text(header, rows)
+    assert text == csv_text(header, per_row(rows))
+    assert text == "a,b,c,d\n" + "".join(",".join(map(fmt, row)) + "\n" for row in per_row(rows))
+
+
+def test_csv_block_grid_changed_in_place_is_formatted_again():
+    grid = [0.0, 1.0]
+
+    def blocks():
+        yield [grid, 1, [2.0, 3.0]]
+        grid[:] = [-0.0, 5e-324]  # the same list object with new values
+        yield [grid, 2, [4.0, 5.0]]
+
+    assert csv_text(("x", "n", "v"), blocks()) == "x,n,v\n0,1,2\n1,1,3\n-0,2,4\n4.9406564584124654e-324,2,5\n"
+
+
+def test_csv_block_columns_of_two_lengths_are_refused():
+    with pytest.raises(ValueError, match="differ in length"):
+        csv_text(("x", "v"), [[[0.0, 1.0], [2.0]]])
