@@ -45,13 +45,6 @@ class AntiperiodicCoefficients:
     def N(self) -> int:
         return self.alpha.size - 1
 
-    def truncated(self, M: int) -> "AntiperiodicCoefficients":
-        """Copy truncated to order M <= N."""
-        M = check_order(M, self.N)
-        return AntiperiodicCoefficients(
-            self.L, self.gamma, self.alpha[: M + 1].copy(), self.beta[: M + 1].copy()
-        )
-
     def terms(self, M: int | None = None):
         """(shift gamma, multipliers n + 1/2 for n <= M, alpha_0..alpha_M, beta_0..beta_M)."""
         M = check_order(M, self.N)

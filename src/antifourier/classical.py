@@ -6,10 +6,11 @@ Coefficients follow the usual normalization
     b_n = (1/L) int_{-L}^{L} f(x) sin(n pi x / L) dx,   n = 1..N,
 
 and the partial sum is a_0/2 + sum_{n=1}^{M} (a_n cos + b_n sin).  Each
-coefficient has its own adaptive quadrature (no FFT): a family's harmonics
-share one engine run and its abscissae, but each keeps its own intervals and
-error control, so arbitrary function specs and tolerances are supported.  Basis values are computed with the
-exact-at-half-multiples helpers, which makes sin(n pi) at x = +-L exactly
+coefficient keeps its own adaptive error control (no FFT): a family's
+harmonics share adaptive Simpson runs and their abscissae, one row per
+harmonic, but each row keeps its own intervals and accept test, so arbitrary
+function specs and tolerances are supported.  Basis values are computed with
+the exact-at-half-multiples helpers, which makes sin(n pi) at x = +-L exactly
 zero and the endpoint symmetry S(-L) == S(L) hold bitwise.
 """
 
@@ -42,11 +43,6 @@ class ClassicalCoefficients:
     @property
     def N(self) -> int:
         return self.a.size - 1
-
-    def truncated(self, M: int) -> "ClassicalCoefficients":
-        """Copy truncated to order M <= N."""
-        M = check_order(M, self.N)
-        return ClassicalCoefficients(self.L, self.a[: M + 1].copy(), self.b[:M].copy())
 
     def terms(self, M: int | None = None):
         """(shift a_0/2, multipliers 1..M, cos weights a_1..a_M, sin weights b_1..b_M)."""

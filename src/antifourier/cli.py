@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 numerical failure (non-convergent quadrature,
 incompatible heat data), 2 flag, size, function-spec, input-file or output-path
-errors; each error ends with ``antifourier <command>: error: <message>``.
+errors; each error ends with ``antifourier <command>: error: <message>``, and
+an unrecognised flag with ``antifourier: error: unrecognized arguments: ...``.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ CSV column orders:
   heat     x,t,u[,ux]
   basis    n,x,cos,sin
 
-The environment variable {ENV_QUAD_TOL} overrides the default quadrature
-tolerance; the --quad-tol flag beats the environment variable.
+--quad-tol defaults to the environment variable {ENV_QUAD_TOL} when it is
+set, else to 1e-10; the flag beats the variable.  basis takes neither
+--function nor --quad-tol.
 """
 
 
@@ -95,6 +97,7 @@ _INTERVAL = _arg(
     _positive, "a positive half-width or 'pi'",
 )
 _POSITIVE = _arg(float, _positive, "a positive number")
+_QUAD_TOL = _arg(float, _positive, f"a positive number (--quad-tol or {ENV_QUAD_TOL})")
 _FINITE = _arg(float, math.isfinite, "a finite number")
 _ORDER = _arg(int, lambda v: v >= 0, "a nonnegative integer")
 _GRID = _arg(int, lambda v: v >= 2, "an integer of at least 2")
@@ -113,10 +116,11 @@ def _add_common(sub, with_function=True):
         "--interval", required=True, type=_INTERVAL, metavar="L|pi",
         help="half-width L of the symmetric interval [-L, L]; 'pi' is accepted",
     )
-    sub.add_argument(
-        "--quad-tol", type=_POSITIVE, default=None,
-        help="absolute quadrature tolerance (default 1e-10)",
-    )
+    if with_function:  # argparse checks a text default as the flag, when the flag is absent
+        sub.add_argument(
+            "--quad-tol", type=_QUAD_TOL, default=os.environ.get(ENV_QUAD_TOL),
+            help=f"absolute quadrature tolerance (default ${ENV_QUAD_TOL}, else 1e-10)",
+        )
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None, help="output path (written atomically)")
 
@@ -197,23 +201,6 @@ def _check_size(args) -> None:
             raise ValidationError(f"{what} is {size} {unit}, above the limit of {limit}")
 
 
-def _quad_config(args) -> QuadratureConfig:
-    tol = args.quad_tol
-    if tol is None:
-        env = os.environ.get(ENV_QUAD_TOL)
-        if env is not None:
-            try:
-                tol = float(env)
-            except ValueError:
-                raise ValidationError(f"{ENV_QUAD_TOL} is not a number: {env!r}") from None
-    if tol is None:
-        return DEFAULT_CONFIG
-    try:
-        return QuadratureConfig(abs_tol=tol)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
 def _compute_series(spec, kinds, N, cfg):
     out = {}
     if "classical" in kinds:
@@ -231,20 +218,16 @@ def _cmd_coeffs(args, cfg) -> str:
         if len(series) == 1:
             return io.dumps(next(iter(series.values()))) + "\n"
         return io.dumps(series) + "\n"
-    rows = []
+    blocks = []  # one block per series, after the classical n=0 row (no sine)
     for kind in kinds:
         obj = series[kind]
         if kind == "classical":
-            rows.append(["classical", 0, obj.a[0], "", ""])
-            rows.extend(
-                ["classical", n, obj.a[n], obj.b[n - 1], ""] for n in range(1, obj.N + 1)
-            )
+            blocks.append(["classical", 0, obj.a[0], "", ""])
+            n, cos, sin, gamma = range(1, obj.N + 1), obj.a[1:], obj.b, ""
         else:
-            rows.extend(
-                ["antiperiodic", n, obj.alpha[n], obj.beta[n], obj.gamma]
-                for n in range(obj.N + 1)
-            )
-    return io.csv_text(("kind", "n", "cos", "sin", "gamma"), rows)
+            n, cos, sin, gamma = range(obj.N + 1), obj.alpha, obj.beta, obj.gamma
+        blocks.append([kind, list(n), cos.tolist(), sin.tolist(), gamma])
+    return io.csv_text(("kind", "n", "cos", "sin", "gamma"), blocks)
 
 
 def _cmd_eval(args, cfg) -> str:
@@ -273,11 +256,10 @@ def _cmd_eval(args, cfg) -> str:
     columns = {"x": xs, "f": evaluate(spec, xs)}
     for kind in kinds:
         columns[kind] = partial_sum(series[kind], xs, args.n)
+    lists = {key: np.asarray(col).tolist() for key, col in columns.items()}
     if args.format == "json":
-        return json.dumps({key: np.asarray(col).tolist() for key, col in columns.items()}) + "\n"
-    header = tuple(columns)
-    rows = zip(*(np.asarray(col).tolist() for col in columns.values()))
-    return io.csv_text(header, rows)
+        return json.dumps(lists) + "\n"
+    return io.csv_text(tuple(lists), [list(lists.values())])  # one block of every column
 
 
 def _json_value(value):
@@ -373,9 +355,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     error_prefix = f"{parser.prog} {args.command}: error:"  # as argparse's for flag values
+    tol = getattr(args, "quad_tol", None)  # basis has none
+    cfg = DEFAULT_CONFIG if tol is None else QuadratureConfig(abs_tol=tol)
     try:
         _check_size(args)
-        cfg = _quad_config(args)
         text = _HANDLERS[args.command](args, cfg)
         if args.out:
             io.write_text_atomic(args.out, text)

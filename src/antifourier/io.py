@@ -122,30 +122,27 @@ def load_coefficients(path: str) -> dict:
     return out
 
 
-def csv_text(header, rows) -> str:
+def csv_text(header, blocks) -> str:
     """Assemble CSV text (comma separated, trailing newline) from any iterable
-    of rows, without holding a list of lines.
+    of blocks, without holding a list of lines.
 
-    A row with list cells is a block of rows: each list is a column of
-    floats, all of one length, and every other cell repeats down the block.
-    A block gives the bytes of its rows written one by one.  A column that
-    holds the very objects of the previous block's column (a shared grid) is
-    formatted once for both.
+    A block is a row whose list cells are columns of one length (floats, or
+    ints below 2**53) and whose other cells repeat down the block; a row
+    with no list cells is one line.  A block gives the bytes of its rows
+    written one by one.  A column that holds the very objects of the
+    previous block's column (a shared grid) is formatted once for both.
     """
     out = StringIO()
     out.write(",".join(header) + "\n")
     previous = {}  # column -> (its items, their text) in the last block
-    for row in rows:
-        if list not in map(type, row):
-            out.write(",".join(map(fmt, row)) + "\n")
-            continue
+    for row in blocks:
         columns = {j: cell for j, cell in enumerate(row) if type(cell) is list}
-        lengths = {len(column) for column in columns.values()}
+        lengths = {len(column) for column in columns.values()} or {1}
         if len(lengths) > 1:
             raise ValueError(f"block columns differ in length: {sorted(lengths)}")
         for j, column in columns.items():
-            items = previous.get(j, ((),))[0]
-            if len(items) != len(column) or not all(map(is_, items, column)):
+            items = previous.get(j, ((),))[0]  # an empty column is new too
+            if j not in previous or len(items) != len(column) or not all(map(is_, items, column)):
                 items = tuple(column)  # one "%.17g" template: fmt's text of each float
                 previous[j] = (items, ("%.17g\n" * len(items) % items).splitlines())
         # list cells become %s slots, every other cell its text with % escaped

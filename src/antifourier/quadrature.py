@@ -30,6 +30,7 @@ is raised, so a run fails where a loop over its rows would.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,13 +55,21 @@ _MAX_CELLS = 1 << 14
 _NOISE_FACTOR = 16.0
 
 
+def _integer(value, name):
+    """``value`` as an int; ValueError naming ``name`` if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Integrator settings.
 
     abs_tol: absolute error target for the whole integral.
-    max_subdivisions: maximum subdivision depth.
-    base_panels: initial panel count; must be even and at least 2.
+    max_subdivisions: maximum subdivision depth; an integer of at least 1.
+    base_panels: initial panel count; an even integer of at least 2.
     """
 
     abs_tol: float = 1e-10
@@ -70,9 +79,9 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (np.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise ValueError("abs_tol must be positive and finite")
-        if self.max_subdivisions < 1:
+        if _integer(self.max_subdivisions, "max_subdivisions") < 1:
             raise ValueError("max_subdivisions must be at least 1")
-        if self.base_panels < 2 or self.base_panels % 2:
+        if _integer(self.base_panels, "base_panels") < 2 or self.base_panels % 2:
             raise ValueError("base_panels must be even and at least 2")
 
 
@@ -81,13 +90,14 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value, error estimate, evaluation count and refinement depth; with
-    ``rows=m`` each is an array of length m, one entry per row."""
+    """Value, error estimate, evaluation count and refinement depth: scalars
+    (float, float, int, int), or with ``rows=m`` arrays of length m of those
+    types, one entry per row."""
 
-    value: float
-    error_estimate: float
-    evaluations: int
-    refinements: int
+    value: float | np.ndarray
+    error_estimate: float | np.ndarray
+    evaluations: int | np.ndarray
+    refinements: int | np.ndarray
 
 
 def integrate(
@@ -105,7 +115,8 @@ def integrate(
     cfg : QuadratureConfig
         Tolerance and refinement settings.
     rows : int, optional
-        Number of integrands computed together, each to ``cfg.abs_tol``.
+        Number of integrands computed together, each to ``cfg.abs_tol``; an
+        integer of at least 1.
 
     Returns
     -------
@@ -132,7 +143,7 @@ def integrate_result(
         raise InvalidInterval(f"bounds must be finite, got a={a!r}, b={b!r}")
     if not a < b:
         raise InvalidInterval(f"need a < b, got a={a!r}, b={b!r}")
-    if rows is not None and rows < 1:
+    if rows is not None and _integer(rows, "rows") < 1:
         raise ValueError("rows must be at least 1")
     scalar = rows is None  # the one-row case
     g = (lambda x, idx: np.asarray(f(x), dtype=float)[None]) if scalar else f

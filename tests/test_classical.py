@@ -129,14 +129,6 @@ class TestPartialSum:
         with pytest.raises(OrderExceedsTruncation):
             classical_partial_sum(c, 0.5, 9)
 
-    def test_truncated_copy(self):
-        c = identity_coefficients(8)
-        t = c.truncated(3)
-        assert t.N == 3
-        np.testing.assert_array_equal(t.b, c.b[:3])
-        with pytest.raises(OrderExceedsTruncation):
-            c.truncated(9)
-
 
 class TestTerms:
     C = ClassicalCoefficients(2.0, [1.0, 2.0, 3.0], [4.0, 5.0])

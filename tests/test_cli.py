@@ -10,16 +10,23 @@ from antifourier import (
     HeatProblem,
     Named,
     ValidationError,
+    antiperiodic_coefficients,
     catalog,
+    classical_coefficients,
     cli,
+    compare_orders,
+    evaluate,
+    gibbs_overshoot,
     half_basis,
     heat_eval,
     heat_eval_dx,
     io,
+    parse_function_spec,
+    partial_sum,
     solve_heat,
 )
 from antifourier.cli import MAX_HARMONICS, MAX_VALUES, _check_size, build_parser, main
-from antifourier.diagnostics import REPORT_COLUMNS
+from antifourier.diagnostics import REPORT_COLUMNS, report_rows
 from conftest import child_env
 
 
@@ -266,7 +273,8 @@ def per_row_csv(header, rows):
 
 
 class TestOutputOracles:
-    """heat and basis output against the row-by-row generators they replaced."""
+    """Every CSV table against the row-by-row writer it replaced, one io.fmt
+    per cell: the tables are written as blocks with the same bytes."""
 
     @staticmethod
     def heat_oracle():
@@ -306,6 +314,70 @@ class TestOutputOracles:
         )
         assert code == 0
         assert out == per_row_csv(("n", "x", "cos", "sin"), rows)
+
+    @pytest.mark.parametrize("N", [0, 12])
+    @pytest.mark.parametrize("kind", ["classical", "anti", "both"])
+    def test_coeffs_csv(self, capsys, kind, N):
+        spec = parse_function_spec("poly:0.5,2,1", 1.0)
+
+        def rows():
+            if kind != "anti":
+                c = classical_coefficients(spec, N)
+                yield ("classical", 0, c.a[0], "", "")
+                yield from (("classical", n, c.a[n], c.b[n - 1], "") for n in range(1, N + 1))
+            if kind != "classical":
+                c = antiperiodic_coefficients(spec, N)
+                yield from (("antiperiodic", n, c.alpha[n], c.beta[n], c.gamma)
+                            for n in range(N + 1))
+
+        code, out, _ = run_cli(
+            capsys, "coeffs", "--function", "poly:0.5,2,1", "--interval", "1", "--kind", kind,
+            "--n", str(N), "--format", "csv",
+        )
+        assert code == 0
+        assert out == per_row_csv(("kind", "n", "cos", "sin", "gamma"), rows())
+
+    def test_eval_csv(self, capsys):
+        spec = parse_function_spec("named:signum", 1.0)
+        xs = np.linspace(-1.0, 1.0, 9)
+        columns = [xs, evaluate(spec, xs)] + [
+            partial_sum(fn(spec, 6), xs, 6)
+            for fn in (classical_coefficients, antiperiodic_coefficients)
+        ]
+        code, out, _ = run_cli(
+            capsys, "eval", "--function", "named:signum", "--interval", "1", "--n", "6",
+            "--grid", "9", "--format", "csv",
+        )
+        assert code == 0
+        rows = zip(*(col.tolist() for col in columns))
+        assert out == per_row_csv(("x", "f", "classical", "antiperiodic"), rows)
+
+    def test_compare_csv(self, capsys):
+        # an undefined decay fit: nan cells
+        spec = parse_function_spec("named:const:1", 1.0)
+        reports = compare_orders(
+            spec, classical_coefficients(spec, 25), antiperiodic_coefficients(spec, 25),
+            orders=(10, 25), grid_size=101, window_fraction=0.1, subgrid_points=4001,
+        )
+        code, out, _ = run_cli(
+            capsys, "compare", "--function", "named:const:1", "--interval", "1",
+            "--orders", "10,25", "--grid", "101", "--format", "csv",
+        )
+        assert code == 0
+        assert out == per_row_csv(REPORT_COLUMNS, report_rows(reports))
+
+    def test_gibbs_csv(self, capsys):
+        spec = parse_function_spec("named:identity", np.pi)
+        series = {"classical": classical_coefficients(spec, 40),
+                  "antiperiodic": antiperiodic_coefficients(spec, 40)}
+        rows = ((kind, 40, 0.1, 2001, gibbs_overshoot(spec, coeffs, 40, 0.1, 2001))
+                for kind, coeffs in series.items())
+        code, out, _ = run_cli(
+            capsys, "gibbs", "--function", "named:identity", "--interval", "pi", "--n", "40",
+            "--subgrid", "2001", "--format", "csv",
+        )
+        assert code == 0
+        assert out == per_row_csv(cli.GIBBS_COLUMNS, rows)
 
 
 # one CSV call of every command
@@ -412,21 +484,41 @@ class TestErrorsAndPlumbing:
         assert code == 1  # unattainable tolerance came from the environment
 
     def test_flag_beats_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("ANTIFOURIER_QUAD_TOL", "1e-18")
-        code, out, _ = run_cli(
-            capsys, "coeffs", "--function", "named:identity", "--interval", "pi",
-            "--n", "0", "--kind", "anti", "--quad-tol", "1e-10",
-        )
-        assert code == 0
-        assert json.loads(out)["kind"] == "antiperiodic"
+        for value in ("1e-18", "tight"):  # unattainable, and not a number
+            monkeypatch.setenv("ANTIFOURIER_QUAD_TOL", value)
+            code, out, _ = run_cli(
+                capsys, "coeffs", "--function", "named:identity", "--interval", "pi",
+                "--n", "0", "--kind", "anti", "--quad-tol", "1e-10",
+            )
+            assert code == 0
+            assert json.loads(out)["kind"] == "antiperiodic"
 
     def test_bad_env_var_exits_2(self, capsys, monkeypatch):
+        # the variable is the flag's default, checked as the flag is
+        for value in ("tight", "0", "-1", "inf", "nan", ""):
+            monkeypatch.setenv("ANTIFOURIER_QUAD_TOL", value)
+            code, out, err = run_cli(
+                capsys, "coeffs", "--function", "named:identity", "--interval", "pi",
+            )
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1] == (
+                "antifourier coeffs: error: argument --quad-tol: expected a positive number "
+                f"(--quad-tol or ANTIFOURIER_QUAD_TOL), got {value!r}"
+            )
+
+    def test_basis_does_not_read_the_env_var(self, capsys, monkeypatch):
+        argv = ("basis", "--interval", "1", "--n", "2", "--grid", "5", "--format", "csv")
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == 0
         monkeypatch.setenv("ANTIFOURIER_QUAD_TOL", "tight")
-        code, _, err = run_cli(
-            capsys, "coeffs", "--function", "named:identity", "--interval", "pi",
+        assert run_cli(capsys, *argv) == expected
+
+    def test_basis_takes_no_quad_tol(self, capsys):
+        code, out, err = run_cli(capsys, "basis", "--interval", "1", "--quad-tol", "1e-3")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "antifourier: error: unrecognized arguments: --quad-tol 1e-3"
         )
-        assert code == 2
-        assert "ANTIFOURIER_QUAD_TOL" in err
 
 
 # a valid coefficient object of each kind

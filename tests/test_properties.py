@@ -438,6 +438,8 @@ def per_row(rows):
 @SETTINGS
 @given(csv_blocks())
 @example([[[0.5], 3, "a%sb", [float("nan")]], [[0.5], -0.0, [5e-324], [-float("inf")]]])
+@example([[[], "a", [], 1], [[1.0], "b", [2.0], 2]])  # an empty block is not a cached one
+@example([["100%", 1.5, 2, "a%sb"]])  # a row of scalars is a one-line block
 def test_csv_blocks_are_their_rows_bytewise(rows):
     header = ("a", "b", "c", "d")
     text = csv_text(header, rows)

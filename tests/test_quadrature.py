@@ -36,6 +36,8 @@ class TestConfig:
             {"base_panels": 3},
             {"base_panels": 0},
             {"max_subdivisions": 0},
+            {"max_subdivisions": 2.5},
+            {"base_panels": 8.0},
         ],
     )
     def test_invalid(self, kwargs):
@@ -177,6 +179,8 @@ def test_each_row_counts_its_own_evaluations():
 def test_row_count_must_be_positive():
     with pytest.raises(ValueError):
         integrate(stacked(ROWS), 0.0, 1.0, rows=0)
+    with pytest.raises(ValueError, match="rows must be an integer, got 2.0"):
+        integrate(stacked(ROWS), 0.0, 1.0, rows=2.0)
 
 
 def test_lowest_failed_row_is_raised(monkeypatch):
