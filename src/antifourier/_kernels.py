@@ -15,12 +15,12 @@ tagged with the family, n and kind.  Two integration paths are used:
   engine.  The fold makes the integral of an odd integrand exactly zero in
   floating point (the combination cancels pointwise before multiplication),
   and it removes the catalog sign-function jumps at the origin, where every
-  odd kernel vanishes.  The harmonics that start on the same panels are one
-  several-row ``integrate`` call, one row each: the engine refines them on
-  shared abscissae, where f is folded once and the kernels of the rows still
-  refining are taken as one block, and every coefficient keeps the bits of
-  its own one-row integration.  A folded sample that is not finite (f
-  overflows) is refused as a ValidationError.
+  odd kernel vanishes.  A family is one several-row ``integrate`` call, one
+  row per harmonic, all starting on the panels of its largest multiplier:
+  the engine refines them on shared abscissae, where f is folded once and
+  the kernels of the rows still refining are taken as one block, and every
+  coefficient keeps the bits of its own one-row integration from those
+  panels.  A non-finite folded sample (f overflows) is a ValidationError.
 
 * sampled bodies: each panel of the piecewise-linear interpolant is
   integrated against each pair's trig term in closed form, by parts, so no
@@ -73,16 +73,15 @@ def _table_integral(xs, ys, slope, trig, amplitude, mult, L):
 
 
 def _panels(ns, atoms, cfg):
-    """Starting panel count of each harmonic in ``ns``.
+    """Starting panel count of a family's one adaptive run over ``ns``.
 
-    Keep the initial panel count above the largest frequency multiplier.
-    With p panels and p > mult, no dyadic refinement grid can contain all
-    zeros of trig(mult * pi * x / L) (that would need p * 2^d to divide
-    mult), so an oscillation can never alias to an exact zero estimate.
+    Keep the initial panel count above the family's largest frequency
+    multiplier.  With p panels and p > mult, no dyadic refinement grid can
+    contain all zeros of trig(mult * pi * x / L) (that would need p * 2^d to
+    divide mult), so an oscillation can never alias to an exact zero estimate.
     """
-    max_mult = np.max(np.abs(np.add.outer(ns, [offset for _, offset in atoms])), axis=1)
-    bumped = 2 * (max_mult.astype(int) // 2 + 1)
-    return np.where(max_mult < cfg.base_panels, cfg.base_panels, bumped)
+    max_mult = max(abs(n + offset) for n in ns for _, offset in atoms)
+    return cfg.base_panels if max_mult < cfg.base_panels else 2 * (int(max_mult) // 2 + 1)
 
 
 def _folded_kernels(spec, shift, trig, atoms, harmonics, what):
@@ -151,23 +150,18 @@ def project(
             )
         return values
     ns = np.asarray(ns, dtype=int)
-    panels = _panels(ns, atoms, cfg)
-    # one integrate call per run of harmonics that start on the same panels
-    for at in np.split(np.arange(ns.size), np.flatnonzero(np.diff(panels)) + 1):
-        if not at.size:
-            continue
-        group = ns[at]
-        integrand = _folded_kernels(spec, shift, trig, atoms, group, what)
-        run = replace(cfg, base_panels=int(panels[at[0]]))
-        try:
-            values[at] = integrate(integrand, 0.0, spec.L, run, rows=group.size)
-        except NonConvergence as exc:
-            n = int(group[exc.index])
-            raise NonConvergence(
-                f"{what} n={n} did not converge: {exc}",
-                achieved=exc.achieved, target=exc.target, index=n, kind=kind,
-            ) from exc
-    return values / spec.L
+    if not ns.size:
+        return values
+    integrand = _folded_kernels(spec, shift, trig, atoms, ns, what)
+    run = replace(cfg, base_panels=_panels(ns, atoms, cfg))
+    try:
+        return integrate(integrand, 0.0, spec.L, run, rows=ns.size) / spec.L
+    except NonConvergence as exc:
+        n = int(ns[exc.index])
+        raise NonConvergence(
+            f"{what} n={n} did not converge: {exc}",
+            achieved=exc.achieved, target=exc.target, index=n, kind=kind,
+        ) from exc
 
 
 def trig_sum(L, shift, mults, cos_w, sin_w, x):

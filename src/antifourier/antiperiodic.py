@@ -25,7 +25,8 @@ import numpy as np
 from ._kernels import check_order, freeze_fields, project, trig_sum
 from ._trig import cospi, sinpi  # noqa: F401  (bench/tracer.py wraps antiperiodic.cospi/sinpi)
 from ._trig import cossinpi
-from .catalog import FunctionSpec, evaluate
+from .catalog import FunctionSpec, antiperiodic_defect
+from .catalog import evaluate  # noqa: F401  (bench/tracer.py wraps antiperiodic.evaluate)
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 
@@ -54,7 +55,7 @@ class AntiperiodicCoefficients:
 
 def shift_gamma(f: FunctionSpec) -> float:
     """Return (f(-L) + f(L)) / 2, the constant making f - gamma antiperiodic."""
-    return (evaluate(f, -f.L) + evaluate(f, f.L)) / 2.0
+    return antiperiodic_defect(f) / 2.0
 
 
 def half_basis(n: int, L: float, x):

@@ -30,6 +30,7 @@ is raised, so a run fails where a loop over its rows would.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -56,18 +57,17 @@ _NOISE_FACTOR = 16.0
 
 
 def _integer(value, name):
-    """``value`` as an int; ValueError naming ``name`` if it is not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int; ValueError naming ``name`` if it is not an integer or is a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Integrator settings.
 
-    abs_tol: absolute error target for the whole integral.
+    abs_tol: absolute error target for the whole integral; a positive number.
     max_subdivisions: maximum subdivision depth; an integer of at least 1.
     base_panels: initial panel count; an even integer of at least 2.
     """
@@ -77,8 +77,9 @@ class QuadratureConfig:
     base_panels: int = 64
 
     def __post_init__(self):
-        if not (np.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise ValueError("abs_tol must be positive and finite")
+        real = isinstance(self.abs_tol, numbers.Real) and not isinstance(self.abs_tol, bool)
+        if not (real and np.isfinite(self.abs_tol) and self.abs_tol > 0.0):
+            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol!r}")
         if _integer(self.max_subdivisions, "max_subdivisions") < 1:
             raise ValueError("max_subdivisions must be at least 1")
         if _integer(self.base_panels, "base_panels") < 2 or self.base_panels % 2:

@@ -89,6 +89,15 @@ def test_criterion_04_gibbs_suppression(identity_400):
     _pass(4, f"overshoot {over_classical:.3f} (classical) vs {over_anti:.2e} (half-integer)")
 
 
+def test_identity_400_matches_the_closed_forms(identity_400):
+    # every harmonic up to 400, both families starting on the top harmonic's panels
+    classical, anti = identity_400
+    m, n = np.arange(1, 401), np.arange(401)
+    assert (classical.a == 0.0).all() and (anti.alpha == 0.0).all() and anti.gamma == 0.0
+    assert np.abs(classical.b - 2.0 * (-1.0) ** (m + 1) / m).max() <= 1e-11
+    assert np.abs(anti.beta - 8.0 * (-1.0) ** n / (np.pi * (2 * n + 1) ** 2)).max() <= 1e-11
+
+
 def test_criterion_05_split_identity():
     for spec in catalog_specs() + [QUADRATIC]:
         direct = antiperiodic_coefficients(spec, 16)

@@ -42,10 +42,10 @@ from antifourier import (
     parse_function_spec,
     render_function_spec,
 )
-from antifourier import quadrature
+from antifourier import _kernels, quadrature
 from antifourier._kernels import project, trig_sum
 from antifourier._trig import cospi, cossinpi, sinpi
-from antifourier.catalog import NAMED_FUNCTIONS, evaluate
+from antifourier.catalog import NAMED_FUNCTIONS, Sampled, evaluate
 from antifourier.errors import NegativeTime
 from antifourier.io import csv_text, fmt, from_dict, to_dict
 
@@ -305,11 +305,12 @@ def per_harmonic(spec, shift, trig, atoms, ns, cfg=DEFAULT_CONFIG):
     oracle of :func:`project`."""
     basis, parity = (cospi, 1.0) if trig == "cos" else (sinpi, -1.0)
     values = np.empty(len(ns))
+    # every harmonic starts on the panels of the window's largest multiplier
+    max_mult = max(abs(n + offset) for n in ns for _, offset in atoms)
+    run = cfg
+    if max_mult >= cfg.base_panels:
+        run = replace(cfg, base_panels=2 * (int(max_mult) // 2 + 1))
     for i, n in enumerate(ns):
-        max_mult = max(abs(n + offset) for _, offset in atoms)
-        run = cfg
-        if max_mult >= cfg.base_panels:
-            run = replace(cfg, base_panels=2 * (int(max_mult) // 2 + 1))
 
         def integrand(x, n=n):
             folded = (evaluate(spec, x) - shift) + parity * (evaluate(spec, -x) - shift)
@@ -345,6 +346,22 @@ def test_project_is_the_per_harmonic_loop_bitwise(cap, f, shift, family, ns):
     with mock.patch.object(quadrature, "_MAX_CELLS", cap):
         values = project(f, shift, trig, atoms, ns, "coefficient", trig)
     assert same_bits(values, per_harmonic(f, shift, trig, atoms, ns))
+
+
+def test_project_makes_one_integrate_call_per_callable_family(monkeypatch):
+    calls = []
+
+    def spy(f, a, b, cfg, rows=None):
+        calls.append((rows, cfg.base_panels))
+        return np.zeros(rows)
+
+    monkeypatch.setattr(_kernels, "integrate", spy)
+    family = ("sin", ((1.0, 0.5),))
+    project(FunctionSpec(np.pi, Named("identity")), 0.0, *family, range(101), "beta", "sin")
+    assert calls == [(101, 102)]  # top multiplier 100.5 starts every row on 102 panels
+    table = FunctionSpec(1.0, Sampled((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0)))
+    project(table, 0.0, *family, range(101), "beta", "sin")
+    assert calls == [(101, 102)]
 
 
 # every finite double, with -0.0, subnormals and the largest magnitudes drawn on purpose

@@ -38,6 +38,10 @@ class TestConfig:
             {"max_subdivisions": 0},
             {"max_subdivisions": 2.5},
             {"base_panels": 8.0},
+            {"abs_tol": "1e-3"},
+            {"abs_tol": None},
+            {"abs_tol": True},
+            {"max_subdivisions": True},
         ],
     )
     def test_invalid(self, kwargs):
