@@ -74,8 +74,7 @@ from .heat import (
     verify_solution,
 )
 from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
+    DEFAULT_TOL,
     QuadratureResult,
     integrate,
     integrate_result,
@@ -88,8 +87,8 @@ __all__ = [
     "AntiperiodicCoefficients",
     "COMPATIBILITY_TOL",
     "ClassicalCoefficients",
-    "DEFAULT_CONFIG",
     "DEFAULT_ORDERS",
+    "DEFAULT_TOL",
     "DiagnosticsReport",
     "ErrorProfile",
     "FunctionSpec",
@@ -107,7 +106,6 @@ __all__ = [
     "OutOfDomain",
     "ParseError",
     "Polynomial",
-    "QuadratureConfig",
     "QuadratureResult",
     "REPORT_COLUMNS",
     "ResidualReport",

@@ -42,14 +42,14 @@ share :func:`freeze_fields` and :func:`check_order`.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
 from ._trig import cospi, cossinpi, sinpi
 from .catalog import FunctionSpec, Sampled, evaluate
 from .errors import NonConvergence, OrderExceedsTruncation, ValidationError
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
+from .quadrature import DEFAULT_TOL, _integer, check_tol, integrate
 
 
 def _table_integral(xs, ys, slope, trig, amplitude, mult, L):
@@ -72,16 +72,16 @@ def _table_integral(xs, ys, slope, trig, amplitude, mult, L):
     return amplitude * float(ends / omega + (slope * steps).sum() / omega**2)
 
 
-def _panels(ns, atoms, cfg):
+def _panels(ns, atoms):
     """Starting panel count of a family's one adaptive run over ``ns``.
 
-    Keep the initial panel count above the family's largest frequency
-    multiplier.  With p panels and p > mult, no dyadic refinement grid can
-    contain all zeros of trig(mult * pi * x / L) (that would need p * 2^d to
-    divide mult), so an oscillation can never alias to an exact zero estimate.
+    At least 64, and above the family's largest frequency multiplier.  With
+    p panels and p > mult, no dyadic refinement grid can contain all zeros of
+    trig(mult * pi * x / L) (that would need p * 2^d to divide mult), so an
+    oscillation can never alias to an exact zero estimate.
     """
     max_mult = max(abs(n + offset) for n in ns for _, offset in atoms)
-    return cfg.base_panels if max_mult < cfg.base_panels else 2 * (int(max_mult) // 2 + 1)
+    return max(64, 2 * (int(max_mult) // 2 + 1))
 
 
 def _folded_kernels(spec, shift, trig, atoms, harmonics, what):
@@ -118,7 +118,7 @@ def project(
     ns,
     what: str,
     kind: str,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    abs_tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Return (1/L) int_{-L}^{L} (f(x) - shift) * K_n(x) dx for every n in ``ns``.
 
@@ -128,8 +128,10 @@ def project(
     NonConvergence "<what> n=<n> did not converge: ..." with ``index=n`` and
     ``kind``; a table integral that overflows, or a callable body whose
     folded values do, raises ValidationError "<what> n=<n> is not finite:
-    ...".
+    ...".  ``abs_tol`` bounds the estimated error of each callable
+    harmonic's integral over [0, L], so that of the coefficient is abs_tol / L.
     """
+    check_tol(abs_tol)
     values = np.empty(len(ns))
     if isinstance(spec.body, Sampled):
         xs = np.asarray(spec.body.xs, dtype=float)
@@ -153,9 +155,9 @@ def project(
     if not ns.size:
         return values
     integrand = _folded_kernels(spec, shift, trig, atoms, ns, what)
-    run = replace(cfg, base_panels=_panels(ns, atoms, cfg))
+    panels = _panels(ns, atoms)
     try:
-        return integrate(integrand, 0.0, spec.L, run, rows=ns.size) / spec.L
+        return integrate(integrand, 0.0, spec.L, abs_tol, rows=ns.size, panels=panels) / spec.L
     except NonConvergence as exc:
         n = int(ns[exc.index])
         raise NonConvergence(
@@ -190,9 +192,11 @@ def trig_sum(L, shift, mults, cos_w, sin_w, x):
 
 
 def check_order(M, N: int) -> int:
-    """Return the partial-sum order M (None means the stored order N)."""
+    """Return the partial-sum order M (None means the stored order N), an
+    integer that is not a bool."""
     if M is None:
         return N
+    M = _integer(M, "partial-sum order")
     if M > N:
         raise OrderExceedsTruncation(f"M={M} exceeds stored order N={N}")
     if M < 0:

@@ -27,7 +27,7 @@ from ._trig import cospi, sinpi  # noqa: F401  (bench/tracer.py wraps antiperiod
 from ._trig import cossinpi
 from .catalog import FunctionSpec, antiperiodic_defect
 from .catalog import evaluate  # noqa: F401  (bench/tracer.py wraps antiperiodic.evaluate)
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import DEFAULT_TOL, _integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,28 +63,29 @@ def half_basis(n: int, L: float, x):
 
     Values at x = +-L are exact: the cosine is 0.0 and the sine is +-(-1)^n.
     """
-    if n < 0:
+    if _integer(n, "basis index") < 0:
         raise ValueError("basis index must be nonnegative")
     u = np.asarray(x, dtype=float) / L
     return cossinpi((n + 0.5) * u)
 
 
-def _coefficients_with_shift(f, shift, N, cfg):
+def _coefficients_with_shift(f, shift, N, abs_tol):
     """alpha/beta arrays of f - shift on the half-integer basis."""
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
     ns = range(N + 1)
-    alpha = project(f, shift, "cos", ((1.0, 0.5),), ns, "half-cosine coefficient", "cos", cfg)
-    beta = project(f, shift, "sin", ((1.0, 0.5),), ns, "half-sine coefficient", "sin", cfg)
+    alpha = project(f, shift, "cos", ((1.0, 0.5),), ns, "half-cosine coefficient", "cos", abs_tol)
+    beta = project(f, shift, "sin", ((1.0, 0.5),), ns, "half-sine coefficient", "sin", abs_tol)
     return alpha, beta
 
 
 def antiperiodic_coefficients(
-    f: FunctionSpec, N: int, cfg: QuadratureConfig = DEFAULT_CONFIG
+    f: FunctionSpec, N: int, abs_tol: float = DEFAULT_TOL
 ) -> AntiperiodicCoefficients:
-    """Compute gamma, alpha_0..alpha_N, beta_0..beta_N of ``f`` by quadrature."""
+    """Compute gamma, alpha_0..alpha_N, beta_0..beta_N of ``f``, each integral
+    to within ``abs_tol``."""
     gamma = shift_gamma(f)
-    alpha, beta = _coefficients_with_shift(f, gamma, N, cfg)
+    alpha, beta = _coefficients_with_shift(f, gamma, N, abs_tol)
     return AntiperiodicCoefficients(f.L, gamma, alpha, beta)
 
 
@@ -97,7 +98,7 @@ def antiperiodic_partial_sum(coeffs: AntiperiodicCoefficients, x, M: int | None 
 
 
 def coefficients_via_periodic_split(
-    f: FunctionSpec, N: int, cfg: QuadratureConfig = DEFAULT_CONFIG
+    f: FunctionSpec, N: int, abs_tol: float = DEFAULT_TOL
 ) -> AntiperiodicCoefficients:
     """Assemble half-integer coefficients from two classical expansions.
 
@@ -117,7 +118,8 @@ def coefficients_via_periodic_split(
     gamma = shift_gamma(f)
 
     def family(trig, atoms, ns, kind):
-        return project(f, gamma, trig, atoms, ns, f"periodic-split {kind} coefficient", kind, cfg)
+        what = f"periodic-split {kind} coefficient"
+        return project(f, gamma, trig, atoms, ns, what, kind, abs_tol)
 
     ns = range(N + 2)
     # cos(n pi x / L) cos(pi x / 2L) = [cos((n-1/2)...) + cos((n+1/2)...)] / 2

@@ -225,12 +225,16 @@ def load_samples(path: str, L: float) -> FunctionSpec:
     """
     rows = []
     with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.reader(handle):
-            if not row:
-                continue  # skip blank lines
-            if len(rows) == MAX_TABLE_ROWS:
-                raise ValidationError(f"{path}: more than {MAX_TABLE_ROWS} rows, the limit")
-            rows.append(row)
+        reader = csv.reader(handle)
+        try:
+            for row in reader:
+                if not row:
+                    continue  # skip blank lines
+                if len(rows) == MAX_TABLE_ROWS:
+                    raise ValidationError(f"{path}: more than {MAX_TABLE_ROWS} rows, the limit")
+                rows.append(row)
+        except csv.Error as exc:  # a cell past the csv module's field limit, say
+            raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValidationError(f"{path}: no data rows")
 

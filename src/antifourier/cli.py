@@ -31,7 +31,7 @@ from .diagnostics import (
 )
 from .errors import AntifourierError, ParseError, ValidationError
 from .heat import HeatProblem, heat_eval, heat_eval_dx, solve_heat
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import DEFAULT_TOL
 
 ENV_QUAD_TOL = "ANTIFOURIER_QUAD_TOL"
 # --kind choices and the series each one selects
@@ -63,7 +63,7 @@ CSV column orders:
   basis    n,x,cos,sin
 
 --quad-tol defaults to the environment variable {ENV_QUAD_TOL} when it is
-set, else to {DEFAULT_CONFIG.abs_tol:g}; the flag beats the variable.  basis takes neither
+set, else to {DEFAULT_TOL:g}; the flag beats the variable.  basis takes neither
 --function nor --quad-tol.
 """
 
@@ -92,9 +92,10 @@ def _positive(value) -> bool:
     return math.isfinite(value) and value > 0.0
 
 
-_INTERVAL = _arg(
+_INTERVAL = _arg(  # the grid spans [-L, L], 2L wide
     lambda text: math.pi if text.strip().lower() == "pi" else float(text),
-    _positive, "a positive half-width or 'pi'",
+    lambda v: _positive(v) and math.isfinite(2.0 * v),
+    "a positive half-width L with 2L finite, or 'pi'",
 )
 _POSITIVE = _arg(float, _positive, "a positive number")
 _QUAD_TOL = _arg(float, _positive, f"a positive number (--quad-tol or {ENV_QUAD_TOL})")
@@ -118,9 +119,10 @@ def _add_common(sub, with_function=True):
     )
     if with_function:  # argparse checks a text default as the flag, when the flag is absent
         sub.add_argument(
-            "--quad-tol", type=_QUAD_TOL, default=os.environ.get(ENV_QUAD_TOL),
+            "--quad-tol", type=_QUAD_TOL,
+            default=os.environ.get(ENV_QUAD_TOL, repr(DEFAULT_TOL)),
             help=f"absolute quadrature tolerance "
-            f"(default ${ENV_QUAD_TOL}, else {DEFAULT_CONFIG.abs_tol:g})",
+            f"(default ${ENV_QUAD_TOL}, else {DEFAULT_TOL:g})",
         )
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None, help="output path (written atomically)")
@@ -202,19 +204,19 @@ def _check_size(args) -> None:
             raise ValidationError(f"{what} is {size} {unit}, above the limit of {limit}")
 
 
-def _compute_series(spec, kinds, N, cfg):
+def _compute_series(spec, kinds, N, abs_tol):
     out = {}
     if "classical" in kinds:
-        out["classical"] = classical_coefficients(spec, N, cfg)
+        out["classical"] = classical_coefficients(spec, N, abs_tol)
     if "antiperiodic" in kinds:
-        out["antiperiodic"] = antiperiodic_coefficients(spec, N, cfg)
+        out["antiperiodic"] = antiperiodic_coefficients(spec, N, abs_tol)
     return out
 
 
-def _cmd_coeffs(args, cfg) -> str:
+def _cmd_coeffs(args) -> str:
     spec = parse_function_spec(args.function, args.interval)
     kinds = _KINDS[args.kind]
-    series = _compute_series(spec, kinds, args.n, cfg)
+    series = _compute_series(spec, kinds, args.n, args.quad_tol)
     if args.format == "json":
         if len(series) == 1:
             return io.dumps(next(iter(series.values()))) + "\n"
@@ -231,7 +233,7 @@ def _cmd_coeffs(args, cfg) -> str:
     return io.csv_text(("kind", "n", "cos", "sin", "gamma"), blocks)
 
 
-def _cmd_eval(args, cfg) -> str:
+def _cmd_eval(args) -> str:
     spec = parse_function_spec(args.function, args.interval)
     kinds = _KINDS[args.kind]
     if args.coeffs_file:
@@ -252,7 +254,7 @@ def _cmd_eval(args, cfg) -> str:
                 )
             series[kind] = obj
     else:
-        series = _compute_series(spec, kinds, args.n, cfg)
+        series = _compute_series(spec, kinds, args.n, args.quad_tol)
     xs = np.linspace(-args.interval, args.interval, args.grid)
     columns = {"x": xs, "f": evaluate(spec, xs)}
     for kind in kinds:
@@ -275,10 +277,10 @@ def _table(args, header, rows) -> str:
     return io.csv_text(header, rows)
 
 
-def _cmd_compare(args, cfg) -> str:
+def _cmd_compare(args) -> str:
     spec = parse_function_spec(args.function, args.interval)
     N = max(args.orders)
-    series = _compute_series(spec, ("classical", "antiperiodic"), N, cfg)
+    series = _compute_series(spec, ("classical", "antiperiodic"), N, args.quad_tol)
     rows = compare_orders(
         spec,
         series["classical"],
@@ -291,10 +293,10 @@ def _cmd_compare(args, cfg) -> str:
     return _table(args, REPORT_COLUMNS, report_rows(rows))
 
 
-def _cmd_gibbs(args, cfg) -> str:
+def _cmd_gibbs(args) -> str:
     spec = parse_function_spec(args.function, args.interval)
     kinds = _KINDS[args.kind]
-    series = _compute_series(spec, kinds, args.n, cfg)
+    series = _compute_series(spec, kinds, args.n, args.quad_tol)
     rows = [
         (
             kind,
@@ -308,10 +310,10 @@ def _cmd_gibbs(args, cfg) -> str:
     return _table(args, GIBBS_COLUMNS, rows)
 
 
-def _cmd_heat(args, cfg) -> str:
+def _cmd_heat(args) -> str:
     spec = parse_function_spec(args.function, args.interval)
     problem = HeatProblem(k=args.k, L=args.interval, boundary_mean=args.c, initial=spec)
-    sol = solve_heat(problem, args.n, cfg)
+    sol = solve_heat(problem, args.n, args.quad_tol)
     xs = np.linspace(-args.interval, args.interval, args.grid)
     grid = xs.tolist()
     fields = {"u": heat_eval, "ux": heat_eval_dx} if args.flux else {"u": heat_eval}
@@ -326,8 +328,7 @@ def _cmd_heat(args, cfg) -> str:
     return io.csv_text(("x", "t", *data), blocks)
 
 
-def _cmd_basis(args, cfg) -> str:
-    del cfg  # basis sampling needs no quadrature
+def _cmd_basis(args) -> str:
     xs = np.linspace(-args.interval, args.interval, args.grid)
     grid = xs.tolist()
     indices = range(args.n + 1)
@@ -356,11 +357,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     error_prefix = f"{parser.prog} {args.command}: error:"  # as argparse's for flag values
-    tol = getattr(args, "quad_tol", None)  # basis has none
-    cfg = DEFAULT_CONFIG if tol is None else QuadratureConfig(abs_tol=tol)
     try:
         _check_size(args)
-        text = _HANDLERS[args.command](args, cfg)
+        text = _HANDLERS[args.command](args)
         if args.out:
             io.write_text_atomic(args.out, text)
     except (ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:

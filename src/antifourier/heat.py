@@ -30,7 +30,7 @@ from .antiperiodic import _coefficients_with_shift, half_basis
 from .catalog import FunctionSpec, antiperiodic_defect
 from .catalog import evaluate  # noqa: F401  (bench/tracer.py wraps heat.evaluate)
 from .errors import IncompatibleData, NegativeTime
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import DEFAULT_TOL, _integer
 
 # |f(-L) + f(L) - 2c| above this is rejected as incompatible initial data.
 COMPATIBILITY_TOL = 1e-9
@@ -87,22 +87,21 @@ def eigenpair(n: int, L: float):
     X_n(x) = cos((2n+1) pi x / 2L) and Xt_n(x) = sin((2n+1) pi x / 2L), the
     two functions of ``half_basis(n, L, x)``.
     """
-    if n < 0:
+    if _integer(n, "mode index") < 0:
         raise ValueError("mode index must be nonnegative")
     omega = (n + 0.5) * (np.pi / L)
     lam = -(omega * omega)
     return float(lam), lambda x: half_basis(n, L, x)[0], lambda x: half_basis(n, L, x)[1]
 
 
-def solve_heat(
-    problem: HeatProblem, N: int, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> HeatSolution:
-    """Compute modal coefficients A_n, B_n of f - c up to order N.
+def solve_heat(problem: HeatProblem, N: int, abs_tol: float = DEFAULT_TOL) -> HeatSolution:
+    """Compute modal coefficients A_n, B_n of f - c up to order N, each
+    integral to within ``abs_tol``.
 
     The compatibility invariant guarantees the shift of f - c is below
     COMPATIBILITY_TOL, so no residual constant is dropped.
     """
-    A, B = _coefficients_with_shift(problem.initial, problem.boundary_mean, N, cfg)
+    A, B = _coefficients_with_shift(problem.initial, problem.boundary_mean, N, abs_tol)
     return HeatSolution(problem.k, problem.L, problem.boundary_mean, A, B)
 
 
@@ -119,7 +118,9 @@ def _modes(sol: HeatSolution, t, M):
         raise NegativeTime(f"heat solution is not defined for t={first!r} < 0")
     mults = np.arange(M + 1, dtype=float) + 0.5
     omega = mults * (np.pi / sol.L)
-    return M, mults, omega, np.exp(-(omega * omega) * (sol.k * ts[..., None]))
+    with np.errstate(over="ignore"):  # a decay rate that overflows decays to 0.0
+        decay = np.exp(-(omega * omega) * (sol.k * ts[..., None]))
+    return M, mults, omega, decay
 
 
 def heat_eval(sol: HeatSolution, x, t, M: int | None = None):

@@ -105,7 +105,7 @@ def load_coefficients(path: str) -> dict:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ValidationError(f"{path}: not a JSON file: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object")

@@ -31,7 +31,6 @@ is raised, so a run fails where a loop over its rows would.
 from __future__ import annotations
 
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,6 +39,12 @@ import numpy as np
 from .errors import InvalidInterval, NonConvergence
 
 _EPS = np.finfo(float).eps
+
+# Default absolute error target of every integral.
+DEFAULT_TOL = 1e-10
+
+# Deepest subdivision level of a row; reaching it unresolved is a failure.
+_MAX_SUBDIVISIONS = 30
 
 # Cap on simultaneously active adaptive intervals of one row.  Reaching it
 # means the tolerance is unattainable; that is reported as NonConvergence
@@ -63,30 +68,11 @@ def _integer(value, name):
     return int(value)
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Integrator settings.
-
-    abs_tol: absolute error target for the whole integral; a positive number.
-    max_subdivisions: maximum subdivision depth; an integer of at least 1.
-    base_panels: initial panel count; an even integer of at least 2.
-    """
-
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 30
-    base_panels: int = 64
-
-    def __post_init__(self):
-        real = isinstance(self.abs_tol, numbers.Real) and not isinstance(self.abs_tol, bool)
-        if not (real and np.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol!r}")
-        if _integer(self.max_subdivisions, "max_subdivisions") < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-        if _integer(self.base_panels, "base_panels") < 2 or self.base_panels % 2:
-            raise ValueError("base_panels must be even and at least 2")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+def check_tol(abs_tol):
+    """ValueError unless ``abs_tol`` is a positive finite real number and not a bool."""
+    real = isinstance(abs_tol, numbers.Real) and not isinstance(abs_tol, bool)
+    if not (real and np.isfinite(abs_tol) and abs_tol > 0.0):
+        raise ValueError(f"abs_tol must be positive and finite, got {abs_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -102,9 +88,10 @@ class QuadratureResult:
 
 
 def integrate(
-    f: Callable, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, rows: int | None = None
+    f: Callable, a: float, b: float, abs_tol: float = DEFAULT_TOL, rows: int | None = None,
+    panels: int = 64,
 ):
-    """Integrate ``f`` over [a, b] to within ``cfg.abs_tol``.
+    """Integrate ``f`` over [a, b] to within ``abs_tol``.
 
     Parameters
     ----------
@@ -113,16 +100,19 @@ def integrate(
         ``rows`` as ``f(x, idx)`` returning shape ``(len(idx), len(x))``.
     a, b : float
         Integration bounds, a < b.
-    cfg : QuadratureConfig
-        Tolerance and refinement settings.
+    abs_tol : float
+        Absolute error target for the whole integral; positive and finite.
     rows : int, optional
-        Number of integrands computed together, each to ``cfg.abs_tol``; an
+        Number of integrands computed together, each to ``abs_tol``; an
         integer of at least 1.
+    panels : int
+        Number of equal panels the refinement starts from; an even integer
+        of at least 2.
 
     Returns
     -------
     float, or array of length ``rows``
-        Approximation with estimated absolute error <= cfg.abs_tol.
+        Approximation with estimated absolute error <= abs_tol.
 
     Raises
     ------
@@ -133,27 +123,31 @@ def integrate(
         or the tolerance is below what double precision can deliver.  With
         ``rows`` it names the lowest failing row as ``index``.
     """
-    return integrate_result(f, a, b, cfg, rows).value
+    return integrate_result(f, a, b, abs_tol, rows, panels).value
 
 
 def integrate_result(
-    f: Callable, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, rows: int | None = None
+    f: Callable, a: float, b: float, abs_tol: float = DEFAULT_TOL, rows: int | None = None,
+    panels: int = 64,
 ) -> QuadratureResult:
     """Like :func:`integrate` but returns value, error estimate and counts."""
     if not (np.isfinite(a) and np.isfinite(b)):
         raise InvalidInterval(f"bounds must be finite, got a={a!r}, b={b!r}")
     if not a < b:
         raise InvalidInterval(f"need a < b, got a={a!r}, b={b!r}")
+    check_tol(abs_tol)
     if rows is not None and _integer(rows, "rows") < 1:
         raise ValueError("rows must be at least 1")
+    if _integer(panels, "panels") < 2 or panels % 2:
+        raise ValueError("panels must be even and at least 2")
     scalar = rows is None  # the one-row case
     g = (lambda x, idx: np.asarray(f(x), dtype=float)[None]) if scalar else f
     with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows fails
-        result, failure = _adaptive(g, a, b, cfg, 1 if scalar else rows)
+        result, failure = _adaptive(g, a, b, abs_tol, panels, 1 if scalar else rows)
     if failure is not None:
         row, message, achieved = failure
         raise NonConvergence(
-            message, achieved=achieved, target=cfg.abs_tol, index=None if scalar else row
+            message, achieved=achieved, target=abs_tol, index=None if scalar else row
         )
     if scalar:
         return QuadratureResult(*(entry[0].item() for entry in result))
@@ -199,19 +193,19 @@ def _part(rows, grid, cells):
     return [arr.take(cols) for arr in grid], [arr[rows].take(cols, axis=1) for arr in cells]
 
 
-def _adaptive(f, a, b, cfg, m):
-    """Run rows 0..m-1; return ((values, errors, evaluations, depths), failure).
+def _adaptive(f, a, b, abs_tol, n0, m):
+    """Run rows 0..m-1 from ``n0`` panels; return ((values, errors,
+    evaluations, depths), failure).
 
     ``failure`` is None or (row, message, achieved) for the lowest failed row.
     """
-    n0 = cfg.base_panels
     value, error = np.zeros(m), np.zeros(m)
     evals, depths = np.full(m, 2 * n0 + 1), np.zeros(m, dtype=int)
     failure = None
     edges = a + (b - a) * np.arange(n0 + 1) / n0
     edges[-1] = b
     base_mid = 0.5 * (edges[:-1] + edges[1:])
-    base_tol = cfg.abs_tol * (edges[1:] - edges[:-1]) / (b - a)
+    base_tol = abs_tol * (edges[1:] - edges[:-1]) / (b - a)
     pending = np.arange(m)  # rows not started, as many at once as the first level fits
     start = max(1, _MAX_CELLS // (2 * n0))
     suspended = []  # (rows, depth, grid, cells) of deferred rows, the lowest rows last
@@ -226,7 +220,7 @@ def _adaptive(f, a, b, cfg, m):
             flo, fhi = fe[:, :-1], fe[:, 1:]
             active = np.ones(fmid.shape, dtype=bool)  # the intervals each row refines
             s = _simpson_batch(lo, hi, flo, fmid, fhi)
-        for depth in range(first, cfg.max_subdivisions + 1):
+        for depth in range(first, _MAX_SUBDIVISIONS + 1):
             count = _fit(active)
             if count < rows.size:  # the upper rows wait until these are done
                 grid, cells = (lo, hi, mid, tol), [active, flo, fmid, fhi, s]
@@ -246,7 +240,7 @@ def _adaptive(f, a, b, cfg, m):
             taken, keep = active & accept, active > accept
             kept = keep.sum(axis=1)
             stuck = kept > 0  # at the last depth every row still refining fails
-            if depth < cfg.max_subdivisions and stuck.any():
+            if depth < _MAX_SUBDIVISIONS and stuck.any():
                 noise = np.abs(sl)
                 noise += np.abs(sr)
                 noise *= _NOISE_FACTOR * _EPS
@@ -255,7 +249,8 @@ def _adaptive(f, a, b, cfg, m):
             over = 2 * kept > _MAX_ACTIVE_INTERVALS
             if stuck.any() or over.any():
                 last = int(np.argmax(stuck | over))
-                failure = (int(rows[last]), *_failure(cfg, depth, stuck[last], delta[last][keep[last]]))
+                missed = delta[last][keep[last]]
+                failure = (int(rows[last]), *_failure(abs_tol, depth, stuck[last], missed))
                 # the failed row and every row above it, waiting ones too, stop here
                 pending, suspended = pending[:0], []
                 taken[last:] = keep[last:] = False
@@ -294,7 +289,7 @@ def _adaptive(f, a, b, cfg, m):
     return (value, error, evals, depths), failure
 
 
-def _failure(cfg, depth, stuck, missed):
+def _failure(abs_tol, depth, stuck, missed):
     """(message, achieved) for a row that failed at ``depth``; ``missed`` holds
     its rejected decrements, ``stuck`` is False for an interval-budget failure."""
     worst = float(np.abs(missed).max() / 15.0)
@@ -302,9 +297,9 @@ def _failure(cfg, depth, stuck, missed):
         return f"the integrand's values overflow the Simpson rule at depth {depth}", None
     if not stuck:
         return (f"adaptive Simpson interval budget exceeded at depth {depth}; "
-                f"abs_tol={cfg.abs_tol:g} appears unattainable"), None
-    if depth == cfg.max_subdivisions:
-        return (f"adaptive Simpson exhausted max_subdivisions={cfg.max_subdivisions} "
-                f"with error estimate {worst:g} > abs_tol={cfg.abs_tol:g}"), worst
-    return (f"abs_tol={cfg.abs_tol:g} is below the error attainable in double precision "
+                f"abs_tol={abs_tol:g} appears unattainable"), None
+    if depth == _MAX_SUBDIVISIONS:
+        return (f"adaptive Simpson exhausted max_subdivisions={_MAX_SUBDIVISIONS} "
+                f"with error estimate {worst:g} > abs_tol={abs_tol:g}"), worst
+    return (f"abs_tol={abs_tol:g} is below the error attainable in double precision "
             f"for this integrand (estimate stuck at {worst:g})"), worst

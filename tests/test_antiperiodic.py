@@ -10,7 +10,6 @@ from antifourier import (
     NonConvergence,
     OrderExceedsTruncation,
     Polynomial,
-    QuadratureConfig,
     Sampled,
     antiperiodic_coefficients,
     antiperiodic_partial_sum,
@@ -63,6 +62,11 @@ class TestHalfBasis:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             half_basis(-1, 1.0, 0.0)
+
+    @pytest.mark.parametrize("n", [2.5, 0.5, True])
+    def test_non_integer_index_rejected(self, n):
+        with pytest.raises(ValueError, match="basis index must be an integer"):
+            half_basis(n, 1.0, 0.0)
 
 
 class TestCoefficients:
@@ -154,9 +158,8 @@ class TestCoefficients:
     def test_nonconvergence_is_tagged(self, identity_pi):
         # every alpha_n of the odd identity folds to an exact zero, so beta_0
         # is the first integral that cannot reach the tolerance
-        cfg = QuadratureConfig(abs_tol=1e-18)
         with pytest.raises(NonConvergence) as info:
-            antiperiodic_coefficients(identity_pi, 2, cfg)
+            antiperiodic_coefficients(identity_pi, 2, 1e-18)
         assert (info.value.index, info.value.kind) == (0, "sin")
         assert str(info.value).startswith("half-sine coefficient n=0 did not converge: ")
 
@@ -209,6 +212,12 @@ class TestPartialSum:
         with pytest.raises(OrderExceedsTruncation):
             antiperiodic_partial_sum(c, 0.0, 5)
 
+    @pytest.mark.parametrize("M", [2.5, 0.5, True])
+    def test_non_integer_order_rejected(self, M):
+        c = identity_anti_coefficients(4)
+        with pytest.raises(ValueError, match="partial-sum order must be an integer"):
+            antiperiodic_partial_sum(c, 0.0, M)
+
 
 class TestTerms:
     C = AntiperiodicCoefficients(2.0, 0.75, [1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
@@ -227,6 +236,11 @@ class TestTerms:
     def test_order_exceeds_truncation(self):
         with pytest.raises(OrderExceedsTruncation):
             self.C.terms(3)
+
+    @pytest.mark.parametrize("M", [2.5, 0.5, True])
+    def test_non_integer_order_rejected(self, M):
+        with pytest.raises(ValueError, match="partial-sum order must be an integer"):
+            self.C.terms(M)
 
     def test_weights_are_read_only(self):
         _, _, cos_w, sin_w = self.C.terms(1)
@@ -276,9 +290,8 @@ class TestPeriodicSplit:
     def test_nonconvergence_is_tagged(self, identity_pi):
         # the a_n family (cosine atoms) folds to exact zeros on the identity;
         # at_0, the classical cosine coefficient of f sin(pi x / 2L), fails first
-        cfg = QuadratureConfig(abs_tol=1e-18)
         with pytest.raises(NonConvergence) as info:
-            coefficients_via_periodic_split(identity_pi, 2, cfg)
+            coefficients_via_periodic_split(identity_pi, 2, 1e-18)
         assert (info.value.index, info.value.kind) == (0, "cos")
         assert str(info.value).startswith("periodic-split cos coefficient n=0 did not converge: ")
 

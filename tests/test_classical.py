@@ -10,7 +10,6 @@ from antifourier import (
     NonConvergence,
     OrderExceedsTruncation,
     Polynomial,
-    QuadratureConfig,
     Sampled,
     ValidationError,
     classical_coefficients,
@@ -82,9 +81,8 @@ class TestCoefficients:
     def test_nonconvergence_is_tagged(self, identity_pi):
         # every a_n of the odd identity folds to an exact zero, so b_1 is the
         # first integral that cannot reach the tolerance
-        cfg = QuadratureConfig(abs_tol=1e-18)
         with pytest.raises(NonConvergence) as info:
-            classical_coefficients(identity_pi, 3, cfg)
+            classical_coefficients(identity_pi, 3, 1e-18)
         assert (info.value.index, info.value.kind) == (1, "sin")
         assert str(info.value).startswith("sine coefficient n=1 did not converge: ")
 
@@ -129,6 +127,12 @@ class TestPartialSum:
         with pytest.raises(OrderExceedsTruncation):
             classical_partial_sum(c, 0.5, 9)
 
+    @pytest.mark.parametrize("M", [2.5, 0.5, True])
+    def test_non_integer_order_rejected(self, M):
+        c = identity_coefficients(8)
+        with pytest.raises(ValueError, match="partial-sum order must be an integer"):
+            classical_partial_sum(c, 0.5, M)
+
 
 class TestTerms:
     C = ClassicalCoefficients(2.0, [1.0, 2.0, 3.0], [4.0, 5.0])
@@ -147,6 +151,11 @@ class TestTerms:
     def test_order_exceeds_truncation(self):
         with pytest.raises(OrderExceedsTruncation):
             self.C.terms(3)
+
+    @pytest.mark.parametrize("M", [2.5, 0.5, True])
+    def test_non_integer_order_rejected(self, M):
+        with pytest.raises(ValueError, match="partial-sum order must be an integer"):
+            self.C.terms(M)
 
     def test_weights_are_read_only(self):
         _, _, cos_w, sin_w = self.C.terms(1)

@@ -578,6 +578,9 @@ EVAL_KIND = {"classical": ["--kind", "classical"], "antiperiodic": ["--kind", "a
         ["coeffs", "--function", "named:identity", "--n", "1000000000000"],
         # f overflows to inf on [-pi, pi]: refused as not finite, with no warning
         ["coeffs", "--function", "poly:1e308,1e308", "--n", "2"],
+        # a cell past the csv module's field limit, and JSON nested past the recursion limit
+        ["coeffs", "--function", "csv:{tmp}/big.csv", "--n", "2"],
+        ["eval", "--function", "named:identity", "--coeffs-file", "{tmp}/deep.json"],
     ],
     ids=[
         "gibbs-window", "compare-window", "gibbs-subgrid", "compare-subgrid", "missing-csv",
@@ -585,12 +588,14 @@ EVAL_KIND = {"classical": ["--kind", "classical"], "antiperiodic": ["--kind", "a
         *(f"coeffs-file-{name}" for name in BAD_COEFFICIENT_FILES), "out-dir-missing",
         "compare-even-grid", "eval-size", "compare-orders-size", "compare-grid-size",
         "gibbs-size", "heat-size", "heat-times-size", "basis-size", "coeffs-order",
-        "coeffs-overflow",
+        "coeffs-overflow", "csv-huge-cell", "coeffs-file-deep",
     ],
 )
 def test_input_and_file_errors_exit_2(capsys, tmp_path, argv):
     (tmp_path / "not-json.json").write_text("not json\n")
     (tmp_path / "latin-1.csv").write_bytes(b"x,y\n-3.14,\xe9\n3.14,1\n")
+    (tmp_path / "big.csv").write_text("x,y\n-3.14," + "1" * 200_000 + "\n3.14,1\n")
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     for name, (kind, key, value) in BAD_COEFFICIENT_FILES.items():
         (tmp_path / f"{name}.json").write_text(json.dumps({**VALID_OBJECTS[kind], key: value}))
     inputs = sorted(tmp_path.iterdir())
@@ -604,6 +609,21 @@ def test_input_and_file_errors_exit_2(capsys, tmp_path, argv):
     assert "Traceback" not in err
     assert out == ""
     assert sorted(tmp_path.iterdir()) == inputs  # no output or temp file
+
+
+@pytest.mark.parametrize("command", ["basis", "eval", "gibbs"])
+def test_interval_whose_width_overflows_exits_2(capsys, command):
+    # np.linspace(-L, L, n) overflows past L = 8.99e307, so 2L must be finite
+    function = [] if command == "basis" else ["--function", "named:identity", "--n", "1"]
+    code, out, err = run_cli(capsys, command, *function, "--interval", "1e308")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"antifourier {command}: error: argument --interval: expected a positive "
+        "half-width L with 2L finite, or 'pi', got '1e308'"
+    )
+    code, out, _ = run_cli(capsys, "basis", "--interval", "8.9e307", "--n", "1", "--grid", "5")
+    assert code == 0
+    assert np.isfinite(json.loads(out)["x"]).all()
 
 
 @pytest.mark.parametrize("command", ["coeffs", "eval", "compare", "gibbs", "heat", "basis"])

@@ -13,7 +13,6 @@ from antifourier import (
     NonConvergence,
     OrderExceedsTruncation,
     Polynomial,
-    QuadratureConfig,
     antiperiodic_coefficients,
     antiperiodic_partial_sum,
     eigenpair,
@@ -77,6 +76,11 @@ class TestEigenpair:
         with pytest.raises(ValueError):
             eigenpair(-1, 1.0)
 
+    @pytest.mark.parametrize("n", [2.5, 0.5, True])
+    def test_non_integer_index(self, n):
+        with pytest.raises(ValueError, match="mode index must be an integer"):
+            eigenpair(n, 1.0)
+
 
 class TestSolve:
     def test_scaled_square_modes(self, scaled_square_solution):
@@ -116,7 +120,7 @@ class TestSolve:
         # identity every A_n folds to an exact zero and B_0 fails first
         problem = HeatProblem(1.0, np.pi, 0.0, FunctionSpec(np.pi, Named("identity")))
         with pytest.raises(NonConvergence) as info:
-            solve_heat(problem, 2, QuadratureConfig(abs_tol=1e-18))
+            solve_heat(problem, 2, 1e-18)
         assert (info.value.index, info.value.kind) == (0, "sin")
         assert str(info.value).startswith("half-sine coefficient n=0 did not converge: ")
 
@@ -142,6 +146,20 @@ class TestEval:
     def test_order_exceeds(self, scaled_square_solution):
         with pytest.raises(OrderExceedsTruncation):
             heat_eval(scaled_square_solution, 0.0, 0.0, 11)
+
+    @pytest.mark.parametrize("M", [2.5, 0.5, True])
+    def test_non_integer_order(self, scaled_square_solution, M):
+        for fn in (heat_eval, heat_eval_dx):
+            with pytest.raises(ValueError, match="partial-sum order must be an integer"):
+                fn(scaled_square_solution, 0.0, 0.0, M)
+
+    def test_huge_time_decays_to_the_boundary_mean(self):
+        # on L = 1, omega_10^2 k t overflows to inf at t = 1e306, so that
+        # mode's decay is exactly 0.0, with no overflow warning (a warning
+        # fails the test)
+        sol = HeatSolution(1.0, 1.0, 0.75, np.ones(11), np.ones(11))
+        assert heat_eval(sol, 0.25, 1e306) == 0.75
+        assert heat_eval_dx(sol, 0.25, 1e306) == 0.0
 
     def test_modal_decay_envelope(self, scaled_square_solution):
         sol = scaled_square_solution

@@ -14,7 +14,6 @@ cospi/sinpi is +0.0.
 
 import json
 import re
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -23,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antifourier import (
-    DEFAULT_CONFIG,
+    DEFAULT_TOL,
     AntiperiodicCoefficients,
     ClassicalCoefficients,
     FunctionSpec,
@@ -276,7 +275,7 @@ def polynomials(draw, parity=None):
 def test_direct_and_split_half_integer_coefficients_agree(f, N):
     direct = antiperiodic_coefficients(f, N)
     split = coefficients_via_periodic_split(f, N)
-    budget = 10.0 * DEFAULT_CONFIG.abs_tol / min(f.L, 1.0)
+    budget = 10.0 * DEFAULT_TOL / min(f.L, 1.0)
     assert split.gamma == direct.gamma
     assert np.abs(split.alpha - direct.alpha).max() <= budget
     assert np.abs(split.beta - direct.beta).max() <= budget
@@ -300,16 +299,16 @@ def test_even_polynomials_have_exactly_zero_sine_coefficients(f, N):
     assert (coefficients_via_periodic_split(f, N).beta == 0.0).all()
 
 
-def per_harmonic(spec, shift, trig, atoms, ns, cfg=DEFAULT_CONFIG):
+def per_harmonic(spec, shift, trig, atoms, ns):
     """The projection one harmonic at a time, one integrate_result each: the
     oracle of :func:`project`."""
     basis, parity = (cospi, 1.0) if trig == "cos" else (sinpi, -1.0)
     values = np.empty(len(ns))
     # every harmonic starts on the panels of the window's largest multiplier
     max_mult = max(abs(n + offset) for n in ns for _, offset in atoms)
-    run = cfg
-    if max_mult >= cfg.base_panels:
-        run = replace(cfg, base_panels=2 * (int(max_mult) // 2 + 1))
+    panels = 64
+    if max_mult >= panels:
+        panels = 2 * (int(max_mult) // 2 + 1)
     for i, n in enumerate(ns):
 
         def integrand(x, n=n):
@@ -317,7 +316,7 @@ def per_harmonic(spec, shift, trig, atoms, ns, cfg=DEFAULT_CONFIG):
             u = x / spec.L
             return folded * sum(amplitude * basis((n + offset) * u) for amplitude, offset in atoms)
 
-        values[i] = quadrature.integrate_result(integrand, 0.0, spec.L, run).value
+        values[i] = quadrature.integrate_result(integrand, 0.0, spec.L, panels=panels).value
     return values / spec.L
 
 
@@ -351,8 +350,8 @@ def test_project_is_the_per_harmonic_loop_bitwise(cap, f, shift, family, ns):
 def test_project_makes_one_integrate_call_per_callable_family(monkeypatch):
     calls = []
 
-    def spy(f, a, b, cfg, rows=None):
-        calls.append((rows, cfg.base_panels))
+    def spy(f, a, b, abs_tol, rows=None, panels=64):
+        calls.append((rows, panels))
         return np.zeros(rows)
 
     monkeypatch.setattr(_kernels, "integrate", spy)

@@ -1,17 +1,22 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from antifourier import (
+    DEFAULT_TOL,
+    FunctionSpec,
     InvalidInterval,
+    Named,
     NonConvergence,
-    QuadratureConfig,
+    Sampled,
+    classical_coefficients,
     integrate,
     integrate_result,
 )
 from antifourier import quadrature
 
-ADAPTIVE = QuadratureConfig()
-TOL = ADAPTIVE.abs_tol
+TOL = DEFAULT_TOL
 
 
 def x_sin_x(x):
@@ -23,50 +28,70 @@ def cos_sq_half(x):
 
 
 class TestConfig:
+    """The settings of :func:`integrate`: the tolerance and the start panels."""
+
     def test_defaults(self):
-        assert ADAPTIVE.abs_tol == 1e-10
-        assert ADAPTIVE.base_panels == 64
-        assert ADAPTIVE.max_subdivisions == 30
+        assert DEFAULT_TOL == 1e-10
+        for fn in (integrate, integrate_result):
+            parameters = inspect.signature(fn).parameters
+            assert (parameters["abs_tol"].default, parameters["panels"].default) == (1e-10, 64)
+        assert quadrature._MAX_SUBDIVISIONS == 30
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"abs_tol": 0.0},
             {"abs_tol": -1e-3},
-            {"base_panels": 3},
-            {"base_panels": 0},
-            {"max_subdivisions": 0},
-            {"max_subdivisions": 2.5},
-            {"base_panels": 8.0},
+            {"panels": 3},
+            {"panels": 0},
+            {"panels": 8.0},
             {"abs_tol": "1e-3"},
             {"abs_tol": None},
             {"abs_tol": True},
-            {"max_subdivisions": True},
+            {"abs_tol": float("nan")},
+            {"abs_tol": float("inf")},
+            {"panels": True},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
-            QuadratureConfig(**kwargs)
+            integrate(np.sin, 0.0, 1.0, **kwargs)
 
 
-@pytest.mark.parametrize("cfg", [ADAPTIVE], ids=["adaptive"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), "1e-3", None, True])
+def test_a_bad_tolerance_is_refused_by_integrals_and_tables(bad):
+    message = f"abs_tol must be positive and finite, got {bad!r}"
+    table = FunctionSpec(1.0, Sampled((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0)))
+    for compute in (
+        lambda: integrate(np.sin, 0.0, 1.0, bad),
+        lambda: classical_coefficients(FunctionSpec(1.0, Named("identity")), 2, bad),
+        lambda: classical_coefficients(table, 2, bad),
+    ):
+        with pytest.raises(ValueError) as info:
+            compute()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("abs_tol", [DEFAULT_TOL], ids=["adaptive"])
 class TestKnownIntegrals:
-    def test_zero_integrand(self, cfg):
-        assert integrate(lambda x: np.zeros_like(x), -np.pi, np.pi, cfg) == 0.0
+    def test_zero_integrand(self, abs_tol):
+        assert integrate(lambda x: np.zeros_like(x), -np.pi, np.pi, abs_tol) == 0.0
 
-    def test_x_sin_x(self, cfg):
+    def test_x_sin_x(self, abs_tol):
         # antiderivative sin x - x cos x gives exactly 2 pi over [-pi, pi]
-        assert integrate(x_sin_x, -np.pi, np.pi, cfg) == pytest.approx(2 * np.pi, abs=TOL)
+        assert integrate(x_sin_x, -np.pi, np.pi, abs_tol) == pytest.approx(2 * np.pi, abs=TOL)
 
-    def test_cos_squared_half_angle(self, cfg):
+    def test_cos_squared_half_angle(self, abs_tol):
         # (1 + cos x) / 2 integrates to pi over [-pi, pi]
-        assert integrate(cos_sq_half, -np.pi, np.pi, cfg) == pytest.approx(np.pi, abs=TOL)
+        assert integrate(cos_sq_half, -np.pi, np.pi, abs_tol) == pytest.approx(np.pi, abs=TOL)
 
     @pytest.mark.parametrize("alpha,beta", [(2.5, -1.25), (0.0, 3.0), (1.0, 1.0)])
-    def test_linearity(self, cfg, alpha, beta):
-        combo = integrate(lambda x: alpha * x_sin_x(x) + beta * cos_sq_half(x), -np.pi, np.pi, cfg)
-        parts = alpha * integrate(x_sin_x, -np.pi, np.pi, cfg) + beta * integrate(
-            cos_sq_half, -np.pi, np.pi, cfg
+    def test_linearity(self, abs_tol, alpha, beta):
+        combo = integrate(
+            lambda x: alpha * x_sin_x(x) + beta * cos_sq_half(x), -np.pi, np.pi, abs_tol
+        )
+        parts = alpha * integrate(x_sin_x, -np.pi, np.pi, abs_tol) + beta * integrate(
+            cos_sq_half, -np.pi, np.pi, abs_tol
         )
         assert abs(combo - parts) <= 3 * TOL
 
@@ -75,10 +100,10 @@ class TestKnownIntegrals:
         [lambda x: x**3, lambda x: x * np.cos(x), lambda x: np.sign(x) * x**2],
         ids=["cubic", "x-cos", "sign-xsq"],
     )
-    def test_odd_annihilation(self, cfg, odd):
-        assert abs(integrate(odd, -np.pi, np.pi, cfg)) <= TOL
+    def test_odd_annihilation(self, abs_tol, odd):
+        assert abs(integrate(odd, -np.pi, np.pi, abs_tol)) <= TOL
 
-    def test_cubic_within_tolerance(self, cfg):
+    def test_cubic_within_tolerance(self, abs_tol):
         def f(x):
             return 3 * x**3 - 2 * x**2 + x - 5
 
@@ -86,7 +111,7 @@ class TestKnownIntegrals:
             return 0.75 * x**4 - 2 / 3 * x**3 + 0.5 * x**2 - 5 * x
 
         exact = antiderivative(2.0) - antiderivative(-1.0)
-        assert integrate(f, -1.0, 2.0, cfg) == pytest.approx(exact, abs=TOL)
+        assert integrate(f, -1.0, 2.0, abs_tol) == pytest.approx(exact, abs=TOL)
 
 
 def test_invalid_interval():
@@ -96,23 +121,22 @@ def test_invalid_interval():
         integrate(np.sin, 2.0, -1.0)
 
 
-def test_nonconvergence_adaptive_depth():
-    cfg = QuadratureConfig(abs_tol=1e-14, max_subdivisions=2, base_panels=2)
+def test_nonconvergence_adaptive_depth(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
     with pytest.raises(NonConvergence) as info:
-        integrate(np.exp, 0.0, 1.0, cfg)
+        integrate(np.exp, 0.0, 1.0, 1e-14, panels=2)
     assert info.value.target == 1e-14
 
 
 def test_nonconvergence_below_machine_precision():
     # tolerance far below what doubles can deliver for an O(1) integral
-    cfg = QuadratureConfig(abs_tol=1e-18)
     with pytest.raises(NonConvergence):
-        integrate(np.exp, 0.0, 1.0, cfg)
+        integrate(np.exp, 0.0, 1.0, 1e-18)
 
 
 def test_deterministic_evaluation_counts():
-    first = integrate_result(x_sin_x, -np.pi, np.pi, ADAPTIVE)
-    second = integrate_result(x_sin_x, -np.pi, np.pi, ADAPTIVE)
+    first = integrate_result(x_sin_x, -np.pi, np.pi)
+    second = integrate_result(x_sin_x, -np.pi, np.pi)
     assert first == second
     assert first.evaluations > 0
     assert first.error_estimate <= TOL
@@ -121,7 +145,7 @@ def test_deterministic_evaluation_counts():
 def test_evaluation_count_reuses_boundaries():
     # An identically zero integrand is accepted on the first adaptive pass:
     # 65 edges + 64 midpoints + 2 * 64 half midpoints, nothing re-evaluated.
-    res = integrate_result(lambda x: np.zeros_like(x), 0.0, 1.0, ADAPTIVE)
+    res = integrate_result(lambda x: np.zeros_like(x), 0.0, 1.0)
     assert res.value == 0.0
     assert res.evaluations == 65 + 64 + 128
 
@@ -150,9 +174,9 @@ def stacked(fs, calls=None):
     return f
 
 
-def assert_rows_are_one_row_runs(result, fs, a, b, cfg):
+def assert_rows_are_one_row_runs(result, fs, a, b, **settings):
     for i, g in enumerate(fs):
-        alone = integrate_result(g, a, b, cfg)
+        alone = integrate_result(g, a, b, **settings)
         assert result.value[i].tobytes() == np.float64(alone.value).tobytes()
         assert result.error_estimate[i].tobytes() == np.float64(alone.error_estimate).tobytes()
         assert (result.evaluations[i], result.refinements[i]) == (
@@ -162,10 +186,10 @@ def assert_rows_are_one_row_runs(result, fs, a, b, cfg):
 @pytest.mark.parametrize("cap", [quadrature._MAX_CELLS, 1 << 9], ids=["default-cap", "deferring"])
 def test_rows_are_their_one_row_runs_bitwise(monkeypatch, cap):
     monkeypatch.setattr(quadrature, "_MAX_CELLS", cap)
-    for cfg in (ADAPTIVE, QuadratureConfig(abs_tol=1e-12, base_panels=6)):
-        result = integrate_result(stacked(ROWS), -1.0, 2.0, cfg, rows=len(ROWS))
-        assert_rows_are_one_row_runs(result, ROWS, -1.0, 2.0, cfg)
-        assert integrate(stacked(ROWS), -1.0, 2.0, cfg, rows=len(ROWS)).tobytes() == (
+    for settings in ({}, {"abs_tol": 1e-12, "panels": 6}):
+        result = integrate_result(stacked(ROWS), -1.0, 2.0, rows=len(ROWS), **settings)
+        assert_rows_are_one_row_runs(result, ROWS, -1.0, 2.0, **settings)
+        assert integrate(stacked(ROWS), -1.0, 2.0, rows=len(ROWS), **settings).tobytes() == (
             result.value.tobytes())
 
 
@@ -176,7 +200,7 @@ def test_scalar_result_keeps_its_types():
 
 
 def test_each_row_counts_its_own_evaluations():
-    res = integrate_result(stacked([np.zeros_like] * 3), 0.0, 1.0, ADAPTIVE, rows=3)
+    res = integrate_result(stacked([np.zeros_like] * 3), 0.0, 1.0, rows=3)
     assert res.evaluations.tolist() == [65 + 64 + 128] * 3
 
 
@@ -191,15 +215,15 @@ def test_lowest_failed_row_is_raised(monkeypatch):
     # row 2 oscillates everywhere and passes the interval budget at depth 0;
     # row 1 keeps only the interval at its jump and exhausts the depth later
     monkeypatch.setattr(quadrature, "_MAX_ACTIVE_INTERVALS", 8)
-    cfg = QuadratureConfig(max_subdivisions=3, base_panels=8)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
     fs = (np.zeros_like, lambda x: np.where(x < 0.3, 1.0, 0.0), lambda x: np.sin(50.0 * x))
     with pytest.raises(NonConvergence) as first:
-        integrate(fs[2], 0.0, 1.0, cfg)
+        integrate(fs[2], 0.0, 1.0, panels=8)
     assert "interval budget exceeded at depth 0" in str(first.value)
     with pytest.raises(NonConvergence) as alone:
-        integrate(fs[1], 0.0, 1.0, cfg)
+        integrate(fs[1], 0.0, 1.0, panels=8)
     with pytest.raises(NonConvergence) as info:
-        integrate(stacked(fs), 0.0, 1.0, cfg, rows=3)
+        integrate(stacked(fs), 0.0, 1.0, rows=3, panels=8)
     assert info.value.index == 1
     assert str(info.value) == str(alone.value)
     assert str(info.value).startswith("adaptive Simpson exhausted max_subdivisions=3 ")
@@ -211,7 +235,7 @@ def test_rows_failing_at_one_depth_raise_the_lowest(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_ACTIVE_INTERVALS", 8)
     fs = (np.zeros_like, lambda x: np.sin(50.0 * x), lambda x: np.sin(60.0 * x))
     with pytest.raises(NonConvergence) as info:
-        integrate(stacked(fs), 0.0, 1.0, QuadratureConfig(base_panels=8), rows=3)
+        integrate(stacked(fs), 0.0, 1.0, rows=3, panels=8)
     assert info.value.index == 1
     assert "interval budget exceeded at depth 0" in str(info.value)
 
@@ -219,12 +243,12 @@ def test_rows_failing_at_one_depth_raise_the_lowest(monkeypatch):
 def test_a_failure_stops_the_waiting_rows_above_it(monkeypatch):
     # the cap leaves row 3 waiting at depth 1; rows 1-3 all fail at depth 3
     monkeypatch.setattr(quadrature, "_MAX_CELLS", 64)
-    cfg = QuadratureConfig(max_subdivisions=3, base_panels=8)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
     step = lambda x: np.where(x < 0.3, 1.0, 0.0)  # noqa: E731
     fs = (np.zeros_like, step, lambda x: np.sin(40.0 * x), lambda x: np.sin(41.0 * x))
     calls = []
     with pytest.raises(NonConvergence) as info:
-        integrate(stacked(fs, calls), 0.0, 1.0, cfg, rows=4)
+        integrate(stacked(fs, calls), 0.0, 1.0, rows=4, panels=8)
     assert info.value.index == 1
     assert (2, 32) in calls  # rows 1 and 2 went on without row 3
 
@@ -255,7 +279,7 @@ def test_integrand_calls_stay_within_the_cap(monkeypatch):
     calls, splits = [], []
     part = quadrature._part
     monkeypatch.setattr(quadrature, "_part", lambda *args: splits.append(args[0]) or part(*args))
-    result = integrate_result(stacked(fs, calls), 0.0, 3.0, ADAPTIVE, rows=len(fs))
+    result = integrate_result(stacked(fs, calls), 0.0, 3.0, rows=len(fs))
     assert all(rows * points <= cap for rows, points in calls if rows > 1)
     assert splits  # the cap deferred rows
-    assert_rows_are_one_row_runs(result, fs, 0.0, 3.0, ADAPTIVE)
+    assert_rows_are_one_row_runs(result, fs, 0.0, 3.0)
