@@ -10,19 +10,19 @@ split two pairs at offsets -1/2 and +1/2.  :func:`project` computes a whole
 family in one call and is the one place that re-raises a quadrature failure,
 tagged with the family, n and kind.  Two integration paths are used:
 
-* callable bodies: the symmetric integral is folded onto [0, L] with the
-  parity-matched combination of f(x) and f(-x), then handed to the Simpson
-  engine.  The fold makes the integral of an odd integrand exactly zero in
-  floating point (the combination cancels pointwise before multiplication),
-  and it removes the catalog sign-function jumps at the origin, where every
-  odd kernel vanishes.  A family is one several-row ``integrate`` call, one
-  row per harmonic, all starting on the panels of its largest multiplier:
-  the engine refines them on shared abscissae, where f is folded once and
-  the kernels of the rows still refining are taken as one block, and every
-  coefficient keeps the bits of its own one-row integration from those
+* callable bodies: in u = x / L the symmetric integral is folded onto [0, 1]
+  with the parity-matched combination of f(L u) and f(-L u), then handed to
+  the Simpson engine.  The fold makes the integral of an odd integrand exactly
+  zero in floating point (the combination cancels pointwise before
+  multiplication) and removes the catalog sign-function jumps at the origin,
+  where every odd kernel vanishes.  A family is one several-row ``integrate``
+  call, one row per harmonic, all starting on the panels of its largest
+  multiplier: the engine refines them on shared abscissae, where f is folded
+  once and the kernels of the rows still refining are taken as one block, and
+  every coefficient keeps the bits of its own one-row integration from those
   panels.  A non-finite folded sample (f overflows) is a ValidationError.
 
-* sampled bodies: each panel of the piecewise-linear interpolant is
+* sampled bodies: each panel of the piecewise-linear interpolant in u is
   integrated against each pair's trig term in closed form, by parts, so no
   quadrature error is aliased with interpolation error.  One trig function
   is taken per node and harmonic.
@@ -49,27 +49,40 @@ import numpy as np
 from ._trig import cospi, cossinpi, sinpi
 from .catalog import FunctionSpec, Sampled, evaluate
 from .errors import NonConvergence, OrderExceedsTruncation, ValidationError
-from .quadrature import DEFAULT_TOL, _integer, check_tol, integrate
+from .quadrature import _MAX_CELLS, DEFAULT_TOL, _integer, check_tol, integrate
 
 
-def _table_integral(xs, ys, slope, trig, amplitude, mult, L):
-    """Exact integral of the piecewise-linear table against amplitude * trig(mult pi x / L).
+def _table_integrals(us, ys, widths, slope, trig, amplitude, mults):
+    """Exact integrals of the piecewise-linear table in u against
+    amplitude * trig(m pi u), one for each multiplier m of ``mults``.
 
     Each panel is integrated by parts.  The value terms telescope to the two
     table ends, so the kernel's antiderivative (sin for cos, cos for sin) is
-    taken there only; the slope terms take ``trig`` itself at every node.
+    taken there only; the slope terms take ``trig`` itself at every node, as
+    one multipliers x nodes block.  Two abscissae that divide to one u make
+    a jump in u; ``slope`` holds the jump dy there, and the step is the
+    kernel's derivative, so the panel gives its limit dy d trig / du.
     """
-    omega = mult * np.pi / L
-    if omega == 0.0:  # the classical a_0 kernel, the one zero frequency
-        return amplitude * float((0.5 * (ys[:-1] + ys[1:]) * np.diff(xs)).sum())
-    left, right = omega * xs[0], omega * xs[-1]
+    omega = mults * np.pi
+    left, right = omega * us[0], omega * us[-1]
+    phases = np.multiply.outer(omega, us)
     if trig == "cos":  # y sin / omega + slope cos / omega^2 on each panel
         ends = ys[-1] * np.sin(right) - ys[0] * np.sin(left)
-        steps = np.diff(np.cos(omega * xs))
+        steps = np.diff(np.cos(phases), axis=1)
+        sign, turn = -1.0, np.sin  # d cos = -sin
     else:  # -y cos / omega + slope sin / omega^2 on each panel
         ends = ys[0] * np.cos(left) - ys[-1] * np.cos(right)
-        steps = np.diff(np.sin(omega * xs))
-    return amplitude * float(ends / omega + (slope * steps).sum() / omega**2)
+        steps = np.diff(np.sin(phases), axis=1)
+        sign, turn = 1.0, np.cos  # d sin = cos
+    jumps = np.flatnonzero(widths == 0.0)
+    if jumps.size:
+        steps[:, jumps] = sign * omega[:, None] * turn(phases[:, jumps])
+    # a float's ** 2 is the C pow, which rounds apart from omega * omega now and then
+    squares = np.array([w**2 for w in omega.tolist()])
+    values = amplitude * (ends / omega + (slope * steps).sum(axis=1) / squares)
+    # the classical a_0 kernel, the one zero frequency
+    values[omega == 0.0] = amplitude * float((0.5 * (ys[:-1] + ys[1:]) * widths).sum())
+    return values
 
 
 def _panels(ns, atoms):
@@ -86,14 +99,15 @@ def _panels(ns, atoms):
 
 def _folded_kernels(spec, shift, trig, atoms, harmonics, what):
     """Integrand of :func:`integrate` with one row per harmonic: the
-    parity-folded (f - shift) times K_n on [0, L].  Each call folds f once and
-    takes the kernels of the rows asked for as one rows x abscissae block,
-    which the engine's cap bounds."""
+    parity-folded (f(L u) - shift) times K_n at u in [0, 1].  Each call folds
+    f once and takes the kernels of the rows asked for as one rows x
+    abscissae block, which the engine's cap bounds."""
     # cosine kernels are even and keep f(x) + f(-x); sine kernels are odd
     basis, parity = (cospi, 1.0) if trig == "cos" else (sinpi, -1.0)
     mults = [harmonics + offset for _, offset in atoms]
 
-    def integrand(x, rows):
+    def integrand(u, rows):
+        x = spec.L * u
         # an overflow leaves a nan or an infinity, refused below
         with np.errstate(over="ignore", invalid="ignore"):
             folded = (evaluate(spec, x) - shift) + parity * (evaluate(spec, -x) - shift)
@@ -101,7 +115,6 @@ def _folded_kernels(spec, shift, trig, atoms, harmonics, what):
             raise ValidationError(
                 f"{what} n={harmonics[rows[0]]} is not finite: the function's values are too large"
             )
-        u = x / spec.L
         return folded * sum(
             amplitude * basis(np.multiply.outer(mult[rows], u))
             for (amplitude, _), mult in zip(atoms, mults)
@@ -123,28 +136,31 @@ def project(
     """Return (1/L) int_{-L}^{L} (f(x) - shift) * K_n(x) dx for every n in ``ns``.
 
     K_n(x) = sum of amplitude * trig((n + offset) pi x / L) over the
-    (amplitude, offset) pairs ``atoms``; ``trig`` is "cos" or "sin".  A
-    quadrature failure is re-raised for the lowest failing harmonic n as
-    NonConvergence "<what> n=<n> did not converge: ..." with ``index=n`` and
-    ``kind``; a table integral that overflows, or a callable body whose
-    folded values do, raises ValidationError "<what> n=<n> is not finite:
-    ...".  ``abs_tol`` bounds the estimated error of each callable
-    harmonic's integral over [0, L], so that of the coefficient is abs_tol / L.
+    (amplitude, offset) pairs ``atoms``; ``trig`` is "cos" or "sin".  In
+    u = x / L this is an integral over [-1, 1], so ``abs_tol`` bounds the
+    estimated error of each callable coefficient.  A quadrature failure is
+    re-raised for the lowest failing harmonic n as NonConvergence "<what>
+    n=<n> did not converge: ..." with ``index=n`` and ``kind``; a table
+    integral that overflows, or a callable body whose folded values do,
+    raises ValidationError "<what> n=<n> is not finite: ...".
     """
     check_tol(abs_tol)
     values = np.empty(len(ns))
     if isinstance(spec.body, Sampled):
-        xs = np.asarray(spec.body.xs, dtype=float)
+        us = np.asarray(spec.body.xs, dtype=float) / spec.L
+        harmonics = np.asarray(ns, dtype=float)
+        block = max(1, _MAX_CELLS // us.size)  # harmonics per multipliers x nodes block
         # an overflow leaves a nan or an infinity, refused below by harmonic
         with np.errstate(over="ignore", invalid="ignore"):
             ys = np.asarray(spec.body.ys, dtype=float) - shift
-            slope = np.diff(ys) / np.diff(xs)
-            for i, n in enumerate(ns):
-                values[i] = sum(
-                    _table_integral(xs, ys, slope, trig, amplitude, n + offset, spec.L)
+            widths = np.diff(us)
+            slope = np.diff(ys) / np.where(widths == 0.0, 1.0, widths)  # dy at a jump
+            for start in range(0, harmonics.size, block):
+                chunk = harmonics[start : start + block]
+                values[start : start + block] = sum(
+                    _table_integrals(us, ys, widths, slope, trig, amplitude, chunk + offset)
                     for amplitude, offset in atoms
                 )
-            values /= spec.L
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise ValidationError(
@@ -157,7 +173,7 @@ def project(
     integrand = _folded_kernels(spec, shift, trig, atoms, ns, what)
     panels = _panels(ns, atoms)
     try:
-        return integrate(integrand, 0.0, spec.L, abs_tol, rows=ns.size, panels=panels) / spec.L
+        return integrate(integrand, 0.0, 1.0, abs_tol, rows=ns.size, panels=panels)
     except NonConvergence as exc:
         n = int(ns[exc.index])
         raise NonConvergence(
@@ -191,16 +207,23 @@ def trig_sum(L, shift, mults, cos_w, sin_w, x):
     return value
 
 
+def nonnegative(value, name: str) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is a
+    nonnegative integer and not a bool."""
+    value = _integer(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return value
+
+
 def check_order(M, N: int) -> int:
-    """Return the partial-sum order M (None means the stored order N), an
-    integer that is not a bool."""
+    """Return the partial-sum order M (None means the stored order N), a
+    nonnegative integer that is not a bool."""
     if M is None:
         return N
-    M = _integer(M, "partial-sum order")
+    M = nonnegative(M, "partial-sum order")
     if M > N:
         raise OrderExceedsTruncation(f"M={M} exceeds stored order N={N}")
-    if M < 0:
-        raise ValueError("partial-sum order must be nonnegative")
     return M
 
 

@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import check_order, freeze_fields, project, trig_sum
+from ._kernels import check_order, freeze_fields, nonnegative, project, trig_sum
 from ._trig import cospi, sinpi  # noqa: F401  (bench/tracer.py wraps antiperiodic.cospi/sinpi)
 from ._trig import cossinpi
 from .catalog import FunctionSpec, antiperiodic_defect
 from .catalog import evaluate  # noqa: F401  (bench/tracer.py wraps antiperiodic.evaluate)
-from .quadrature import DEFAULT_TOL, _integer
+from .quadrature import DEFAULT_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,17 +63,14 @@ def half_basis(n: int, L: float, x):
 
     Values at x = +-L are exact: the cosine is 0.0 and the sine is +-(-1)^n.
     """
-    if _integer(n, "basis index") < 0:
-        raise ValueError("basis index must be nonnegative")
+    n = nonnegative(n, "basis index")
     u = np.asarray(x, dtype=float) / L
     return cossinpi((n + 0.5) * u)
 
 
 def _coefficients_with_shift(f, shift, N, abs_tol):
     """alpha/beta arrays of f - shift on the half-integer basis."""
-    if N < 0:
-        raise ValueError("truncation order must be nonnegative")
-    ns = range(N + 1)
+    ns = range(nonnegative(N, "truncation order") + 1)
     alpha = project(f, shift, "cos", ((1.0, 0.5),), ns, "half-cosine coefficient", "cos", abs_tol)
     beta = project(f, shift, "sin", ((1.0, 0.5),), ns, "half-sine coefficient", "sin", abs_tol)
     return alpha, beta
@@ -82,8 +79,9 @@ def _coefficients_with_shift(f, shift, N, abs_tol):
 def antiperiodic_coefficients(
     f: FunctionSpec, N: int, abs_tol: float = DEFAULT_TOL
 ) -> AntiperiodicCoefficients:
-    """Compute gamma, alpha_0..alpha_N, beta_0..beta_N of ``f``, each integral
-    to within ``abs_tol``."""
+    """Compute gamma, alpha_0..alpha_N, beta_0..beta_N of ``f``, each
+    coefficient with an error estimate within ``abs_tol``; ``N`` must be a
+    nonnegative integer and not a bool."""
     gamma = shift_gamma(f)
     alpha, beta = _coefficients_with_shift(f, gamma, N, abs_tol)
     return AntiperiodicCoefficients(f.L, gamma, alpha, beta)
@@ -112,9 +110,10 @@ def coefficients_via_periodic_split(
 
     The product integrands are reduced to sums of pure cosines/sines of
     half-integer multiples, so sampled specs stay on the exact table path.
+    ``abs_tol`` bounds the error estimate of each classical coefficient, and
+    ``N`` must be a nonnegative integer and not a bool.
     """
-    if N < 0:
-        raise ValueError("truncation order must be nonnegative")
+    N = nonnegative(N, "truncation order")
     gamma = shift_gamma(f)
 
     def family(trig, atoms, ns, kind):

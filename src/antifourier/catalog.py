@@ -115,6 +115,8 @@ class FunctionSpec:
                 raise ValidationError(
                     f"{body.name!r} takes {entry.arity} parameter(s), got {len(body.params)}"
                 )
+            if not all(np.isfinite(p) for p in body.params):
+                raise ValidationError(f"{body.name!r} parameters must be finite")
         elif isinstance(body, Sampled):
             xs = np.asarray(body.xs, dtype=float)
             ys = np.asarray(body.ys, dtype=float)
@@ -158,8 +160,15 @@ def evaluate(spec: FunctionSpec, x):
 
 
 def antiperiodic_defect(spec: FunctionSpec) -> float:
-    """Return f(-L) + f(L); zero iff the function is antiperiodic."""
-    return evaluate(spec, -spec.L) + evaluate(spec, spec.L)
+    """Return f(-L) + f(L); zero iff the function is antiperiodic.
+
+    Raises ValidationError if the sum is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        defect = evaluate(spec, -spec.L) + evaluate(spec, spec.L)
+    if not np.isfinite(defect):
+        raise ValidationError("f(-L) + f(L) is not finite: the function's values are too large")
+    return defect
 
 
 def _parse_float(token: str, position: int) -> float:

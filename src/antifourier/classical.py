@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import check_order, freeze_fields, project, trig_sum
+from ._kernels import check_order, freeze_fields, nonnegative, project, trig_sum
 from ._trig import cospi, sinpi  # noqa: F401  (bench/tracer.py wraps classical.cospi/sinpi)
 from .catalog import FunctionSpec
 from .quadrature import DEFAULT_TOL
@@ -53,13 +53,14 @@ class ClassicalCoefficients:
 def classical_coefficients(
     f: FunctionSpec, N: int, abs_tol: float = DEFAULT_TOL
 ) -> ClassicalCoefficients:
-    """Compute a_0..a_N and b_1..b_N of ``f``, each integral to within ``abs_tol``.
+    """Compute a_0..a_N and b_1..b_N of ``f``, each with an error estimate
+    within ``abs_tol``.
 
-    Raises NonConvergence tagged with the offending harmonic index and
-    kernel kind if an integral cannot meet the tolerance.
+    ``N`` must be a nonnegative integer and not a bool (ValueError).  Raises
+    NonConvergence tagged with the offending harmonic index and kernel kind
+    if a coefficient cannot meet the tolerance.
     """
-    if N < 0:
-        raise ValueError("truncation order must be nonnegative")
+    N = nonnegative(N, "truncation order")
     a = project(f, 0.0, "cos", ((1.0, 0.0),), range(N + 1), "cosine coefficient", "cos", abs_tol)
     b = project(f, 0.0, "sin", ((1.0, 0.0),), range(1, N + 1), "sine coefficient", "sin", abs_tol)
     return ClassicalCoefficients(f.L, a, b)

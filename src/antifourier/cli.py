@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io
 from .antiperiodic import antiperiodic_coefficients, half_basis
-from .catalog import evaluate, parse_function_spec
+from .catalog import Sampled, evaluate, parse_function_spec
 from .classical import classical_coefficients
 from .diagnostics import (
     DEFAULT_ORDERS,
@@ -40,11 +40,14 @@ _KINDS = {
 }
 GIBBS_COLUMNS = ("series_kind", "order", "window_fraction", "subgrid_points", "overshoot")
 # Most values one array of a command may hold: (largest order + 1) x (largest
-# grid), and for heat also times x grid.  The default compare ladder needs
-# 401 x 4001, about 1.6M.
+# grid), and for heat also times x grid and times x (largest order + 1).  The
+# default compare ladder needs 401 x 4001, about 1.6M.  It also bounds the
+# trig values a table's projection takes, (largest order + 1) x table rows.
 MAX_VALUES = 1 << 23
-# Most harmonics of a command, a bound on run time, which grows as N^2: coeffs
-# --kind both on named:identity takes about 70 s at N=1023 on a 2-vCPU host.
+# Most harmonics of a callable body's projection, a bound on run time, which
+# grows as N^2: coeffs --kind both on named:identity takes about 70 s at
+# N=1023 on a 2-vCPU host.  Tables, basis and eval --coeffs-file run no
+# quadrature, so MAX_VALUES alone bounds them.
 MAX_HARMONICS = 1 << 10
 
 _EPILOG = f"""\
@@ -121,7 +124,7 @@ def _add_common(sub, with_function=True):
         sub.add_argument(
             "--quad-tol", type=_QUAD_TOL,
             default=os.environ.get(ENV_QUAD_TOL, repr(DEFAULT_TOL)),
-            help=f"absolute quadrature tolerance "
+            help=f"absolute error target of each coefficient "
             f"(default ${ENV_QUAD_TOL}, else {DEFAULT_TOL:g})",
         )
     sub.add_argument("--format", choices=("json", "csv"), default="json")
@@ -188,20 +191,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_size(args) -> None:
-    """Refuse, before any work, a command whose largest array passes MAX_VALUES
-    or whose largest order + 1 passes MAX_HARMONICS."""
-    order = max(args.orders) if args.command == "compare" else args.n
+def _check_size(args):
+    """Return the command's parsed function (None for basis), after refusing a
+    command whose largest array passes MAX_VALUES or that projects a callable
+    body on more than MAX_HARMONICS harmonics."""
+    spec = None if args.command == "basis" else parse_function_spec(args.function, args.interval)
+    harmonics = (max(args.orders) if args.command == "compare" else args.n) + 1
     grid = max(getattr(args, "grid", 0), getattr(args, "subgrid", 0))  # coeffs has neither
-    sizes = {
-        "largest order + 1": (order + 1, "harmonics", MAX_HARMONICS),
-        "(largest order + 1) x (largest grid)": ((order + 1) * grid, "values", MAX_VALUES),
-    }
+    sizes = {}
+    if spec is not None and not getattr(args, "coeffs_file", None):  # the command projects f
+        if isinstance(spec.body, Sampled):
+            rows = len(spec.body.xs)
+            sizes["(largest order + 1) x table rows"] = (harmonics * rows, "values", MAX_VALUES)
+        else:
+            sizes["largest order + 1"] = (harmonics, "harmonics", MAX_HARMONICS)
+    sizes["(largest order + 1) x (largest grid)"] = (harmonics * grid, "values", MAX_VALUES)
     if args.command == "heat":
         sizes["times x grid"] = (len(args.times) * args.grid, "values", MAX_VALUES)
+        sizes["times x (largest order + 1)"] = (len(args.times) * harmonics, "values", MAX_VALUES)
     for what, (size, unit, limit) in sizes.items():
         if size > limit:
             raise ValidationError(f"{what} is {size} {unit}, above the limit of {limit}")
+    return spec
 
 
 def _compute_series(spec, kinds, N, abs_tol):
@@ -213,8 +224,7 @@ def _compute_series(spec, kinds, N, abs_tol):
     return out
 
 
-def _cmd_coeffs(args) -> str:
-    spec = parse_function_spec(args.function, args.interval)
+def _cmd_coeffs(args, spec) -> str:
     kinds = _KINDS[args.kind]
     series = _compute_series(spec, kinds, args.n, args.quad_tol)
     if args.format == "json":
@@ -233,8 +243,7 @@ def _cmd_coeffs(args) -> str:
     return io.csv_text(("kind", "n", "cos", "sin", "gamma"), blocks)
 
 
-def _cmd_eval(args) -> str:
-    spec = parse_function_spec(args.function, args.interval)
+def _cmd_eval(args, spec) -> str:
     kinds = _KINDS[args.kind]
     if args.coeffs_file:
         loaded = io.load_coefficients(args.coeffs_file)
@@ -277,8 +286,7 @@ def _table(args, header, rows) -> str:
     return io.csv_text(header, rows)
 
 
-def _cmd_compare(args) -> str:
-    spec = parse_function_spec(args.function, args.interval)
+def _cmd_compare(args, spec) -> str:
     N = max(args.orders)
     series = _compute_series(spec, ("classical", "antiperiodic"), N, args.quad_tol)
     rows = compare_orders(
@@ -293,8 +301,7 @@ def _cmd_compare(args) -> str:
     return _table(args, REPORT_COLUMNS, report_rows(rows))
 
 
-def _cmd_gibbs(args) -> str:
-    spec = parse_function_spec(args.function, args.interval)
+def _cmd_gibbs(args, spec) -> str:
     kinds = _KINDS[args.kind]
     series = _compute_series(spec, kinds, args.n, args.quad_tol)
     rows = [
@@ -310,8 +317,7 @@ def _cmd_gibbs(args) -> str:
     return _table(args, GIBBS_COLUMNS, rows)
 
 
-def _cmd_heat(args) -> str:
-    spec = parse_function_spec(args.function, args.interval)
+def _cmd_heat(args, spec) -> str:
     problem = HeatProblem(k=args.k, L=args.interval, boundary_mean=args.c, initial=spec)
     sol = solve_heat(problem, args.n, args.quad_tol)
     xs = np.linspace(-args.interval, args.interval, args.grid)
@@ -328,7 +334,7 @@ def _cmd_heat(args) -> str:
     return io.csv_text(("x", "t", *data), blocks)
 
 
-def _cmd_basis(args) -> str:
+def _cmd_basis(args, _) -> str:
     xs = np.linspace(-args.interval, args.interval, args.grid)
     grid = xs.tolist()
     indices = range(args.n + 1)
@@ -358,8 +364,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     error_prefix = f"{parser.prog} {args.command}: error:"  # as argparse's for flag values
     try:
-        _check_size(args)
-        text = _HANDLERS[args.command](args)
+        spec = _check_size(args)
+        text = _HANDLERS[args.command](args, spec)
         if args.out:
             io.write_text_atomic(args.out, text)
     except (ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:

@@ -24,13 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import check_order, freeze_fields, trig_sum
+from ._kernels import check_order, freeze_fields, nonnegative, trig_sum
 from ._trig import cospi, sinpi  # noqa: F401  (bench/tracer.py wraps heat.cospi/sinpi)
 from .antiperiodic import _coefficients_with_shift, half_basis
 from .catalog import FunctionSpec, antiperiodic_defect
 from .catalog import evaluate  # noqa: F401  (bench/tracer.py wraps heat.evaluate)
 from .errors import IncompatibleData, NegativeTime
-from .quadrature import DEFAULT_TOL, _integer
+from .quadrature import DEFAULT_TOL
 
 # |f(-L) + f(L) - 2c| above this is rejected as incompatible initial data.
 COMPATIBILITY_TOL = 1e-9
@@ -87,16 +87,16 @@ def eigenpair(n: int, L: float):
     X_n(x) = cos((2n+1) pi x / 2L) and Xt_n(x) = sin((2n+1) pi x / 2L), the
     two functions of ``half_basis(n, L, x)``.
     """
-    if _integer(n, "mode index") < 0:
-        raise ValueError("mode index must be nonnegative")
+    n = nonnegative(n, "mode index")
     omega = (n + 0.5) * (np.pi / L)
     lam = -(omega * omega)
     return float(lam), lambda x: half_basis(n, L, x)[0], lambda x: half_basis(n, L, x)[1]
 
 
 def solve_heat(problem: HeatProblem, N: int, abs_tol: float = DEFAULT_TOL) -> HeatSolution:
-    """Compute modal coefficients A_n, B_n of f - c up to order N, each
-    integral to within ``abs_tol``.
+    """Compute modal coefficients A_n, B_n of f - c up to order N, a
+    nonnegative integer and not a bool, each with an error estimate within
+    ``abs_tol``.
 
     The compatibility invariant guarantees the shift of f - c is below
     COMPATIBILITY_TOL, so no residual constant is dropped.
@@ -118,8 +118,11 @@ def _modes(sol: HeatSolution, t, M):
         raise NegativeTime(f"heat solution is not defined for t={first!r} < 0")
     mults = np.arange(M + 1, dtype=float) + 0.5
     omega = mults * (np.pi / sol.L)
-    with np.errstate(over="ignore"):  # a decay rate that overflows decays to 0.0
-        decay = np.exp(-(omega * omega) * (sol.k * ts[..., None]))
+    kt = sol.k * ts[..., None]
+    # a decay rate that overflows decays to 0.0 for k t > 0; at k t == 0 every
+    # factor is exactly 1.0, as exp(-0.0) is wherever omega^2 is finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = np.where(kt == 0.0, 1.0, np.exp(-(omega * omega) * kt))
     return M, mults, omega, decay
 
 

@@ -77,6 +77,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             FunctionSpec(1.0, Named("identity", (3.0,)))
 
+    @pytest.mark.parametrize("param", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_parameter(self, param):
+        with pytest.raises(ValidationError, match="'const' parameters must be finite"):
+            FunctionSpec(1.0, Named("const", (param,)))
+        with pytest.raises(ValidationError, match="'const' parameters must be finite"):
+            parse_function_spec(f"named:const:{param}", 1.0)
+
     def test_sampled_duplicate_abscissae(self):
         with pytest.raises(ValidationError, match="duplicate"):
             FunctionSpec(1.0, Sampled((-1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)))

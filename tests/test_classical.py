@@ -6,14 +6,18 @@ import pytest
 from antifourier import (
     ClassicalCoefficients,
     FunctionSpec,
+    HeatProblem,
     Named,
     NonConvergence,
     OrderExceedsTruncation,
     Polynomial,
     Sampled,
     ValidationError,
+    antiperiodic_coefficients,
     classical_coefficients,
     classical_partial_sum,
+    coefficients_via_periodic_split,
+    solve_heat,
 )
 from antifourier.io import from_dict, to_dict
 
@@ -77,6 +81,22 @@ class TestCoefficients:
     def test_negative_order_rejected(self, identity_pi):
         with pytest.raises(ValueError):
             classical_coefficients(identity_pi, -1)
+
+    @pytest.mark.parametrize("N", [-1, True, 2.0])
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            classical_coefficients,
+            antiperiodic_coefficients,
+            coefficients_via_periodic_split,
+            lambda f, N: solve_heat(HeatProblem(1.0, f.L, 0.0, f), N),
+        ],
+        ids=["classical", "antiperiodic", "periodic-split", "heat"],
+    )
+    def test_order_that_is_not_a_nonnegative_integer_rejected(self, identity_pi, compute, N):
+        rule = "nonnegative" if N == -1 else f"an integer, got {N!r}"
+        with pytest.raises(ValueError, match=f"^truncation order must be {rule}$"):
+            compute(identity_pi, N)
 
     def test_nonconvergence_is_tagged(self, identity_pi):
         # every a_n of the odd identity folds to an exact zero, so b_1 is the

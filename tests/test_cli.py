@@ -714,6 +714,142 @@ def test_callable_whose_rule_overflows_is_a_numerical_failure(capsys):
     assert err.splitlines() == [f"antifourier coeffs: error: {message}"]
 
 
+def test_harmonic_cap_bounds_only_callable_projections(capsys, tmp_path):
+    # basis and a table run no quadrature, so only the value cap bounds them
+    code, out, _ = run_cli(capsys, "basis", "--interval", "1", "--n", "1024", "--grid", "3")
+    assert code == 0 and json.loads(out)["n"] == list(range(1025))
+    table = tmp_path / "table.csv"
+    table.write_text("x,y\n-1,0\n0,1\n1,0\n")
+    code, out, _ = run_cli(
+        capsys, "compare", "--function", f"csv:{table}", "--interval", "1",
+        "--orders", "1024", "--grid", "3", "--subgrid", "2001",
+    )
+    assert code == 0 and [row["order"] for row in json.loads(out)] == [1024, 1024]
+
+
+def test_table_projection_is_bounded_by_harmonics_times_rows(capsys, tmp_path):
+    # a table runs no quadrature, but its projection takes (order + 1) x rows
+    # trig values, and heat holds times x (order + 1) decay factors
+    table = tmp_path / "table.csv"
+    table.write_text("x,y\n-1,0\n0,1\n1,0\n")
+
+    def args(command, n, *extra):
+        return build_parser().parse_args(
+            [command, "--function", f"csv:{table}", "--interval", "1", "--n", str(n), *extra]
+        )
+
+    _check_size(args("coeffs", MAX_VALUES // 3 - 1))
+    with pytest.raises(ValidationError) as info:
+        _check_size(args("coeffs", MAX_VALUES // 3))
+    assert str(info.value) == (
+        f"(largest order + 1) x table rows is {3 * (MAX_VALUES // 3 + 1)} values, "
+        f"above the limit of {MAX_VALUES}"
+    )
+    times = ",".join(["1"] * 9)
+    with pytest.raises(ValidationError) as info:
+        _check_size(args("heat", MAX_VALUES // 9, "--times", times, "--grid", "3"))
+    assert str(info.value).startswith("times x (largest order + 1) is ")
+    # reusing a coefficients file projects nothing
+    _check_size(args("eval", 2000, "--grid", "3", "--coeffs-file", "unused.json"))
+    code, out, err = run_cli(
+        capsys, "coeffs", "--function", f"csv:{table}", "--interval", "1", "--n", "1000000000"
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "antifourier coeffs: error: (largest order + 1) x table rows is 3000000003 values, "
+        f"above the limit of {MAX_VALUES}"
+    ]
+
+
+def test_named_parameter_must_be_finite(capsys):
+    code, out, err = run_cli(
+        capsys, "coeffs", "--function", "named:const:nan", "--interval", "1", "--n", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["antifourier coeffs: error: 'const' parameters must be finite"]
+
+
+def test_coefficient_tolerance_holds_on_a_wide_interval(capsys):
+    # abs_tol bounds each coefficient, not the integral over [0, L]: at L = 1000
+    # the b_n of the identity are about 600 and stay within 1e-10
+    L, N = 1000.0, 20
+    code, out, _ = run_cli(
+        capsys, "coeffs", "--function", "named:identity", "--interval", "1000", "--n", str(N),
+        "--kind", "classical",
+    )
+    assert code == 0
+    n = np.arange(1, N + 1)
+    exact = 2.0 * L * (-1.0) ** (n + 1) / (n * np.pi)
+    assert np.abs(np.array(json.loads(out)["b"]) - exact).max() <= 1e-10
+
+
+@pytest.mark.parametrize("interval", ["2e306", "3e306"])
+def test_constant_on_a_huge_interval(capsys, interval):
+    code, out, _ = run_cli(
+        capsys, "coeffs", "--function", "named:const:1", "--interval", interval, "--n", "1",
+        "--kind", "classical",
+    )
+    assert code == 0
+    assert json.loads(out)["a"][0] == 2.0
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_heat_at_time_zero_on_a_tiny_interval(capsys, fmt):
+    # omega^2 overflows at L = 1e-300; e^(lambda k t) is exactly 1.0 at t = 0
+    code, out, err = run_cli(
+        capsys, "heat", "--function", "poly:0", "--interval", "1e-300", "--c", "0", "--n", "3",
+        "--grid", "5", "--times", "0,1", "--flux", "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        data = json.loads(out, parse_constant=refuse_constant)
+        values = [data["u"], data["ux"]]
+    else:
+        values = [[row[2:] for row in parse_csv(out)[1]]]
+    assert np.array(values, dtype=float).tolist() == np.zeros(np.shape(values)).tolist()
+
+
+def refuse_constant(name):
+    raise ValueError(f"JSON holds {name}, which RFC 8259 lacks")
+
+
+# Subnormal half-widths are out of scope: there omega = pi / (2L) itself
+# overflows.  Every other positive L with 2L finite is in.
+HOSTILE_INTERVALS = ["1e-300", "1e-150", "3e306"]
+HOSTILE_ARGS = {
+    "coeffs": ["--n", "3"],
+    "eval": ["--n", "3", "--grid", "5"],
+    "compare": ["--orders", "2,4", "--grid", "5", "--subgrid", "2001"],
+    "gibbs": ["--n", "4", "--subgrid", "2001"],
+    "heat": ["--n", "3", "--grid", "5", "--times", "0,1", "--flux"],
+}
+
+
+@pytest.mark.parametrize("interval", HOSTILE_INTERVALS)
+@pytest.mark.parametrize("command", [*HOSTILE_ARGS, "basis"])
+def test_hostile_interval_fails_cleanly_or_gives_valid_output(capsys, tmp_path, command, interval):
+    L = float(interval)
+    table = tmp_path / "table.csv"
+    table.write_text(f"x,y\n{-L!r},1\n0,-1\n{L!r},0.5\n")
+    # each body with the boundary mean c that makes it compatible heat data
+    bodies = {"named:x-plus-sign": "0", "poly:1,2,0,-1": "1", f"csv:{table}": "0.75"}
+    if command == "basis":
+        runs = [["basis", "--n", "3", "--grid", "5"]]
+    else:
+        runs = [
+            [command, "--function", function, *HOSTILE_ARGS[command],
+             *(["--c", c] if command == "heat" else [])]
+            for function, c in bodies.items()
+        ]
+    for argv in runs:
+        for fmt in ("json", "csv"):
+            code, out, err = run_cli(capsys, *argv, "--interval", interval, "--format", fmt)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err
+            if code == 0 and fmt == "json":
+                json.loads(out, parse_constant=refuse_constant)
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "antifourier", "basis", "--interval", "1", "--n", "0",

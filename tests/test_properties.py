@@ -26,6 +26,7 @@ from antifourier import (
     AntiperiodicCoefficients,
     ClassicalCoefficients,
     FunctionSpec,
+    HeatProblem,
     HeatSolution,
     Named,
     Polynomial,
@@ -40,6 +41,7 @@ from antifourier import (
     heat_eval_dx,
     parse_function_spec,
     render_function_spec,
+    solve_heat,
 )
 from antifourier import _kernels, quadrature
 from antifourier._kernels import project, trig_sum
@@ -311,13 +313,13 @@ def per_harmonic(spec, shift, trig, atoms, ns):
         panels = 2 * (int(max_mult) // 2 + 1)
     for i, n in enumerate(ns):
 
-        def integrand(x, n=n):
+        def integrand(u, n=n):
+            x = spec.L * u
             folded = (evaluate(spec, x) - shift) + parity * (evaluate(spec, -x) - shift)
-            u = x / spec.L
             return folded * sum(amplitude * basis((n + offset) * u) for amplitude, offset in atoms)
 
-        values[i] = quadrature.integrate_result(integrand, 0.0, spec.L, panels=panels).value
-    return values / spec.L
+        values[i] = quadrature.integrate_result(integrand, 0.0, 1.0, panels=panels).value
+    return values
 
 
 # (trig, atoms) of the classical, half-integer and two periodic-split families
@@ -361,6 +363,54 @@ def test_project_makes_one_integrate_call_per_callable_family(monkeypatch):
     table = FunctionSpec(1.0, Sampled((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0)))
     project(table, 0.0, *family, range(101), "beta", "sin")
     assert calls == [(101, 102)]
+
+
+@pytest.mark.parametrize("L", [1e-300, 1e-150, 1e-3, np.pi, 3e306])
+def test_table_coefficients_do_not_depend_on_the_half_width_bitwise(L):
+    # the table (-L, 0), (0, 1), (L, 0) is (-1, 0), (0, 1), (1, 0) in u = x / L,
+    # and each coefficient is an integral over u, so L leaves no trace
+    def weights(L, compute):
+        shift, _, cos_w, sin_w = compute(FunctionSpec(L, Sampled((-L, 0.0, L), (0.0, 1.0, 0.0))))
+        return np.concatenate([[shift], cos_w, sin_w])
+
+    for compute in (classical_coefficients, antiperiodic_coefficients,
+                    coefficients_via_periodic_split):
+        assert same_bits(weights(L, lambda f: compute(f, 8).terms()),
+                         weights(1.0, lambda f: compute(f, 8).terms()))
+
+    def heat(f):
+        sol = solve_heat(HeatProblem(1.0, f.L, 0.0, f), 8)
+        return sol.boundary_mean, None, sol.A, sol.B
+
+    assert same_bits(weights(L, heat), weights(1.0, heat))
+
+
+def test_table_family_is_each_harmonic_alone_bitwise():
+    # a table family is taken in harmonics x nodes blocks; each coefficient
+    # keeps the bits of its harmonic projected alone
+    rng = np.random.default_rng(7)
+    xs = np.concatenate([[-2.0], np.sort(rng.uniform(-2.0, 2.0, 3000)), [2.0]])
+    table = FunctionSpec(2.0, Sampled(tuple(xs), tuple(rng.standard_normal(xs.size))))
+    for trig, atoms in [("cos", ((1.0, 0.0),)), ("sin", ((1.0, 0.5),)),
+                        ("cos", ((0.5, -0.5), (0.5, 0.5)))]:
+        whole = project(table, 0.25, trig, atoms, range(40), "c", trig)
+        alone = [project(table, 0.25, trig, atoms, [n], "c", trig)[0] for n in range(40)]
+        assert same_bits(whole, alone)
+
+
+def test_table_abscissae_that_divide_to_one_u_are_integrated():
+    # 0.7508 and the next double divide by 3 to one u, so in u the table is a
+    # unit step at x / 3, whose coefficients are -sin(n pi x / 3) / (n pi) and
+    # (cos(n pi x / 3) - (-1)^n) / (n pi)
+    x, x_next = 0.7508, float(np.nextafter(0.7508, 1.0))
+    assert x / 3.0 == x_next / 3.0
+    step = FunctionSpec(3.0, Sampled((-3.0, x, x_next, 3.0), (0.0, 0.0, 1.0, 1.0)))
+    c = classical_coefficients(step, 16)
+    n = np.arange(1, 17)
+    np.testing.assert_allclose(c.a[1:], -np.sin(n * np.pi * x / 3.0) / (n * np.pi), atol=1e-14)
+    np.testing.assert_allclose(c.b, (np.cos(n * np.pi * x / 3.0) - (-1.0) ** n) / (n * np.pi),
+                               atol=1e-14)
+    assert c.a[0] == pytest.approx((3.0 - x) / 3.0, abs=1e-15)
 
 
 # every finite double, with -0.0, subnormals and the largest magnitudes drawn on purpose
