@@ -33,11 +33,12 @@ Every series in the package is evaluated by one sum,
 
 in :func:`trig_sum`: the classical series (shift a_0/2, mult n) and the
 half-integer series (shift gamma, mult n + 1/2) from their containers'
-``terms`` views, and the heat solution and its x-derivative (weights scaled
-by e^(lambda_n k t), one row of weights per time) in ``heat_eval`` and
-``heat_eval_dx``.  It takes both trig functions of each phase from one
-``cossinpi`` split.  The containers
-share :func:`freeze_fields` and :func:`check_order`.
+``terms`` views, the ``compare`` ladder (the first k modes, one k per
+order), and the heat solution and its x-derivative (weights scaled by
+e^(lambda_n k t), one row of weights per time) in ``heat_eval`` and
+``heat_eval_dx``.  Each mode is one angle sum of two ``cossinpi`` values, a
+giant and a baby step.  The containers share :func:`freeze_fields` and
+:func:`check_order`.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ from ._trig import cospi, cossinpi, sinpi
 from .catalog import FunctionSpec, Sampled, evaluate
 from .errors import NonConvergence, OrderExceedsTruncation, ValidationError
 from .quadrature import _MAX_CELLS, DEFAULT_TOL, _integer, check_tol, integrate
+
+# Baby steps of :func:`trig_sum`: mode o + BABY a + j, j < BABY, is one angle sum.
+BABY = 16
 
 
 def _table_integrals(us, ys, widths, slope, trig, amplitude, mults):
@@ -182,29 +186,86 @@ def project(
         ) from exc
 
 
-def trig_sum(L, shift, mults, cos_w, sin_w, x):
+def trig_sum(L, shift, mults, cos_w, sin_w, x, counts=None):
     """Return shift + sum_m (cos_w[m] cospi(mults[m] x / L) + sin_w[m] sinpi(...)).
 
+    ``mults`` must be o + arange(m) (ValueError otherwise).  Mode
+    o + BABY a + j (j < BABY) is one angle sum of the giant step o + BABY a
+    and the baby step j, so the basis is ``cossinpi`` of ceil(m / BABY) +
+    min(BABY, m) multipliers times u = x / L, not of m.  With the weights in
+    rows of BABY, zero-padded, the sum is
+
+        shift + sum_a [cg_a (Cw_a @ cb + Sw_a @ sb) + sg_a (Sw_a @ cb - Cw_a @ sb)] + 0.0,
+
+    the giant rows added in order.  The width is fixed, so every call takes
+    the same two basis values for a mode.  Against cospi(mults[m] u), a mode
+    moves by the rounding of the two steps times u against that of
+    mults[m] u, at most pi eps |mults[m] u|, plus a few eps of angle-sum
+    rounding.  Where the basis is exactly 0.0 or +-1.0 (integer or
+    half-integer multipliers at u = +-1) every mode is exact, and the + 0.0
+    turns a -0.0 sum into +0.0.
+
     Scalar ``x`` gives a float, array ``x`` an array of its shape.  2-D
-    weights give one such sum per row, stacked: shape (rows, *x.shape).  The
-    basis is taken once for every row, and each row is the same two
-    ``tensordot`` calls as its 1-D weights alone, so it keeps their bits.
+    weights give one such sum per row, stacked: shape (rows, *x.shape), each
+    row the computation of its 1-D weights alone, so it keeps their bits.
+    ``counts`` (1-D weights only) gives one sum per count k instead, over
+    the first k modes, stacked: shape (len(counts), *x.shape).  The giant
+    rows are summed once, as running totals, and a k that ends inside a row
+    adds that row cut, so a further count costs one row of under BABY
+    modes, not k modes.  The basis is taken once for every row or count.
     """
+    mults = np.asarray(mults, dtype=float)
+    m = mults.size
+    if mults.ndim != 1 or not np.array_equal(mults, mults[:1] + np.arange(m)):
+        raise ValueError("trig_sum needs unit-step multipliers o + arange(m)")
     u = np.asarray(x, dtype=float) / L
-    cos_t, sin_t = cossinpi(np.multiply.outer(mults, u))
+    width, giants = min(BABY, m), mults[::BABY]
+    g = giants.size
+    steps = np.concatenate((giants, np.arange(width, dtype=float)))
+    cos_t, sin_t = cossinpi(np.multiply.outer(steps, u.reshape(-1)))
+    basis = cos_t[:g], sin_t[:g], np.concatenate((cos_t[g:], sin_t[g:]))
+    # each row of weights in rows of BABY, one per giant step, zero-padded
+    rows = np.shape(cos_w)[:-1]
+    cw, sw = np.zeros((2, *rows, g * width))
+    cw[..., :m], sw[..., :m] = cos_w, sin_w
+    flat = (int(np.prod(rows)), g, width)  # 1-D weights are one row
+    cw, sw = cw.reshape(flat), sw.reshape(flat)
+    both = np.concatenate((cw, sw), axis=2)  # @ baby: Cw @ cb + Sw @ sb
+    cross = np.concatenate((sw, -cw), axis=2)  # @ baby: Sw @ cb - Cw @ sb
+    if counts is not None:
+        sums = _first_modes(shift, basis, both[0], cross[0], m, counts)
+        return sums.reshape(len(counts), *u.shape)
+    sums = [_first_modes(shift, basis, b, c, m, [m])[0] for b, c in zip(both, cross)]
+    value = np.reshape(sums, (*rows, *u.shape))
+    return float(value) if value.ndim == 0 else value
 
-    def row(cos_row, sin_row):
-        return shift + np.tensordot(cos_row, cos_t, axes=1) + np.tensordot(sin_row, sin_t, axes=1)
 
-    if np.ndim(cos_w) == 2:
-        out = np.empty((len(cos_w), *u.shape))
-        for j, (cos_row, sin_row) in enumerate(zip(cos_w, sin_w)):
-            out[j] = row(cos_row, sin_row)
-        return out
-    value = row(cos_w, sin_w)
-    if np.ndim(x) == 0:
-        return float(value)
-    return value
+def _first_modes(shift, basis, both, cross, m, counts):
+    """shift + the sum of the first k of the m modes at each point, one row
+    per k of ``counts``, from the two-level ``basis`` (cg, sg, [cb; sb]) and
+    the weights [Cw | Sw] and [Sw | -Cw] of each giant row.  The giant rows
+    are summed once, in order, as running totals.  A k that ends inside a
+    row adds that row cut to its first k modes, unless k is m: the weights
+    past the m-th mode are zero padding."""
+    cos_g, sin_g, baby = basis
+
+    def giant(a, both, cross):  # cg_a (Cw_a @ cb + Sw_a @ sb) + sg_a (Sw_a @ cb - Cw_a @ sb)
+        return cos_g[a] * (both @ baby) + sin_g[a] * (cross @ baby)
+
+    totals = [0.0]  # totals[a]: the first a rows, added in order
+    for row in giant(slice(None), both, cross):
+        totals.append(totals[-1] + row)
+    out = np.empty((len(counts), baby.shape[1]))
+    for i, k in enumerate(counts):
+        a, r = divmod(int(k), BABY)
+        if k == m or not r:
+            total = totals[-(-k // BABY)]
+        else:
+            keep = np.tile(np.arange(both.shape[1] // 2) < r, 2)  # j < r in both halves
+            cut = giant(a, np.where(keep, both[a], 0.0), np.where(keep, cross[a], 0.0))
+            total = totals[a] + cut
+        out[i] = shift + total + 0.0
+    return out
 
 
 def nonnegative(value, name: str) -> int:

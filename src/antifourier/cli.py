@@ -265,9 +265,18 @@ def _cmd_eval(args, spec) -> str:
     else:
         series = _compute_series(spec, kinds, args.n, args.quad_tol)
     xs = np.linspace(-args.interval, args.interval, args.grid)
-    columns = {"x": xs, "f": evaluate(spec, xs)}
-    for kind in kinds:
-        columns[kind] = partial_sum(series[kind], xs, args.n)
+    columns = {"x": xs}
+    # an overflow in f or in a partial sum leaves a nan or an infinity, which
+    # JSON cannot hold: every column is checked before anything is written
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns["f"] = evaluate(spec, xs)
+        for kind in kinds:
+            columns[kind] = partial_sum(series[kind], xs, args.n)
+    for key, col in columns.items():
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            x = float(xs[bad[0]])
+            raise ValidationError(f"{key} is not finite at x={x!r}: its values are too large")
     lists = {key: np.asarray(col).tolist() for key, col in columns.items()}
     if args.format == "json":
         return json.dumps(lists) + "\n"

@@ -140,23 +140,18 @@ def gibbs_overshoot(
 def _ladder(series: SeriesCoefficients, orders, grids):
     """Partial sums of ``series`` on each of ``grids``, for each of ``orders``.
 
-    Each order is checked as ``partial_sum`` checks it.  The distinct orders
-    are taken in ascending order, and each adds only the modes above the
-    previous one to that order's sums, so every mode up to the top order is
-    evaluated once on each grid.
+    Each order is checked as ``partial_sum`` checks it.  Each grid is one
+    :func:`trig_sum` call on the modes up to the top order, with one count
+    per distinct order: the basis is taken once for every order, the giant
+    rows once as running totals, and each order adds the one it cuts.
     """
     orders = [check_order(M, series.N) for M in orders]
+    distinct = {M: i for i, M in enumerate(sorted(set(orders)))}
     shift, mults, cos_w, sin_w = series.terms(max(orders, default=0))
-    harmonics = np.floor(mults)  # n for mode n and for mode n + 1/2
-    sums, totals, start = {}, [shift] * len(grids), 0
-    for M in sorted(set(orders)):
-        new = slice(start, int(np.searchsorted(harmonics, M, side="right")))
-        totals = [
-            total + trig_sum(series.L, 0.0, mults[new], cos_w[new], sin_w[new], x)
-            for total, x in zip(totals, grids)
-        ]
-        sums[M], start = totals, new.stop
-    return [sums[M] for M in orders]
+    # the modes of each distinct order: n for mode n and for mode n + 1/2
+    counts = np.searchsorted(np.floor(mults), list(distinct), side="right")
+    sums = [trig_sum(series.L, shift, mults, cos_w, sin_w, x, counts) for x in grids]
+    return [[rows[distinct[M]] for rows in sums] for M in orders]
 
 
 def decay_exponent(series: SeriesCoefficients, order: Optional[int] = None) -> float:

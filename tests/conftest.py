@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import antifourier
+import antifourier._kernels
 from antifourier import FunctionSpec, Named, Polynomial
 
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -31,6 +32,24 @@ def child_env():
     package_root = os.path.dirname(os.path.dirname(antifourier.__file__))
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def two_level_values(m, points):
+    """``cossinpi`` values that one two-level sum of m modes takes on
+    ``points`` points: ceil(m / BABY) giant steps and min(BABY, m) baby steps."""
+    baby = antifourier._kernels.BABY
+    return (-(-m // baby) + min(baby, m)) * points
+
+
+@pytest.fixture
+def basis_values(monkeypatch):
+    """List that receives the size of every ``cossinpi`` call of the evaluator."""
+    received = []
+    cossinpi = antifourier._kernels.cossinpi
+    monkeypatch.setattr(
+        antifourier._kernels, "cossinpi", lambda t: received.append(np.size(t)) or cossinpi(t)
+    )
+    return received
 
 
 def catalog_specs(L=np.pi):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -581,6 +582,12 @@ EVAL_KIND = {"classical": ["--kind", "classical"], "antiperiodic": ["--kind", "a
         # a cell past the csv module's field limit, and JSON nested past the recursion limit
         ["coeffs", "--function", "csv:{tmp}/big.csv", "--n", "2"],
         ["eval", "--function", "named:identity", "--coeffs-file", "{tmp}/deep.json"],
+        # a valid file, but f overflows to inf on the grid
+        ["eval", "--function", "poly:1e308,1e308", "--kind", "classical", "--n", "1",
+         "--grid", "3", "--coeffs-file", "{tmp}/classical.json"],
+        # finite f and coefficients, but the partial sum overflows to inf at x = 0
+        ["eval", "--function", "named:identity", "--kind", "classical", "--n", "2",
+         "--grid", "3", "--coeffs-file", "{tmp}/overflowing-sum.json"],
     ],
     ids=[
         "gibbs-window", "compare-window", "gibbs-subgrid", "compare-subgrid", "missing-csv",
@@ -588,7 +595,8 @@ EVAL_KIND = {"classical": ["--kind", "classical"], "antiperiodic": ["--kind", "a
         *(f"coeffs-file-{name}" for name in BAD_COEFFICIENT_FILES), "out-dir-missing",
         "compare-even-grid", "eval-size", "compare-orders-size", "compare-grid-size",
         "gibbs-size", "heat-size", "heat-times-size", "basis-size", "coeffs-order",
-        "coeffs-overflow", "csv-huge-cell", "coeffs-file-deep",
+        "coeffs-overflow", "csv-huge-cell", "coeffs-file-deep", "eval-coeffs-file-overflow",
+        "eval-coeffs-file-sum-overflow",
     ],
 )
 def test_input_and_file_errors_exit_2(capsys, tmp_path, argv):
@@ -596,6 +604,10 @@ def test_input_and_file_errors_exit_2(capsys, tmp_path, argv):
     (tmp_path / "latin-1.csv").write_bytes(b"x,y\n-3.14,\xe9\n3.14,1\n")
     (tmp_path / "big.csv").write_text("x,y\n-3.14," + "1" * 200_000 + "\n3.14,1\n")
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    (tmp_path / "classical.json").write_text(json.dumps(VALID_OBJECTS["classical"]))
+    (tmp_path / "overflowing-sum.json").write_text(json.dumps(
+        {**VALID_OBJECTS["classical"], "N": 2, "a": [1e308] * 3, "b": [0.0, 0.0]}
+    ))
     for name, (kind, key, value) in BAD_COEFFICIENT_FILES.items():
         (tmp_path / f"{name}.json").write_text(json.dumps({**VALID_OBJECTS[kind], key: value}))
     inputs = sorted(tmp_path.iterdir())
@@ -697,6 +709,43 @@ def test_callable_whose_values_overflow_is_refused(capsys, tmp_path):
     assert err.splitlines() == [
         "antifourier coeffs: error: cosine coefficient n=0 is not finite: "
         "the function's values are too large"
+    ]
+    assert not target.exists()
+
+
+def test_eval_of_a_function_that_overflows_on_the_grid_is_refused(capsys, tmp_path):
+    # the file is valid at L = 3e306; only f at the grid ends overflows
+    source, target = tmp_path / "classical.json", tmp_path / "out.json"
+    flags = ["--interval", "3e306", "--kind", "classical", "--n", "1"]
+    assert run_cli(capsys, "coeffs", "--function", "poly:1", *flags, "--out", str(source))[0] == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "eval", "--function", "poly:1,2,0,-1", *flags, "--grid", "3",
+            "--coeffs-file", str(source), "--out", str(target),
+        )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "antifourier eval: error: f is not finite at x=-3e+306: its values are too large"
+    ]
+    assert not target.exists()
+
+
+def test_eval_of_a_partial_sum_that_overflows_on_the_grid_is_refused(capsys, tmp_path):
+    # finite coefficients whose sum at x = 0 is 0.5e308 + 1e308 + 1e308
+    source, target = tmp_path / "classical.json", tmp_path / "out.json"
+    source.write_text(json.dumps({**VALID_OBJECTS["classical"], "N": 2, "a": [1e308] * 3,
+                                  "b": [0.0, 0.0]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "eval", "--function", "named:identity", "--interval", "pi", "--kind",
+            "classical", "--n", "2", "--grid", "3", "--coeffs-file", str(source),
+            "--out", str(target),
+        )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "antifourier eval: error: classical is not finite at x=0.0: its values are too large"
     ]
     assert not target.exists()
 

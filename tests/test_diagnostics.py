@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import antifourier._kernels
 from antifourier import (
     AntiperiodicCoefficients,
     ClassicalCoefficients,
@@ -18,6 +17,7 @@ from antifourier import (
     partial_sum,
 )
 from antifourier.diagnostics import REPORT_COLUMNS, _ladder
+from conftest import two_level_values
 
 
 def identity_classical(N):
@@ -196,15 +196,19 @@ class TestCompareOrders:
         by_kind = {(r.series_kind, r.order): r for r in rows}
         assert by_kind[("antiperiodic", 50)].sup_error < by_kind[("classical", 50)].sup_error
 
-    def test_each_basis_value_is_taken_once(self, ident, monkeypatch):
-        # every mode up to N = 400 of both series, once on each of the three grids
-        received = []
-        cossinpi = antifourier._kernels.cossinpi
-        monkeypatch.setattr(
-            antifourier._kernels, "cossinpi", lambda t: received.append(np.size(t)) or cossinpi(t)
-        )
+    def test_each_basis_value_is_taken_once(self, ident, basis_values):
+        # the 400 and 401 modes of the two series, in one two-level sum on
+        # each of the three grids: (25 + 16 + 26 + 16) x 10,003 = 830,249
         compare_orders(ident, identity_classical(400), identity_anti(400))
-        assert sum(received) == (400 + 401) * (2001 + 2 * 4001)
+        points = 2001 + 2 * 4001
+        assert sum(basis_values) == two_level_values(400, points) + two_level_values(401, points)
+        assert sum(basis_values) == 830_249
+
+    @pytest.mark.parametrize("M", [0, 1, 16, 17, 400])
+    def test_a_partial_sum_takes_its_basis_once(self, basis_values, M):
+        partial_sum(identity_classical(400), np.linspace(-np.pi, np.pi, 101), M)
+        partial_sum(identity_anti(400), np.linspace(-np.pi, np.pi, 101), M)
+        assert sum(basis_values) == two_level_values(M, 101) + two_level_values(M + 1, 101)
 
 
 def random_series(rng, kind, N, L):
@@ -220,8 +224,9 @@ def sum_bound(series, M):
     return 16.0 * np.finfo(float).eps * (abs(shift) + np.abs(cos_w).sum() + np.abs(sin_w).sum())
 
 
-# unsorted, with a duplicate, order 0 and the top order 60
-LADDER = (25, 0, 60, 7, 25, 1, 40)
+# unsorted, with a duplicate, order 0 and the top order 60; 15, 16, 31 and 32
+# fill whole rows of 16 modes in one series or the other
+LADDER = (25, 0, 60, 7, 25, 1, 40, 16, 31, 15, 32)
 
 
 class TestLadder:

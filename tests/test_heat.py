@@ -22,6 +22,7 @@ from antifourier import (
     verify_solution,
 )
 from antifourier.io import from_dict, to_dict
+from conftest import two_level_values
 
 
 def scaled_square_A(n):
@@ -160,6 +161,13 @@ class TestEval:
         sol = HeatSolution(1.0, 1.0, 0.75, np.ones(11), np.ones(11))
         assert heat_eval(sol, 0.25, 1e306) == 0.75
         assert heat_eval_dx(sol, 0.25, 1e306) == 0.0
+
+    @pytest.mark.parametrize("fn", [heat_eval, heat_eval_dx])
+    def test_the_basis_is_taken_once_for_every_time(self, basis_values, fn):
+        # 40 modes on 101 points, 8 times: (3 + 16) x 101 values, not 8 x that
+        sol = HeatSolution(1.0, 1.0, 0.75, np.ones(40), np.ones(40))
+        fn(sol, np.linspace(-1.0, 1.0, 101), np.linspace(0.0, 1.0, 8))
+        assert sum(basis_values) == two_level_values(40, 101) == 1919
 
     def test_modal_decay_envelope(self, scaled_square_solution):
         sol = scaled_square_solution

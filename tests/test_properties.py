@@ -2,14 +2,15 @@
 the heat eigenfunctions as the half-integer basis, the symmetries and exact
 values of cospi/sinpi, cossinpi as the two of them bit for bit, the
 coefficient families of random low-degree polynomials, each family projected
-in one run as the per-harmonic loop bit for bit, and the round trips of
+in one run as the per-harmonic loop bit for bit, the two-level series sum
+against the one-level sum within its rounding bound, and the round trips of
 rendered function specs and of CSV cells over every finite double.
 
 Coefficients are random finite doubles with |v| <= 1e6 on random
-half-widths L; every claim below but the split agreement is an exact
-(bitwise or ==) equality.  Where a sign flip could turn a zero into -0.0,
-both sides are compared after adding +0.0, since every exact zero of
-cospi/sinpi is +0.0.
+half-widths L; every claim below but the split agreement and the two-level
+bound is an exact (bitwise or ==) equality.  Where a sign flip could turn a
+zero into -0.0, both sides are compared after adding +0.0, since every exact
+zero of cospi/sinpi is +0.0.
 """
 
 import json
@@ -44,9 +45,10 @@ from antifourier import (
     solve_heat,
 )
 from antifourier import _kernels, quadrature
-from antifourier._kernels import project, trig_sum
+from antifourier._kernels import BABY, project, trig_sum
 from antifourier._trig import cospi, cossinpi, sinpi
 from antifourier.catalog import NAMED_FUNCTIONS, Sampled, evaluate
+from antifourier.diagnostics import _ladder
 from antifourier.errors import NegativeTime
 from antifourier.io import csv_text, fmt, from_dict, to_dict
 
@@ -194,6 +196,121 @@ def test_trig_sum_rows_are_its_one_row_calls_bitwise(m, rows, offset, L, shift, 
     x = data.draw(positions(L))
     stacked = [trig_sum(L, shift, mults, c, s, x) for c, s in zip(cos_w, sin_w)]
     assert same_bits(trig_sum(L, shift, mults, cos_w, sin_w, x), stacked)
+
+
+EPS = float(np.finfo(float).eps)
+
+
+def gamma_k(k):
+    """gamma_k = k r / (1 - k r), r = eps / 2: the relative error bound of a
+    sum of k rounded terms taken in any order."""
+    return k * (EPS / 2.0) / (1.0 - k * (EPS / 2.0))
+
+
+def direct_sum(L, shift, mults, cos_w, sin_w, x):
+    """The one-level sum: ``cossinpi`` of every multiplier times u, then two
+    dot products.  The oracle of :func:`trig_sum`, kept in the tests only."""
+    cos_t, sin_t = cossinpi(np.multiply.outer(mults, np.asarray(x, dtype=float) / L))
+    return shift + np.tensordot(cos_w, cos_t, axes=1) + np.tensordot(sin_w, sin_t, axes=1)
+
+
+def two_level_bound(L, shift, mults, cos_w, sin_w, x):
+    """Bound on |trig_sum - direct_sum| at each x, for multipliers o + n >= 0.
+
+    Mode mu = g + j (giant step g = o + 16 a, baby step j < 16 = BABY) takes
+    cossinpi of fl(g u) and fl(j u) in the two-level sum and of fl(mu u) in
+    the direct one.  Each product rounds by at most r = eps / 2 of itself and
+    |g u| + |j u| = |mu u|, so the two angles differ by at most
+    2 r |mu u| = eps |mu u| half-turns, which moves a cos or sin by at most
+    pi eps |mu u|.  Each cossinpi value is within d = 2 eps of its exact
+    value: the split is exact, pi r rounds by at most pi eps / 4 at
+    |r| <= 1/4, and cos or sin by at most one ulp of a value <= 1.  The angle
+    sum cg cb - sg sb (or sg cb + cg sb) of four such values is then within
+    4 d + 2 d^2, the direct value within d.  Per mode this gives
+    (|C| + |S|) (pi eps |mu u| + 5 d + 2 d^2).
+
+    On top comes the rounding of the sums.  The direct sum is shift plus two
+    dot products of m terms: gamma_(m+2) (|shift| + sum (|C| + |S|)).  The
+    two-level sum takes each term through a dot product of 2w terms (w =
+    min(16, m)), a product with cg or sg, the add of the two, the add over
+    the A = ceil(m / 16) giant rows and the add of shift: depth 2w + A + 3,
+    with every term at most 2 (|C| + |S|), so gamma_(2w+A+3) (|shift| +
+    2 sum (|C| + |S|)).  The rounding of u = x / L is common to both sums.
+    """
+    m, u = len(mults), np.asarray(x, dtype=float) / L
+    weights = np.abs(cos_w) + np.abs(sin_w)
+    d = 2.0 * EPS
+    width, rows = min(BABY, m), -(-m // BABY)
+    angles = np.tensordot(weights, np.abs(np.multiply.outer(mults, u)), axes=1)
+    per_mode = np.pi * EPS * angles + (5.0 * d + 2.0 * d * d) * weights.sum()
+    total = abs(shift) + weights.sum()
+    sums = gamma_k(m + 2) * total + gamma_k(2 * width + rows + 3) * (total + weights.sum())
+    return per_mode + sums
+
+
+# points as multiples of L, on and past [-L, L]
+FRACTIONS = st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=8).map(np.array)
+
+
+@SETTINGS
+@given(st.integers(min_value=0, max_value=200), st.sampled_from([0.0, 0.5, 1.0]), HALF_WIDTHS,
+       VALUES, st.integers(min_value=0, max_value=2**32 - 1), FRACTIONS)
+@example(401, 0.5, 1.0, 0.0, 4, np.linspace(-1.0, 1.0, 2001))  # the default ladder's top
+def test_two_level_sum_is_the_direct_sum_within_its_rounding(m, offset, L, shift, seed, t):
+    rng = np.random.default_rng(seed)
+    mults = offset + np.arange(m)
+    cos_w, sin_w = rng.standard_normal((2, m)) * 10.0 ** rng.uniform(-3, 3, (2, m))
+    x = t * L
+    error = np.abs(trig_sum(L, shift, mults, cos_w, sin_w, x)
+                   - direct_sum(L, shift, mults, cos_w, sin_w, x))
+    assert (error <= two_level_bound(L, shift, mults, cos_w, sin_w, x)).all()
+
+
+@SETTINGS
+@given(classical_one_parity("sin"), st.sampled_from([0.0, -0.0]), st.data())
+def test_sine_only_classical_sum_is_plus_zero_at_both_ends(c, zero, data):
+    # a_0 = -0.0 makes the shift -0.0 as well
+    c = ClassicalCoefficients(c.L, np.full(c.N + 1, zero), c.b)
+    ends = np.array([-c.L, c.L])
+    orders = data.draw(st.lists(st.integers(min_value=0, max_value=c.N), min_size=1))
+    for M, (sums,) in zip(orders, _ladder(c, orders, [ends])):
+        assert same_bits(sums, [0.0, 0.0])
+        assert same_bits(classical_partial_sum(c, ends, M), [0.0, 0.0])
+        assert same_bits(classical_partial_sum(c, c.L, M), 0.0)
+
+
+@SETTINGS
+@given(antiperiodic(beta_zero=True), st.sampled_from([0.0, -0.0]), st.data())
+def test_cosine_only_half_integer_sum_is_plus_zero_at_both_ends(c, zero, data):
+    c = AntiperiodicCoefficients(c.L, zero, c.alpha, c.beta)
+    ends = np.array([-c.L, c.L])
+    orders = data.draw(st.lists(st.integers(min_value=0, max_value=c.N), min_size=1))
+    for M, (sums,) in zip(orders, _ladder(c, orders, [ends])):
+        assert same_bits(sums, [0.0, 0.0])
+        assert same_bits(antiperiodic_partial_sum(c, ends, M), [0.0, 0.0])
+        assert same_bits(antiperiodic_partial_sum(c, -c.L, M), 0.0)
+
+
+@SETTINGS
+@given(classical(), antiperiodic(), FRACTIONS)
+def test_order_zero_is_the_shift_and_one_mode_its_angle_bitwise(c, anti, t):
+    # classical order 0 has no mode; the half-integer one has the mode 1/2
+    x = t * c.L
+    assert same_bits(classical_partial_sum(c, x, 0), plus_zero(np.full(t.shape, 0.5 * c.a[0])))
+    assert same_bits(classical_partial_sum(c, 0.5 * c.L, 0), plus_zero(0.5 * c.a[0]))
+    x = t * anti.L
+    cos_t, sin_t = cossinpi(0.5 * (x / anti.L))
+    one = anti.gamma + (anti.alpha[0] * cos_t + anti.beta[0] * sin_t)
+    assert same_bits(antiperiodic_partial_sum(anti, x, 0), plus_zero(one))
+
+
+@pytest.mark.parametrize(
+    "mults", [[0.0, 2.0], [1.0, 2.0, 4.0], [0.5, 1.5, 2.6], [2.0, 1.0], [[0.0, 1.0], [2.0, 3.0]]]
+)
+def test_trig_sum_refuses_multipliers_without_unit_steps(mults):
+    m = np.size(mults)
+    with pytest.raises(ValueError, match="unit-step multipliers"):
+        trig_sum(1.0, 0.0, mults, np.ones(m), np.ones(m), np.linspace(-1.0, 1.0, 5))
 
 
 @SETTINGS
