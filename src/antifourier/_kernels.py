@@ -24,8 +24,11 @@ tagged with the family, n and kind.  Two integration paths are used:
 
 * sampled bodies: each panel of the piecewise-linear interpolant in u is
   integrated against each pair's trig term in closed form, by parts, so no
-  quadrature error is aliased with interpolation error.  One trig function
-  is taken per node and harmonic.
+  quadrature error is aliased with interpolation error.  The value terms
+  telescope to the two table ends; the slope terms are summed by parts over
+  the nodes into one weighted sum of trig values, taken as two-level angle
+  sums.  A family of harmonics 0..N takes ``cossinpi`` of ceil((N + 1) / 16)
+  giant and 16 baby steps at each node, not of N + 1 multipliers.
 
 Every series in the package is evaluated by one sum,
 
@@ -50,43 +53,89 @@ import numpy as np
 from ._trig import cospi, cossinpi, sinpi
 from .catalog import FunctionSpec, Sampled, evaluate
 from .errors import NonConvergence, OrderExceedsTruncation, ValidationError
-from .quadrature import _MAX_CELLS, DEFAULT_TOL, _integer, check_tol, integrate
+from .quadrature import DEFAULT_TOL, _integer, check_tol, integrate
 
 # Baby steps of :func:`trig_sum`: mode o + BABY a + j, j < BABY, is one angle sum.
 BABY = 16
 
+# Table nodes in one block of :func:`_node_sums`; each step of a block takes
+# at most BABY x _NODES products.
+_NODES = 1 << 12
 
-def _table_integrals(us, ys, widths, slope, trig, amplitude, mults):
-    """Exact integrals of the piecewise-linear table in u against
-    amplitude * trig(m pi u), one for each multiplier m of ``mults``.
 
-    Each panel is integrated by parts.  The value terms telescope to the two
-    table ends, so the kernel's antiderivative (sin for cos, cos for sin) is
-    taken there only; the slope terms take ``trig`` itself at every node, as
-    one multipliers x nodes block.  Two abscissae that divide to one u make
-    a jump in u; ``slope`` holds the jump dy there, and the step is the
-    kernel's derivative, so the panel gives its limit dy d trig / du.
+def _table_integrals(us, ys, trig, offset, ns):
+    """Exact integrals of the piecewise-linear table (us, ys) against
+    trig(omega u) over [-1, 1], omega = (n + offset) pi, one for each n of
+    ``ns``.
+
+    Each panel is integrated by parts, and the slope terms are summed by
+    parts over the nodes.  With slopes s_i, T = trig and T' its derivative,
+
+        integral = [y T~] / omega + sum_k d_k T(omega u_k) / omega^2,
+        d_k = s_(k-1) - s_k,  s_(-1) = s_P = 0,
+
+    where T~ = sin for cos and -cos for sin is the kernel's antiderivative
+    times omega, taken by ``cossinpi`` at the two table ends only, so it is
+    exact at u = +-1.  Two abscissae that divide to one u make a jump dy in
+    u: its panel has no slope, so it is left out of d and adds its limit
+    dy T'(omega u) / omega.  The node sums are :func:`_node_sums`.  The
+    classical a_0 kernel, the one zero frequency, is the trapezoid sum.
     """
+    mults = ns + offset
     omega = mults * np.pi
-    left, right = omega * us[0], omega * us[-1]
-    phases = np.multiply.outer(omega, us)
-    if trig == "cos":  # y sin / omega + slope cos / omega^2 on each panel
-        ends = ys[-1] * np.sin(right) - ys[0] * np.sin(left)
-        steps = np.diff(np.cos(phases), axis=1)
-        sign, turn = -1.0, np.sin  # d cos = -sin
-    else:  # -y cos / omega + slope sin / omega^2 on each panel
-        ends = ys[0] * np.cos(left) - ys[-1] * np.cos(right)
-        steps = np.diff(np.sin(phases), axis=1)
-        sign, turn = 1.0, np.cos  # d sin = cos
-    jumps = np.flatnonzero(widths == 0.0)
-    if jumps.size:
-        steps[:, jumps] = sign * omega[:, None] * turn(phases[:, jumps])
-    # a float's ** 2 is the C pow, which rounds apart from omega * omega now and then
-    squares = np.array([w**2 for w in omega.tolist()])
-    values = amplitude * (ends / omega + (slope * steps).sum(axis=1) / squares)
-    # the classical a_0 kernel, the one zero frequency
-    values[omega == 0.0] = amplitude * float((0.5 * (ys[:-1] + ys[1:]) * widths).sum())
+    widths, dy = np.diff(us), np.diff(ys)
+    jumps = widths == 0.0
+    slope = np.where(jumps, 0.0, dy / np.where(jumps, 1.0, widths))
+    weights = np.diff(slope, prepend=0.0, append=0.0)
+    np.negative(weights, out=weights)  # d_k = s_(k-1) - s_k
+    cos_e, sin_e = cossinpi(np.multiply.outer(mults, us[[0, -1]]))
+    if trig == "cos":  # y sin / omega, and d cos = -sin
+        ends = ys[-1] * sin_e[:, 1] - ys[0] * sin_e[:, 0]
+        turn, sign = "sin", -1.0
+    else:  # -y cos / omega, and d sin = cos
+        ends = ys[0] * cos_e[:, 0] - ys[-1] * cos_e[:, 1]
+        turn, sign = "cos", 1.0
+    if jumps.any():
+        ends = ends + sign * _node_sums(dy[jumps], us[:-1][jumps], turn, offset, ns)
+    values = ends / omega + _node_sums(weights, us, trig, offset, ns) / (omega * omega)
+    values[omega == 0.0] = float((0.5 * (ys[:-1] + ys[1:]) * widths).sum())
     return values
+
+
+def _node_sums(weights, us, trig, offset, ns):
+    """sum_k weights_k trig((n + offset) pi u_k) for each n of ``ns``, as
+    two-level angle sums.
+
+    Harmonic n = BABY a + j (j < BABY) takes ``cossinpi`` of the giant step
+    BABY a and of the baby step offset + j, each times u.  The split is
+    anchored at n itself, so a harmonic takes the same basis values, and
+    keeps its bits, whatever else is in ``ns``; and the harmonics below
+    BABY, whose errors the integral divides by the smallest omega^2, take
+    their own basis value exactly (giant step 0: cos 1, sin 0).  Then
+
+        cos(g + b) = cg cb - sg sb,    sin(g + b) = sg cb + cg sb,
+
+    with the weights taken into the giant rows first.  The nodes come in
+    blocks of ``_NODES``: each giant row's products with the baby rows are
+    summed over the block by numpy's pairwise row sum, and the blocks are
+    added in order.
+    """
+    giant_rows, babies = np.divmod(ns, BABY)
+    giants, row = np.unique(giant_rows, return_inverse=True)
+    g, width = giants.size, int(babies.max()) + 1
+    steps = np.concatenate((BABY * giants, offset + np.arange(width, dtype=float)))
+    sums = np.zeros((g, width))
+    for start in range(0, us.size, _NODES):
+        u, w = us[start : start + _NODES], weights[start : start + _NODES]
+        cos_t, sin_t = cossinpi(np.multiply.outer(steps, u))
+        cb, sb = cos_t[g:], sin_t[g:]
+        wc, ws = w * cos_t[:g], w * sin_t[:g]
+        first, second = (wc, ws) if trig == "cos" else (ws, -wc)  # first cb - second sb
+        group = max(1, BABY * _NODES // (width * u.size))  # giant rows a step
+        for a in range(0, g, group):
+            rows = slice(a, a + group)
+            sums[rows] += (first[rows, None] * cb - second[rows, None] * sb).sum(axis=-1)
+    return sums[row, babies]
 
 
 def _panels(ns, atoms):
@@ -149,30 +198,24 @@ def project(
     raises ValidationError "<what> n=<n> is not finite: ...".
     """
     check_tol(abs_tol)
-    values = np.empty(len(ns))
+    ns = np.asarray(ns, dtype=int)
+    if not ns.size:
+        return np.empty(0)
     if isinstance(spec.body, Sampled):
         us = np.asarray(spec.body.xs, dtype=float) / spec.L
-        harmonics = np.asarray(ns, dtype=float)
-        block = max(1, _MAX_CELLS // us.size)  # harmonics per multipliers x nodes block
-        # an overflow leaves a nan or an infinity, refused below by harmonic
-        with np.errstate(over="ignore", invalid="ignore"):
+        # an overflow leaves a nan or an infinity, refused below by harmonic;
+        # the zero frequency divides by zero before its trapezoid replaces it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             ys = np.asarray(spec.body.ys, dtype=float) - shift
-            widths = np.diff(us)
-            slope = np.diff(ys) / np.where(widths == 0.0, 1.0, widths)  # dy at a jump
-            for start in range(0, harmonics.size, block):
-                chunk = harmonics[start : start + block]
-                values[start : start + block] = sum(
-                    _table_integrals(us, ys, widths, slope, trig, amplitude, chunk + offset)
-                    for amplitude, offset in atoms
-                )
+            values = sum(
+                amplitude * _table_integrals(us, ys, trig, offset, ns)
+                for amplitude, offset in atoms
+            )
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise ValidationError(
                 f"{what} n={ns[bad[0]]} is not finite: the table's values are too large"
             )
-        return values
-    ns = np.asarray(ns, dtype=int)
-    if not ns.size:
         return values
     integrand = _folded_kernels(spec, shift, trig, atoms, ns, what)
     panels = _panels(ns, atoms)

@@ -20,6 +20,7 @@ from antifourier import (
     jordan_midpoint,
     shift_gamma,
 )
+from antifourier import _kernels
 from antifourier.io import from_dict, to_dict
 from conftest import catalog_specs
 
@@ -32,6 +33,117 @@ def identity_anti_coefficients(N):
     """Closed-form half-integer coefficients of f(x) = x on [-pi, pi]."""
     n = np.arange(N + 1)
     return AntiperiodicCoefficients(np.pi, 0.0, np.zeros(N + 1), identity_beta(n))
+
+
+R = float(np.finfo(float).eps) / 2.0  # unit roundoff
+
+
+def gamma(k):
+    """gamma_k = k R / (1 - k R): the relative error bound of k roundings."""
+    return k * R / (1.0 - k * R)
+
+
+def panel_integrals(us, ys, trig, mults):
+    """Reference table integrals over u in [-1, 1], each panel on its own,
+    and a bound on |project - reference|, one of each per multiplier mu.
+
+    On a panel [u0, u1] with slope s, midpoint m and half-width h, the
+    integral against T(w u), w = mu pi, T = cos or sin, is
+
+        (y1 T~(w u1) - y0 T~(w u0)) / w + s step / w^2,  T~ = sin or -cos,
+
+    with step = T(w u1) - T(w u0) taken as -2 sin(w m) sin(w h) or
+    2 cos(w m) sin(w h): a product, so it does not cancel on narrow panels.
+
+    The bound adds the two errors against the exact integral of the
+    interpolant through the same computed (u, y) and slopes s (R = eps / 2,
+    e = 2 eps, A = sum_k |d_k| with d_k = s_(k-1) - s_k, P panels):
+
+    * project sums by parts over the nodes: [y T~] / w + sum_k d_k T(w u_k)
+      / w^2.  Each d_k rounds by R |d_k|.  Each node term comes from four
+      ``cossinpi`` values, each within e of its value at an angle that is
+      off by at most R |mu u_k| half-turns per step, so pi eps |mu u_k| in
+      all (see ``two_level_bound`` in test_properties), and their angle sum
+      within 4 e + 2 e^2; the three products and the subtraction with the
+      weight add gamma_4, so a node is within |d_k| (pi eps |mu u_k| + 4 e +
+      2 e^2 + gamma_5).  Each term is at most 2 |d_k|, and a sum of P + 1
+      terms in any order is within gamma_P of their magnitudes.  The ends
+      are exact ``cossinpi`` values at u = +-1, so y_P T~ - y_0 T~ is within
+      gamma_2 (|y_0| + |y_P|).  w = fl(mu pi) is within 2 R |w| of mu pi, so the
+      divisions by w and w^2 and the last add are within gamma_8.
+    * the reference: fl(w u) is within 3 R |w u| of mu pi u, and np.sin or
+      np.cos within 2 R of the value there, so with the products, the
+      subtraction and the division each value term is within (|y0| + |y1|)
+      (3 R + gamma_8 / w) (|u| <= 1).  fl(w m) is within 4 R |w m| and fl(w
+      h) within 4 R |w h|, so step is within 2 (4 R |w m| + 2 R) min(1, |w
+      h|) + 2 (4 R |w h| + 2 R), and s step / w^2 takes gamma_6 of itself
+      on top.  The 2P panel terms are summed within gamma_2P of their
+      magnitudes.
+    """
+    u0, u1, y0, y1 = us[:-1], us[1:], ys[:-1], ys[1:]
+    slope = (y1 - y0) / (u1 - u0)
+    mid, half = (u0 + u1) / 2.0, (u1 - u0) / 2.0
+    d = np.abs(np.diff(slope, prepend=0.0, append=0.0))
+    weight, panels_count, ends = d.sum(), slope.size, abs(ys[0]) + abs(ys[-1])
+    e = 4.0 * R  # 2 eps, the error of one cossinpi value
+    reference, bound = [], []
+    for mult in mults:
+        w = mult * np.pi
+        if trig == "cos":
+            values = (y1 * np.sin(w * u1) - y0 * np.sin(w * u0)) / w
+            steps = -2.0 * np.sin(w * mid) * np.sin(w * half)
+        else:
+            values = (y0 * np.cos(w * u0) - y1 * np.cos(w * u1)) / w
+            steps = 2.0 * np.cos(w * mid) * np.sin(w * half)
+        panels = np.stack((values, slope * steps / (w * w)))
+        reference.append(panels.sum())
+        nodes = np.pi * 2.0 * R * abs(mult) * np.abs(us) + 4.0 * e + 2.0 * e * e
+        code = (((nodes + gamma(5)) * d).sum()
+                + (gamma(panels_count) + gamma(8)) * 2.0 * weight) / (w * w)
+        code += (gamma(2) + gamma(8)) * ends / abs(w)
+        phase_m, phase_h = np.abs(w * mid), np.abs(w * half)
+        step_error = (2.0 * (4.0 * R * phase_m + 2.0 * R) * np.minimum(1.0, phase_h)
+                      + 2.0 * (4.0 * R * phase_h + 2.0 * R) + gamma(6) * np.abs(steps))
+        own = (((np.abs(y0) + np.abs(y1)) * (3.0 * R + gamma(8) / abs(w))).sum()
+               + (np.abs(slope) * step_error).sum() / (w * w)
+               + gamma(2 * panels_count) * np.abs(panels).sum())
+        bound.append(code + own)
+    return np.array(reference), np.array(bound)
+
+
+def noisy_table(rng, L, rows):
+    """Ramp plus curvature plus a sine plus noise, as the benchmark's
+    ``compare`` tables: 3000-4000 rows with |f(L) - f(-L)| > 0.6."""
+    xs = np.linspace(-L, L, rows)
+    slope = rng.choice([-1.0, 1.0]) * rng.uniform(0.75, 1.5)
+    freq = rng.uniform(0.5, 3.0)
+    ys = (slope * xs / L + rng.uniform(-0.5, 0.5) * (xs / L) ** 2
+          + rng.uniform(0.1, 0.4) * np.sin(freq * np.pi * xs / L)
+          + 0.01 * rng.standard_normal(rows))
+    return xs, ys
+
+
+def check_random_table(seed):
+    """The four families at N = 40 of a random 62-node table against
+    :func:`panel_integrals`, within its bound."""
+    rng = np.random.default_rng(seed)
+    L = float(rng.uniform(0.5, 4.0))
+    xs = np.sort(np.concatenate(([-L, L], rng.uniform(-L, L, 60))))
+    ys = rng.standard_normal(xs.size)
+    table = FunctionSpec(L, Sampled(tuple(xs), tuple(ys)))
+    for values, trig, mults, shift in table_families(table, 40):
+        reference, bound = panel_integrals(xs / L, ys - shift, trig, mults)
+        assert (np.abs(values - reference) <= bound).all()
+
+
+def table_families(table, N):
+    """The four table families of ``compare`` at order N: (values, trig,
+    multipliers, shift) for a_1..a_N, b_1..b_N, alpha and beta."""
+    classical = classical_coefficients(table, N)
+    anti = antiperiodic_coefficients(table, N)
+    n = np.arange(N + 1.0)
+    return [(classical.a[1:], "cos", n[1:], 0.0), (classical.b, "sin", n[1:], 0.0),
+            (anti.alpha, "cos", n + 0.5, anti.gamma), (anti.beta, "sin", n + 0.5, anti.gamma)]
 
 
 class TestShiftGamma:
@@ -119,33 +231,31 @@ class TestCoefficients:
             anti.beta, 8.0 * L * (-1.0) ** n / ((2 * n + 1) ** 2 * np.pi**2), atol=1e-14, rtol=0
         )
 
-    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("seed", range(40))
     def test_table_coefficients_are_the_sum_of_panel_integrals(self, seed):
         # the per-panel closed form, each panel on its own, as the reference
+        check_random_table(seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_node_blocks_of_a_long_table_are_added(self, seed, monkeypatch):
+        # blocks of 8 nodes split the 62 nodes into 8; the bound holds for
+        # the node sum taken in any order
+        monkeypatch.setattr(_kernels, "_NODES", 8)
+        check_random_table(seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_benchmark_sized_tables_are_within_5e_13(self, seed):
+        # 3000-4000 noisy rows at N = 400.  The node weights d_k are slope
+        # changes, about 40 here, and each node term rounds by a few R |d_k|
+        # independently, so the sum errs by about R sqrt(sum d_k^2) / omega^2:
+        # 1e-13 at omega = pi / 2.  Over 30 such tables the worst was 3.1e-13.
         rng = np.random.default_rng(seed)
-        L = float(rng.uniform(0.5, 4.0))
-        xs = np.sort(np.concatenate(([-L, L], rng.uniform(-L, L, 60))))
-        ys = rng.standard_normal(xs.size)
+        L = round(float(rng.uniform(0.5, 4.0)), 4)
+        xs, ys = noisy_table(rng, L, int(rng.integers(3000, 4001)))
         table = FunctionSpec(L, Sampled(tuple(xs), tuple(ys)))
-        classical = classical_coefficients(table, 40)
-        anti = antiperiodic_coefficients(table, 40)
-        x0, x1, y0, y1 = xs[:-1], xs[1:], ys[:-1], ys[1:]
-        slope = (y1 - y0) / (x1 - x0)
-        families = [(classical.a[1:], "cos", np.arange(1, 41.0), 0.0),
-                    (classical.b, "sin", np.arange(1, 41.0), 0.0),
-                    (anti.alpha, "cos", np.arange(41) + 0.5, anti.gamma),
-                    (anti.beta, "sin", np.arange(41) + 0.5, anti.gamma)]
-        for values, trig, mults, shift in families:
-            for value, mult in zip(values, mults):
-                w = mult * np.pi / L
-                c0, c1, s0, s1 = np.cos(w * x0), np.cos(w * x1), np.sin(w * x0), np.sin(w * x1)
-                u0, u1 = y0 - shift, y1 - shift
-                if trig == "cos":
-                    panels = np.stack(((u1 * s1 - u0 * s0) / w, slope * (c1 - c0) / w**2))
-                else:
-                    panels = np.stack(((u0 * c0 - u1 * c1) / w, slope * (s1 - s0) / w**2))
-                bound = 64.0 * np.finfo(float).eps * np.abs(panels).sum() / L
-                assert abs(value - panels.sum() / L) <= bound
+        for values, trig, mults, shift in table_families(table, 400):
+            reference, _ = panel_integrals(xs / L, ys - shift, trig, mults)
+            assert np.abs(values - reference).max() <= 5e-13
 
     def test_shift_consistency(self, identity_pi):
         shifted = FunctionSpec(np.pi, Polynomial((1.5, 1.0)))

@@ -680,20 +680,30 @@ def test_table_past_the_row_cap_is_refused(capsys, tmp_path, monkeypatch):
     assert err.splitlines()[-1] == f"antifourier coeffs: error: {path}: more than 4 rows, the limit"
 
 
+COEFFS_ARGV, COMPARE_ARGV = ["coeffs", "--n", "2"], ["compare", "--orders", "2", "--grid", "101"]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["coeffs", "--n", "2"], ["compare", "--orders", "2", "--grid", "101"]],
-    ids=["coeffs", "compare"],
+    "argv, rows, family",
+    [
+        # odd: the cosine terms cancel to exactly 0.0, the sine ends overflow
+        (COEFFS_ARGV, "-1,1e308\n0,0\n1,-1e308\n", "sine"),
+        (COMPARE_ARGV, "-1,1e308\n0,0\n1,-1e308\n", "sine"),
+        # even: the slope change at 0 overflows the cosine node sums
+        (COEFFS_ARGV, "-1,1e308\n0,0\n1,1e308\n", "cosine"),
+        (COMPARE_ARGV, "-1,1e308\n0,0\n1,1e308\n", "cosine"),
+    ],
+    ids=["coeffs", "compare", "coeffs-even", "compare-even"],
 )
-def test_table_whose_integrals_overflow_is_refused(capsys, tmp_path, argv):
+def test_table_whose_integrals_overflow_is_refused(capsys, tmp_path, argv, rows, family):
     table, target = tmp_path / "huge.csv", tmp_path / "out.json"
-    table.write_text("-1,1e308\n0,0\n1,-1e308\n")
+    table.write_text(rows)
     code, out, err = run_cli(
         capsys, *argv, "--function", f"csv:{table}", "--interval", "1", "--out", str(target)
     )
     assert (code, out) == (2, "")
     assert err.splitlines() == [
-        f"antifourier {argv[0]}: error: cosine coefficient n=1 is not finite: "
+        f"antifourier {argv[0]}: error: {family} coefficient n=1 is not finite: "
         "the table's values are too large"
     ]
     assert not target.exists()

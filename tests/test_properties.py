@@ -51,6 +51,7 @@ from antifourier.catalog import NAMED_FUNCTIONS, Sampled, evaluate
 from antifourier.diagnostics import _ladder
 from antifourier.errors import NegativeTime
 from antifourier.io import csv_text, fmt, from_dict, to_dict
+from conftest import two_level_values
 
 VALUES = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 HALF_WIDTHS = st.floats(min_value=1e-3, max_value=1e3)
@@ -528,6 +529,42 @@ def test_table_abscissae_that_divide_to_one_u_are_integrated():
     np.testing.assert_allclose(c.b, (np.cos(n * np.pi * x / 3.0) - (-1.0) ** n) / (n * np.pi),
                                atol=1e-14)
     assert c.a[0] == pytest.approx((3.0 - x) / 3.0, abs=1e-15)
+
+
+def test_table_family_takes_its_basis_once(basis_values):
+    # N + 1 harmonics on R rows: the two-level basis at every node, as a
+    # two-level sum of N + 1 modes takes it, and cos and sin at the two ends
+    # for each harmonic
+    rows = 3001
+    xs = np.linspace(-2.0, 2.0, rows)
+    table = FunctionSpec(2.0, Sampled(tuple(xs), tuple(np.sin(xs))))
+    project(table, 0.0, "sin", ((1.0, 0.5),), range(401), "c", "sin")
+    assert sorted(basis_values) == [2 * 401, two_level_values(401, rows)]
+    assert two_level_values(401, rows) == (26 + 16) * rows
+
+
+@pytest.mark.parametrize("jump", ["first", "last"])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_a_jump_in_an_end_panel_is_its_limit(jump, offset):
+    # u = +-1 cannot repeat in a FunctionSpec (no abscissa next to +-L divides
+    # to +-1), so the end columns of the node weights are checked on the
+    # kernel: a unit jump at u = -1 then (1 - u) / 2, or (1 + u) / 2 then a
+    # unit drop at u = 1.  Both integrate against cos(w u) to sin(w) / w (1
+    # at w = 0), and against sin(w u) to -+(sin(w) - w cos(w)) / w^2
+    us, ys, sign = {
+        "first": ((-1.0, -1.0, 1.0), (0.0, 1.0, 0.0), -1.0),
+        "last": ((-1.0, 1.0, 1.0), (0.0, 1.0, 0.0), 1.0),
+    }[jump]
+    ns = np.arange(40)
+    w = (ns + offset) * np.pi
+    with np.errstate(divide="ignore", invalid="ignore"):  # w = 0, as in project
+        cos = _kernels._table_integrals(np.array(us), np.array(ys), "cos", offset, ns)
+        sin = _kernels._table_integrals(np.array(us), np.array(ys), "sin", offset, ns)
+        expect_cos = np.where(w == 0.0, 1.0, sinpi(ns + offset) / w)
+        expect_sin = sign * (sinpi(ns + offset) - w * cospi(ns + offset)) / (w * w)
+    np.testing.assert_allclose(cos, expect_cos, rtol=0, atol=1e-16)
+    live = w != 0.0  # no sine family takes w = 0
+    np.testing.assert_allclose(sin[live], expect_sin[live], rtol=0, atol=1e-16)
 
 
 # every finite double, with -0.0, subnormals and the largest magnitudes drawn on purpose
