@@ -6,9 +6,9 @@ trig kind, "cos" or "sin", and a tuple of (amplitude, offset) pairs: K_n is
 the sum of amplitude * trig((n + offset) pi x / L) over the pairs, so every
 kernel of a family has one parity.  The classical series uses ((1.0, 0.0),),
 the half-integer series and the heat modes ((1.0, 0.5),), and the periodic
-split two pairs at offsets -1/2 and +1/2.  :func:`project` computes a whole
-family in one call and is the one place that re-raises a quadrature failure,
-tagged with the family, n and kind.  Two integration paths are used:
+split two pairs at offsets -1/2 and +1/2.  :func:`project` computes a set of
+families in one call and is the one place that re-raises a quadrature
+failure, tagged with the family, n and kind.  Two integration paths are used:
 
 * callable bodies: in u = x / L the symmetric integral is folded onto [0, 1]
   with the parity-matched combination of f(L u) and f(-L u), then handed to
@@ -27,8 +27,8 @@ tagged with the family, n and kind.  Two integration paths are used:
   quadrature error is aliased with interpolation error.  The value terms
   telescope to the two table ends; the slope terms are summed by parts over
   the nodes into one weighted sum of trig values, taken as two-level angle
-  sums.  A family of harmonics 0..N takes ``cossinpi`` of ceil((N + 1) / 16)
-  giant and 16 baby steps at each node, not of N + 1 multipliers.
+  sums.  A set of harmonics 0..N takes ``cossinpi`` of ceil((N + 1) / 16)
+  giant and 16 baby steps at each node, once for each offset and both kinds.
 
 Every series in the package is evaluated by one sum,
 
@@ -63,13 +63,13 @@ BABY = 16
 _NODES = 1 << 12
 
 
-def _table_integrals(us, ys, trig, offset, ns):
+def _table_integrals(us, ys, offset, ns):
     """Exact integrals of the piecewise-linear table (us, ys) against
-    trig(omega u) over [-1, 1], omega = (n + offset) pi, one for each n of
-    ``ns``.
+    cos(omega u) (row 0) and sin(omega u) (row 1) over [-1, 1], omega =
+    (n + offset) pi, one column for each n of ``ns``.
 
     Each panel is integrated by parts, and the slope terms are summed by
-    parts over the nodes.  With slopes s_i, T = trig and T' its derivative,
+    parts over the nodes.  With slopes s_i, T the kernel and T' its derivative,
 
         integral = [y T~] / omega + sum_k d_k T(omega u_k) / omega^2,
         d_k = s_(k-1) - s_k,  s_(-1) = s_P = 0,
@@ -78,8 +78,8 @@ def _table_integrals(us, ys, trig, offset, ns):
     times omega, taken by ``cossinpi`` at the two table ends only, so it is
     exact at u = +-1.  Two abscissae that divide to one u make a jump dy in
     u: its panel has no slope, so it is left out of d and adds its limit
-    dy T'(omega u) / omega.  The node sums are :func:`_node_sums`.  The
-    classical a_0 kernel, the one zero frequency, is the trapezoid sum.
+    dy T'(omega u) / omega.  The node sums are :func:`_node_sums`.  At the
+    zero frequency the cosine integral is the trapezoid sum, the sine 0.
     """
     mults = ns + offset
     omega = mults * np.pi
@@ -89,22 +89,19 @@ def _table_integrals(us, ys, trig, offset, ns):
     weights = np.diff(slope, prepend=0.0, append=0.0)
     np.negative(weights, out=weights)  # d_k = s_(k-1) - s_k
     cos_e, sin_e = cossinpi(np.multiply.outer(mults, us[[0, -1]]))
-    if trig == "cos":  # y sin / omega, and d cos = -sin
-        ends = ys[-1] * sin_e[:, 1] - ys[0] * sin_e[:, 0]
-        turn, sign = "sin", -1.0
-    else:  # -y cos / omega, and d sin = cos
-        ends = ys[0] * cos_e[:, 0] - ys[-1] * cos_e[:, 1]
-        turn, sign = "cos", 1.0
-    if jumps.any():
-        ends = ends + sign * _node_sums(dy[jumps], us[:-1][jumps], turn, offset, ns)
-    values = ends / omega + _node_sums(weights, us, trig, offset, ns) / (omega * omega)
-    values[omega == 0.0] = float((0.5 * (ys[:-1] + ys[1:]) * widths).sum())
+    ends = np.stack((ys[-1] * sin_e[:, 1] - ys[0] * sin_e[:, 0],  # y sin / omega
+                     ys[0] * cos_e[:, 0] - ys[-1] * cos_e[:, 1]))  # -y cos / omega
+    if jumps.any():  # d cos = -sin and d sin = cos
+        jump_cos, jump_sin = _node_sums(dy[jumps], us[:-1][jumps], offset, ns)
+        ends += (-jump_sin, jump_cos)
+    values = ends / omega + _node_sums(weights, us, offset, ns) / (omega * omega)
+    values[:, omega == 0.0] = [[float((0.5 * (ys[:-1] + ys[1:]) * widths).sum())], [0.0]]
     return values
 
 
-def _node_sums(weights, us, trig, offset, ns):
-    """sum_k weights_k trig((n + offset) pi u_k) for each n of ``ns``, as
-    two-level angle sums.
+def _node_sums(weights, us, offset, ns):
+    """sum_k weights_k cos((n + offset) pi u_k) (row 0) and the same sum of
+    sin (row 1), one column for each n of ``ns``, as two-level angle sums.
 
     Harmonic n = BABY a + j (j < BABY) takes ``cossinpi`` of the giant step
     BABY a and of the baby step offset + j, each times u.  The split is
@@ -124,18 +121,19 @@ def _node_sums(weights, us, trig, offset, ns):
     giants, row = np.unique(giant_rows, return_inverse=True)
     g, width = giants.size, int(babies.max()) + 1
     steps = np.concatenate((BABY * giants, offset + np.arange(width, dtype=float)))
-    sums = np.zeros((g, width))
+    sums = np.zeros((2, g, width))
     for start in range(0, us.size, _NODES):
         u, w = us[start : start + _NODES], weights[start : start + _NODES]
         cos_t, sin_t = cossinpi(np.multiply.outer(steps, u))
         cb, sb = cos_t[g:], sin_t[g:]
         wc, ws = w * cos_t[:g], w * sin_t[:g]
-        first, second = (wc, ws) if trig == "cos" else (ws, -wc)  # first cb - second sb
         group = max(1, BABY * _NODES // (width * u.size))  # giant rows a step
         for a in range(0, g, group):
             rows = slice(a, a + group)
-            sums[rows] += (first[rows, None] * cb - second[rows, None] * sb).sum(axis=-1)
-    return sums[row, babies]
+            c, s = wc[rows, None], ws[rows, None]
+            sums[0, rows] += (c * cb - s * sb).sum(axis=-1)
+            sums[1, rows] += (s * cb + c * sb).sum(axis=-1)
+    return sums[:, row, babies]
 
 
 def _panels(ns, atoms):
@@ -176,51 +174,54 @@ def _folded_kernels(spec, shift, trig, atoms, harmonics, what):
     return integrand
 
 
-def project(
-    spec: FunctionSpec,
-    shift: float,
-    trig: str,
-    atoms,
-    ns,
-    what: str,
-    kind: str,
-    abs_tol: float = DEFAULT_TOL,
-) -> np.ndarray:
-    """Return (1/L) int_{-L}^{L} (f(x) - shift) * K_n(x) dx for every n in ``ns``.
+def project(spec: FunctionSpec, shift: float, families, abs_tol: float = DEFAULT_TOL):
+    """Return (1/L) int_{-L}^{L} (f(x) - shift) * K_n(x) dx for every n in
+    ``ns``, one array for each family (trig, atoms, ns, what, kind) of a set.
 
     K_n(x) = sum of amplitude * trig((n + offset) pi x / L) over the
     (amplitude, offset) pairs ``atoms``; ``trig`` is "cos" or "sin".  In
     u = x / L this is an integral over [-1, 1], so ``abs_tol`` bounds the
-    estimated error of each callable coefficient.  A quadrature failure is
-    re-raised for the lowest failing harmonic n as NonConvergence "<what>
-    n=<n> did not converge: ..." with ``index=n`` and ``kind``; a table
-    integral that overflows, or a callable body whose folded values do,
-    raises ValidationError "<what> n=<n> is not finite: ...".
+    estimated error of each callable coefficient.  In the first failing
+    family, a quadrature failure is re-raised for the lowest failing n as
+    NonConvergence "<what> n=<n> did not converge: ..." with ``index=n`` and
+    ``kind``; a table integral that overflows, or a callable body whose
+    folded values do, raises ValidationError "<what> n=<n> is not finite: ...".
     """
     check_tol(abs_tol)
-    ns = np.asarray(ns, dtype=int)
+    families = [(trig, atoms, np.asarray(ns, dtype=int), what, kind)
+                for trig, atoms, ns, what, kind in families]
+    if not isinstance(spec.body, Sampled):
+        return [_callable_family(spec, shift, *family, abs_tol) for family in families]
+    union = np.unique(np.concatenate([ns for _, _, ns, _, _ in families]))
+    if not union.size:
+        return [np.empty(0) for _ in families]
+    us = np.asarray(spec.body.xs, dtype=float) / spec.L
+    out = []
+    # an overflow leaves a nan or an infinity, refused below by harmonic;
+    # the zero frequency divides by zero before its own value replaces it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ys = np.asarray(spec.body.ys, dtype=float) - shift
+        integrals = {offset: dict(zip(("cos", "sin"), _table_integrals(us, ys, offset, union)))
+                     for offset in {offset for _, atoms, *_ in families for _, offset in atoms}}
+        for trig, atoms, ns, what, _ in families:
+            at = np.searchsorted(union, ns)
+            values = sum(amplitude * integrals[offset][trig][at] for amplitude, offset in atoms)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValidationError(
+                    f"{what} n={ns[bad[0]]} is not finite: the table's values are too large"
+                )
+            out.append(values)
+    return out
+
+
+def _callable_family(spec, shift, trig, atoms, ns, what, kind, abs_tol):
+    """A family of :func:`project` on a callable body, one ``integrate`` run."""
     if not ns.size:
         return np.empty(0)
-    if isinstance(spec.body, Sampled):
-        us = np.asarray(spec.body.xs, dtype=float) / spec.L
-        # an overflow leaves a nan or an infinity, refused below by harmonic;
-        # the zero frequency divides by zero before its trapezoid replaces it
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ys = np.asarray(spec.body.ys, dtype=float) - shift
-            values = sum(
-                amplitude * _table_integrals(us, ys, trig, offset, ns)
-                for amplitude, offset in atoms
-            )
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise ValidationError(
-                f"{what} n={ns[bad[0]]} is not finite: the table's values are too large"
-            )
-        return values
     integrand = _folded_kernels(spec, shift, trig, atoms, ns, what)
-    panels = _panels(ns, atoms)
     try:
-        return integrate(integrand, 0.0, 1.0, abs_tol, rows=ns.size, panels=panels)
+        return integrate(integrand, 0.0, 1.0, abs_tol, rows=ns.size, panels=_panels(ns, atoms))
     except NonConvergence as exc:
         n = int(ns[exc.index])
         raise NonConvergence(

@@ -71,9 +71,9 @@ def half_basis(n: int, L: float, x):
 def _coefficients_with_shift(f, shift, N, abs_tol):
     """alpha/beta arrays of f - shift on the half-integer basis."""
     ns = range(nonnegative(N, "truncation order") + 1)
-    alpha = project(f, shift, "cos", ((1.0, 0.5),), ns, "half-cosine coefficient", "cos", abs_tol)
-    beta = project(f, shift, "sin", ((1.0, 0.5),), ns, "half-sine coefficient", "sin", abs_tol)
-    return alpha, beta
+    families = [("cos", ((1.0, 0.5),), ns, "half-cosine coefficient", "cos"),
+                ("sin", ((1.0, 0.5),), ns, "half-sine coefficient", "sin")]
+    return project(f, shift, families, abs_tol)
 
 
 def antiperiodic_coefficients(
@@ -115,20 +115,17 @@ def coefficients_via_periodic_split(
     """
     N = nonnegative(N, "truncation order")
     gamma = shift_gamma(f)
-
-    def family(trig, atoms, ns, kind):
-        what = f"periodic-split {kind} coefficient"
-        return project(f, gamma, trig, atoms, ns, what, kind, abs_tol)
-
-    ns = range(N + 2)
-    # cos(n pi x / L) cos(pi x / 2L) = [cos((n-1/2)...) + cos((n+1/2)...)] / 2
-    a = family("cos", ((0.5, -0.5), (0.5, 0.5)), ns, "cos")
-    # cos(n pi x / L) sin(pi x / 2L) = [sin((n+1/2)...) - sin((n-1/2)...)] / 2
-    at = family("sin", ((0.5, 0.5), (-0.5, -0.5)), ns, "cos")
-    # sin(n pi x / L) cos(pi x / 2L) = [sin((n+1/2)...) + sin((n-1/2)...)] / 2
-    b = family("sin", ((0.5, 0.5), (0.5, -0.5)), ns[1:], "sin")
-    # sin(n pi x / L) sin(pi x / 2L) = [cos((n-1/2)...) - cos((n+1/2)...)] / 2
-    bt = family("cos", ((0.5, -0.5), (-0.5, 0.5)), ns[1:], "sin")
+    ns, what = range(N + 2), "periodic-split {} coefficient".format
+    a, at, b, bt = project(f, gamma, [
+        # cos(n pi x / L) cos(pi x / 2L) = [cos((n-1/2)...) + cos((n+1/2)...)] / 2
+        ("cos", ((0.5, -0.5), (0.5, 0.5)), ns, what("cos"), "cos"),
+        # cos(n pi x / L) sin(pi x / 2L) = [sin((n+1/2)...) - sin((n-1/2)...)] / 2
+        ("sin", ((0.5, 0.5), (-0.5, -0.5)), ns, what("cos"), "cos"),
+        # sin(n pi x / L) cos(pi x / 2L) = [sin((n+1/2)...) + sin((n-1/2)...)] / 2
+        ("sin", ((0.5, 0.5), (0.5, -0.5)), ns[1:], what("sin"), "sin"),
+        # sin(n pi x / L) sin(pi x / 2L) = [cos((n-1/2)...) - cos((n+1/2)...)] / 2
+        ("cos", ((0.5, -0.5), (-0.5, 0.5)), ns[1:], what("sin"), "sin"),
+    ], abs_tol)
     b, bt = np.append(0.0, b), np.append(0.0, bt)  # b_0 = bt_0 = 0: sin(0) vanishes
     alpha = (a[:-1] + a[1:] - bt[:-1] + bt[1:]) / 2.0
     beta = (at[:-1] - at[1:] + b[:-1] + b[1:]) / 2.0

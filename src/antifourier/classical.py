@@ -61,9 +61,9 @@ def classical_coefficients(
     if a coefficient cannot meet the tolerance.
     """
     N = nonnegative(N, "truncation order")
-    a = project(f, 0.0, "cos", ((1.0, 0.0),), range(N + 1), "cosine coefficient", "cos", abs_tol)
-    b = project(f, 0.0, "sin", ((1.0, 0.0),), range(1, N + 1), "sine coefficient", "sin", abs_tol)
-    return ClassicalCoefficients(f.L, a, b)
+    families = [("cos", ((1.0, 0.0),), range(N + 1), "cosine coefficient", "cos"),
+                ("sin", ((1.0, 0.0),), range(1, N + 1), "sine coefficient", "sin")]
+    return ClassicalCoefficients(f.L, *project(f, 0.0, families, abs_tol))
 
 
 def classical_partial_sum(coeffs: ClassicalCoefficients, x, M: int | None = None):

@@ -42,7 +42,7 @@ GIBBS_COLUMNS = ("series_kind", "order", "window_fraction", "subgrid_points", "o
 # Most values one array of a command may hold: (largest order + 1) x (largest
 # grid), and for heat also times x grid and times x (largest order + 1).  The
 # default compare ladder needs 401 x 4001, about 1.6M.  It also bounds the
-# trig values a table's projection takes, (largest order + 1) x table rows.
+# (largest order + 1) x table rows products of a table's node sums.
 MAX_VALUES = 1 << 23
 # Most harmonics of a callable body's projection, a bound on run time, which
 # grows as N^2: coeffs --kind both on named:identity takes about 70 s at

@@ -787,8 +787,8 @@ def test_harmonic_cap_bounds_only_callable_projections(capsys, tmp_path):
 
 
 def test_table_projection_is_bounded_by_harmonics_times_rows(capsys, tmp_path):
-    # a table runs no quadrature, but its projection takes (order + 1) x rows
-    # trig values, and heat holds times x (order + 1) decay factors
+    # a table runs no quadrature, but its node sums take (order + 1) x rows
+    # products, and heat holds times x (order + 1) decay factors
     table = tmp_path / "table.csv"
     table.write_text("x,y\n-1,0\n0,1\n1,0\n")
 

@@ -2,9 +2,10 @@
 the heat eigenfunctions as the half-integer basis, the symmetries and exact
 values of cospi/sinpi, cossinpi as the two of them bit for bit, the
 coefficient families of random low-degree polynomials, each family projected
-in one run as the per-harmonic loop bit for bit, the two-level series sum
-against the one-level sum within its rounding bound, and the round trips of
-rendered function specs and of CSV cells over every finite double.
+in one run as the per-harmonic loop bit for bit and in a set as alone, the
+two-level series sum against the one-level sum within its rounding bound,
+and the round trips of rendered function specs and of CSV cells over every
+finite double.
 
 Coefficients are random finite doubles with |v| <= 1e6 on random
 half-widths L; every claim below but the split agreement and the two-level
@@ -463,7 +464,7 @@ HARMONICS = st.tuples(st.integers(min_value=0, max_value=64), st.integers(1, 8))
 def test_project_is_the_per_harmonic_loop_bitwise(cap, f, shift, family, ns):
     trig, atoms = family
     with mock.patch.object(quadrature, "_MAX_CELLS", cap):
-        values = project(f, shift, trig, atoms, ns, "coefficient", trig)
+        (values,) = project(f, shift, [(trig, atoms, ns, "coefficient", trig)])
     assert same_bits(values, per_harmonic(f, shift, trig, atoms, ns))
 
 
@@ -476,10 +477,10 @@ def test_project_makes_one_integrate_call_per_callable_family(monkeypatch):
 
     monkeypatch.setattr(_kernels, "integrate", spy)
     family = ("sin", ((1.0, 0.5),))
-    project(FunctionSpec(np.pi, Named("identity")), 0.0, *family, range(101), "beta", "sin")
+    project(FunctionSpec(np.pi, Named("identity")), 0.0, [(*family, range(101), "beta", "sin")])
     assert calls == [(101, 102)]  # top multiplier 100.5 starts every row on 102 panels
     table = FunctionSpec(1.0, Sampled((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0)))
-    project(table, 0.0, *family, range(101), "beta", "sin")
+    project(table, 0.0, [(*family, range(101), "beta", "sin")])
     assert calls == [(101, 102)]
 
 
@@ -511,8 +512,8 @@ def test_table_family_is_each_harmonic_alone_bitwise():
     table = FunctionSpec(2.0, Sampled(tuple(xs), tuple(rng.standard_normal(xs.size))))
     for trig, atoms in [("cos", ((1.0, 0.0),)), ("sin", ((1.0, 0.5),)),
                         ("cos", ((0.5, -0.5), (0.5, 0.5)))]:
-        whole = project(table, 0.25, trig, atoms, range(40), "c", trig)
-        alone = [project(table, 0.25, trig, atoms, [n], "c", trig)[0] for n in range(40)]
+        (whole,) = project(table, 0.25, [(trig, atoms, range(40), "c", trig)])
+        alone = [project(table, 0.25, [(trig, atoms, [n], "c", trig)])[0][0] for n in range(40)]
         assert same_bits(whole, alone)
 
 
@@ -538,9 +539,91 @@ def test_table_family_takes_its_basis_once(basis_values):
     rows = 3001
     xs = np.linspace(-2.0, 2.0, rows)
     table = FunctionSpec(2.0, Sampled(tuple(xs), tuple(np.sin(xs))))
-    project(table, 0.0, "sin", ((1.0, 0.5),), range(401), "c", "sin")
+    project(table, 0.0, [("sin", ((1.0, 0.5),), range(401), "c", "sin")])
     assert sorted(basis_values) == [2 * 401, two_level_values(401, rows)]
     assert two_level_values(401, rows) == (26 + 16) * rows
+
+
+def heat_coefficients(f, N):
+    return solve_heat(HeatProblem(1.0, f.L, 0.0, f), N)
+
+
+@pytest.mark.parametrize("compute, offsets, harmonics", [
+    (classical_coefficients, 1, 401),
+    (antiperiodic_coefficients, 1, 401),
+    (heat_coefficients, 1, 401),
+    (coefficients_via_periodic_split, 2, 402),  # offsets -1/2 and +1/2, to order N + 1
+])
+def test_a_coefficient_set_takes_one_basis_an_offset(basis_values, compute, offsets, harmonics):
+    # the cosine and sine families of an offset share the node basis and the
+    # end basis of the union of their harmonics
+    rows = 3001
+    xs = np.linspace(-2.0, 2.0, rows)
+    table = FunctionSpec(2.0, Sampled(tuple(xs), tuple(np.sin(xs))))
+    compute(table, 400)
+    assert sorted(basis_values) == [2 * harmonics] * offsets + [
+        two_level_values(harmonics, rows)] * offsets
+
+
+def test_an_empty_family_takes_no_basis(basis_values):
+    table = FunctionSpec(2.0, Sampled((-2.0, 0.0, 2.0), (0.0, 1.0, 0.5)))
+    (values,) = project(table, 0.0, [("sin", ((1.0, 0.0),), range(1, 1), "b", "sin")])
+    assert values.shape == (0,)
+    assert basis_values == []
+
+
+def test_a_sine_family_at_the_zero_frequency_is_zero():
+    # a set's union of harmonics takes the sine at omega = 0 along with the
+    # classical a_0; on a table it is 0.0, as on a callable body
+    for body in [Sampled((-2.0, 0.5, 2.0), (0.0, 1.0, 0.5)), Polynomial((1.0, 2.0))]:
+        (values,) = project(FunctionSpec(2.0, body), 0.0, [("sin", ((1.0, 0.0),), [0], "b", "sin")])
+        assert same_bits(values, [0.0])
+
+
+def each_family_alone(f, shift, families):
+    """Whether each family of the set ``families`` has the bits of the same
+    family projected as a one-family set."""
+    whole = project(f, shift, families)
+    return all(same_bits(values, project(f, shift, [family])[0])
+               for family, values in zip(families, whole))
+
+
+@pytest.mark.parametrize("table", ["noisy", "one-ulp-step"])
+def test_each_family_of_a_table_set_is_the_family_alone_bitwise(table):
+    x, x_next = 0.7508, float(np.nextafter(0.7508, 1.0))
+    rng = np.random.default_rng(7)
+    xs = np.concatenate([[-3.0], np.sort(rng.uniform(-3.0, 3.0, 3000)), [3.0]])
+    f = {
+        "noisy": FunctionSpec(3.0, Sampled(tuple(xs), tuple(rng.standard_normal(xs.size)))),
+        "one-ulp-step": FunctionSpec(3.0, Sampled((-3.0, x, x_next, 3.0), (0.0, 0.0, 1.0, 1.0))),
+    }[table]
+    # families that take different harmonics at shared offsets, a gap in
+    # their union, and an empty family, the classical b at N = 0
+    families = [
+        ("cos", ((1.0, 0.0),), range(41), "a", "cos"),
+        ("sin", ((1.0, 0.0),), range(1, 1), "b", "sin"),
+        ("sin", ((1.0, 0.0),), range(1, 41), "b", "sin"),
+        ("cos", ((1.0, 0.5),), range(20, 60), "alpha", "cos"),
+        ("sin", ((1.0, 0.5),), range(100, 104), "beta", "sin"),
+        ("cos", ((0.5, -0.5), (0.5, 0.5)), range(42), "a", "cos"),
+        ("sin", ((0.5, 0.5), (-0.5, -0.5)), range(42), "at", "cos"),
+        ("sin", ((0.5, 0.5), (0.5, -0.5)), range(1, 42), "b", "sin"),
+        ("cos", ((0.5, -0.5), (-0.5, 0.5)), range(1, 42), "bt", "sin"),
+    ]
+    assert each_family_alone(f, 0.25, families)
+
+
+# a window of up to 8 harmonics below 72, or none
+WINDOWS = st.tuples(st.integers(min_value=0, max_value=64), st.integers(0, 8)).map(
+    lambda window: range(window[0], window[0] + window[1]))
+
+
+@FAMILY_SETTINGS
+@given(BODIES, st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+       st.lists(st.tuples(FAMILIES, WINDOWS), min_size=1, max_size=4))
+def test_each_family_of_a_callable_set_is_the_family_alone_bitwise(f, shift, drawn):
+    families = [(trig, atoms, ns, "c", trig) for (trig, atoms), ns in drawn]
+    assert each_family_alone(f, shift, families)
 
 
 @pytest.mark.parametrize("jump", ["first", "last"])
@@ -558,8 +641,7 @@ def test_a_jump_in_an_end_panel_is_its_limit(jump, offset):
     ns = np.arange(40)
     w = (ns + offset) * np.pi
     with np.errstate(divide="ignore", invalid="ignore"):  # w = 0, as in project
-        cos = _kernels._table_integrals(np.array(us), np.array(ys), "cos", offset, ns)
-        sin = _kernels._table_integrals(np.array(us), np.array(ys), "sin", offset, ns)
+        cos, sin = _kernels._table_integrals(np.array(us), np.array(ys), offset, ns)
         expect_cos = np.where(w == 0.0, 1.0, sinpi(ns + offset) / w)
         expect_sin = sign * (sinpi(ns + offset) - w * cospi(ns + offset)) / (w * w)
     np.testing.assert_allclose(cos, expect_cos, rtol=0, atol=1e-16)
