@@ -12,14 +12,15 @@ failure, tagged with the family, n and kind.  Two integration paths are used:
 
 * callable bodies: in u = x / L the symmetric integral is folded onto [0, 1]
   with the parity-matched combination of f(L u) and f(-L u), then handed to
-  the Simpson engine.  The fold makes the integral of an odd integrand exactly
-  zero in floating point (the combination cancels pointwise before
-  multiplication) and removes the catalog sign-function jumps at the origin,
-  where every odd kernel vanishes.  A family is one several-row ``integrate``
-  call, one row per harmonic, all starting on the panels of its largest
-  multiplier: the engine refines them on shared abscissae, where f is folded
-  once and the kernels of the rows still refining are taken as one block, and
-  every coefficient keeps the bits of its own one-row integration from those
+  the composite Gauss-Legendre rule of ``integrate``.  The fold makes the
+  integral of an odd integrand exactly zero in floating point (the
+  combination cancels pointwise before multiplication) and removes the
+  catalog sign-function jumps at the origin, where every odd kernel
+  vanishes, so every catalog body and ``poly:`` spec folds to a polynomial on
+  (0, 1].  A family is one several-row ``integrate`` call, one row per
+  harmonic, all on the panels of its largest multiplier: each call folds f
+  once at its abscissae and takes the kernels of its rows as one block, and
+  every coefficient keeps the bits of its own one-row integration on those
   panels.  A non-finite folded sample (f overflows) is a ValidationError.
 
 * sampled bodies: each panel of the piecewise-linear interpolant in u is
@@ -137,13 +138,9 @@ def _node_sums(weights, us, offset, ns):
 
 
 def _panels(ns, atoms):
-    """Starting panel count of a family's one adaptive run over ``ns``.
-
-    At least 64, and above the family's largest frequency multiplier.  With
-    p panels and p > mult, no dyadic refinement grid can contain all zeros of
-    trig(mult * pi * x / L) (that would need p * 2^d to divide mult), so an
-    oscillation can never alias to an exact zero estimate.
-    """
+    """Panel count of a family's one ``integrate`` run over ``ns``: at least
+    64, even, and above the family's largest frequency multiplier, so each
+    panel of [0, 1] spans at most one half-turn of the top kernel."""
     max_mult = max(abs(n + offset) for n in ns for _, offset in atoms)
     return max(64, 2 * (int(max_mult) // 2 + 1))
 
@@ -152,7 +149,7 @@ def _folded_kernels(spec, shift, trig, atoms, harmonics, what):
     """Integrand of :func:`integrate` with one row per harmonic: the
     parity-folded (f(L u) - shift) times K_n at u in [0, 1].  Each call folds
     f once and takes the kernels of the rows asked for as one rows x
-    abscissae block, which the engine's cap bounds."""
+    abscissae block, which the rule's cap on a call bounds."""
     # cosine kernels are even and keep f(x) + f(-x); sine kernels are odd
     basis, parity = (cospi, 1.0) if trig == "cos" else (sinpi, -1.0)
     mults = [harmonics + offset for _, offset in atoms]

@@ -48,6 +48,8 @@ class HeatProblem:
     def __post_init__(self):
         if not (np.isfinite(self.k) and self.k > 0.0):
             raise ValueError("diffusivity k must be positive")
+        if not np.isfinite(self.boundary_mean):
+            raise ValueError(f"boundary mean c must be finite, got {self.boundary_mean!r}")
         if self.L != self.initial.L:
             raise ValueError(
                 f"problem half-length L={self.L!r} differs from the initial "

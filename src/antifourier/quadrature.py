@@ -1,35 +1,21 @@
-"""Adaptive Simpson quadrature with absolute error control.
+"""Quadrature with absolute error control.
 
-The rule starts from equal panels and subdivides every interval whose
-Richardson error estimate is too large, all active intervals at once.  It
-reuses every integrand evaluation (panel boundaries and midpoints are never
-recomputed), so evaluation counts are deterministic for fixed inputs.
-Integrands must accept numpy arrays.
+One integrand (``rows`` not given) takes adaptive Simpson, for general
+integrands: it subdivides every interval whose Richardson error estimate is
+too large, all active intervals at once, and reuses every evaluation, so
+evaluation counts are deterministic for fixed inputs.
 
-One run can integrate m integrands over the same interval, one *row* each
-(``rows=m``): the integrand is then called as ``f(x, idx)`` with an integer
-array of row indices and returns those rows' values at ``x``, shape
-``(len(idx), len(x))``.  Each row keeps its own intervals, accept test,
-running sum and failure checks, and sums its accepted intervals in the order
-a run of that row alone would, so its value, error estimate and counts are
-bit for bit those of that one-row run.  The rows share one dyadic mesh: each
-level evaluates, for the rows still refining, the union of the intervals
-they keep; finished rows leave the arrays.  A scalar integrand is the one-row
-case, so there is one engine.
-
-Memory is bounded by ``_MAX_CELLS``, the most row x abscissa values one
-integrand call of a several-row run receives.  A level that would pass it
-defers the upper half of its rows, as often as needed.  Deferred rows keep
-their intervals, values and sums, and go on where they stopped once the rows
-below them are done; each deferred part holds about half the cap.  One row
-is never deferred; ``_MAX_ACTIVE_INTERVALS`` bounds it.  A row whose
-Simpson sums overflow fails at once, with no warning.  A row that fails
-stops the rows above it, deferred ones included, and the lowest failed row
-is raised, so a run fails where a loop over its rows would.
+m smooth integrands (``rows=m``) take one composite Gauss-Legendre rule
+(:func:`_gauss_legendre`), one *row* each: the integrand is then called as
+``f(x, idx)`` with an integer array of row indices and returns those rows'
+values at ``x``, shape ``(len(idx), len(x))``.  Integrands must accept numpy
+arrays.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -43,22 +29,27 @@ _EPS = np.finfo(float).eps
 # Default absolute error target of every integral.
 DEFAULT_TOL = 1e-10
 
-# Deepest subdivision level of a row; reaching it unresolved is a failure.
+# Deepest subdivision level of adaptive Simpson; reaching it unresolved is a failure.
 _MAX_SUBDIVISIONS = 30
 
-# Cap on simultaneously active adaptive intervals of one row.  Reaching it
-# means the tolerance is unattainable; that is reported as NonConvergence
-# instead of letting the subdivision queue grow without bound.
+# Cap on the simultaneously active adaptive Simpson intervals, and on the
+# abscissae of one Gauss-Legendre row at one level.  Reaching it means the
+# tolerance is unattainable; that is reported as NonConvergence instead of
+# letting the work grow without bound.
 _MAX_ACTIVE_INTERVALS = 1 << 21
 
-# Most row x abscissa values one integrand call of a several-row run receives.
-# It keeps the arrays of a level to a few megabytes: a larger cap buys little
-# speed for more memory, a smaller one makes more, smaller calls.
+# Most row x abscissa values one integrand call of the Gauss-Legendre rule
+# receives, and most row x panel sums a level holds at once, past one row.  Larger and
+# smaller caps were both slower at N = 25, 100 and 400.
 _MAX_CELLS = 1 << 14
 
-# An interval whose Richardson decrement sits at rounding level cannot be
-# improved by splitting further.
+# A Simpson interval whose Richardson decrement, or a Gauss-Legendre row whose
+# estimate, is within this many eps of the magnitude of its sums sits at
+# rounding level and cannot be improved by refining further.
 _NOISE_FACTOR = 16.0
+
+# Abscissae of one Gauss-Legendre panel: the 16-point rule's, then the 32-point rule's.
+_NODES = 48
 
 
 def _integer(value, name):
@@ -79,7 +70,7 @@ def check_tol(abs_tol):
 class QuadratureResult:
     """Value, error estimate, evaluation count and refinement depth: scalars
     (float, float, int, int), or with ``rows=m`` arrays of length m of those
-    types, one entry per row."""
+    types, one entry per row (the depth is the number of panel doublings)."""
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
@@ -103,8 +94,9 @@ def integrate(
     abs_tol : float
         Absolute error target for the whole integral; positive and finite.
     rows : int, optional
-        Number of integrands computed together, each to ``abs_tol``; an
-        integer of at least 1.
+        Number of smooth integrands computed together by composite
+        Gauss-Legendre, each to ``abs_tol``; an integer of at least 1.
+        Without it, one integrand is integrated by adaptive Simpson.
     panels : int
         Number of equal panels the refinement starts from; an even integer
         of at least 2.
@@ -140,157 +132,66 @@ def integrate_result(
         raise ValueError("rows must be at least 1")
     if _integer(panels, "panels") < 2 or panels % 2:
         raise ValueError("panels must be even and at least 2")
-    scalar = rows is None  # the one-row case
-    g = (lambda x, idx: np.asarray(f(x), dtype=float)[None]) if scalar else f
-    with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows fails
-        result, failure = _adaptive(g, a, b, abs_tol, panels, 1 if scalar else rows)
-    if failure is not None:
-        row, message, achieved = failure
-        raise NonConvergence(
-            message, achieved=achieved, target=abs_tol, index=None if scalar else row
-        )
-    if scalar:
-        return QuadratureResult(*(entry[0].item() for entry in result))
-    return QuadratureResult(*result)
-
-
-def _halves(left, right, rows=None, cols=None):
-    """Interleave per-interval values of the left and right halves (last axis),
-    taking only ``rows`` of a 2-D array and ``cols`` of the intervals."""
-    if rows is not None and left.ndim == 2:
-        left, right = left.take(rows, axis=0), right.take(rows, axis=0)
-    if cols is not None:
-        left, right = left.take(cols, axis=-1), right.take(cols, axis=-1)
-    out = np.empty(left.shape + (2,))
-    out[..., 0], out[..., 1] = left, right
-    return out.reshape(left.shape[:-1] + (-1,))
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows fails
+        if rows is None:
+            return _adaptive(f, a, b, abs_tol, panels)
+        return _gauss_legendre(f, a, b, abs_tol, panels, rows)
 
 
 def _simpson_batch(lo, hi, flo, fmid, fhi):
-    """(hi - lo) / 6 * (flo + 4 fmid + fhi), in place: a sum or product of two
-    doubles does not depend on the order of its operands."""
-    out = 4.0 * fmid
-    out += flo
-    out += fhi
-    out *= (hi - lo) / 6.0
-    return out
+    return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
 
-def _fit(active):
-    """How many leading rows of ``active`` one level may take: halving the
-    count while their 2 new abscissae per union interval pass the cap."""
-    count, width = active.shape
-    while count > 1 and 2 * count * width > _MAX_CELLS:
-        count -= count // 2
-        width = np.count_nonzero(active[:count].any(axis=0))
-    return count
-
-
-def _part(rows, grid, cells):
-    """The intervals that ``rows`` (a slice) refine: (grid, cells) restricted
-    to them, with ``cells[0]`` the active mask."""
-    cols = np.flatnonzero(cells[0][rows].any(axis=0))
-    return [arr.take(cols) for arr in grid], [arr[rows].take(cols, axis=1) for arr in cells]
-
-
-def _adaptive(f, a, b, abs_tol, n0, m):
-    """Run rows 0..m-1 from ``n0`` panels; return ((values, errors,
-    evaluations, depths), failure).
-
-    ``failure`` is None or (row, message, achieved) for the lowest failed row.
-    """
-    value, error = np.zeros(m), np.zeros(m)
-    evals, depths = np.full(m, 2 * n0 + 1), np.zeros(m, dtype=int)
-    failure = None
+def _adaptive(f, a, b, abs_tol, n0):
+    """Adaptive Simpson for one integrand from ``n0`` panels."""
     edges = a + (b - a) * np.arange(n0 + 1) / n0
     edges[-1] = b
-    base_mid = 0.5 * (edges[:-1] + edges[1:])
-    base_tol = abs_tol * (edges[1:] - edges[:-1]) / (b - a)
-    pending = np.arange(m)  # rows not started, as many at once as the first level fits
-    start = max(1, _MAX_CELLS // (2 * n0))
-    suspended = []  # (rows, depth, grid, cells) of deferred rows, the lowest rows last
-    while suspended or pending.size:
-        if suspended:  # go on where they stopped
-            rows, first, (lo, hi, mid, tol), (active, flo, fmid, fhi, s) = suspended.pop()
-        else:
-            rows, pending = pending[:start], pending[start:]
-            first, lo, hi, mid, tol = 0, edges[:-1], edges[1:], base_mid, base_tol
-            fe = np.asarray(f(edges, rows), dtype=float)
-            fmid = np.asarray(f(mid, rows), dtype=float)
-            flo, fhi = fe[:, :-1], fe[:, 1:]
-            active = np.ones(fmid.shape, dtype=bool)  # the intervals each row refines
-            s = _simpson_batch(lo, hi, flo, fmid, fhi)
-        for depth in range(first, _MAX_SUBDIVISIONS + 1):
-            count = _fit(active)
-            if count < rows.size:  # the upper rows wait until these are done
-                grid, cells = (lo, hi, mid, tol), [active, flo, fmid, fhi, s]
-                suspended.append((rows[count:], depth, *_part(slice(count, None), grid, cells)))
-                (lo, hi, mid, tol), (active, flo, fmid, fhi, s) = _part(slice(count), grid, cells)
-                rows = rows[:count]
-            lm = 0.5 * (lo + mid)
-            rm = 0.5 * (mid + hi)
-            fnew = np.asarray(f(np.concatenate([lm, rm]), rows), dtype=float)
-            flm, frm = fnew[:, : lo.size], fnew[:, lo.size :]
-            sl = _simpson_batch(lo, mid, flo, flm, fmid)
-            sr = _simpson_batch(mid, hi, fmid, frm, fhi)
-            s2 = sl + sr
-            delta = np.subtract(s2, s, out=s)  # s is not needed again
-            accept = np.abs(delta) <= 15.0 * tol
-            evals[rows] += 2 * active.sum(axis=1)
-            taken, keep = active & accept, active > accept
-            kept = keep.sum(axis=1)
-            stuck = kept > 0  # at the last depth every row still refining fails
-            if depth < _MAX_SUBDIVISIONS and stuck.any():
-                noise = np.abs(sl)
-                noise += np.abs(sr)
-                noise *= _NOISE_FACTOR * _EPS
-                stuck = (keep & ((np.abs(delta) <= noise) | ~np.isfinite(delta))).any(axis=1)
-                del noise
-            over = 2 * kept > _MAX_ACTIVE_INTERVALS
-            if stuck.any() or over.any():
-                last = int(np.argmax(stuck | over))
-                missed = delta[last][keep[last]]
-                failure = (int(rows[last]), *_failure(abs_tol, depth, stuck[last], missed))
-                # the failed row and every row above it, waiting ones too, stop here
-                pending, suspended = pending[:0], []
-                taken[last:] = keep[last:] = False
-                kept[last:] = 0
-            # each row adds its accepted intervals in interval order, as alone
-            parts = s2[taken] + delta[taken] / 15.0
-            errs = np.abs(delta[taken])
-            at = 0
-            for row, size in zip(rows.tolist(), taken.sum(axis=1).tolist()):
-                if size:
-                    value[row] += float(parts[at : at + size].sum())
-                    error[row] += float(errs[at : at + size].sum() / 15.0)
-                    at += size
-            depths[rows] = depth  # final for the rows that stop here
-            live = np.flatnonzero(kept)
-            if not live.size:
-                break
-            if live.size == rows.size:
-                live = None
-            else:
-                rows, keep = rows[live], keep[live]
-            cols = np.flatnonzero(keep.any(axis=0))
-            if cols.size == lo.size:
-                cols = None
-            # each kept interval is replaced by its left and right half, in order
-            lo, hi, mid = (_halves(left, right, None, cols)
-                           for left, right in ((lo, mid), (mid, hi), (lm, rm)))
-            flo = _halves(flo, fmid, live, cols)
-            fhi = _halves(fmid, fhi, live, cols)
-            fmid = _halves(flm, frm, live, cols)
-            s = _halves(sl, sr, live, cols)
-            active = np.repeat(keep if cols is None else keep.take(cols, axis=1), 2, axis=1)
-            tol = np.repeat(0.5 * (tol if cols is None else tol.take(cols)), 2)
-            # free this level's arrays before the next integrand call
-            del fnew, flm, frm, sl, sr, s2, delta, accept, taken, keep, parts, errs
-    return (value, error, evals, depths), failure
+    fe = np.asarray(f(edges), dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    flo, fhi = fe[:-1], fe[1:]
+    mid = 0.5 * (lo + hi)
+    fmid = np.asarray(f(mid), dtype=float)
+    evals = 2 * n0 + 1
+    s = _simpson_batch(lo, hi, flo, fmid, fhi)
+    tol = abs_tol * (hi - lo) / (b - a)
+    value = error = 0.0
+    for depth in itertools.count():
+        lm = 0.5 * (lo + mid)
+        rm = 0.5 * (mid + hi)
+        fnew = np.asarray(f(np.concatenate([lm, rm])), dtype=float)
+        evals += 2 * lo.size
+        flm, frm = fnew[: lo.size], fnew[lo.size :]
+        sl = _simpson_batch(lo, mid, flo, flm, fmid)
+        sr = _simpson_batch(mid, hi, fmid, frm, fhi)
+        s2 = sl + sr
+        delta = s2 - s
+        accept = np.abs(delta) <= 15.0 * tol
+        keep = ~accept
+        if keep.any():
+            missed = delta[keep]
+            # at the last depth every interval still refining fails
+            stuck = depth == _MAX_SUBDIVISIONS or bool(
+                ((np.abs(missed) <= _NOISE_FACTOR * _EPS * (np.abs(sl[keep]) + np.abs(sr[keep])))
+                 | ~np.isfinite(missed)).any())
+            if stuck or 2 * int(keep.sum()) > _MAX_ACTIVE_INTERVALS:
+                message, achieved = _simpson_failure(abs_tol, depth, stuck, missed)
+                raise NonConvergence(message, achieved=achieved, target=abs_tol)
+        value += float((s2[accept] + delta[accept] / 15.0).sum())
+        error += float(np.abs(delta[accept]).sum() / 15.0)
+        if not keep.any():
+            return QuadratureResult(value, error, evals, depth)
+        # each kept interval is replaced by its left and right half, in order
+        lo, hi, mid, flo, fhi, fmid, s = [
+            np.column_stack((left[keep], right[keep])).ravel()
+            for left, right in (
+                (lo, mid), (mid, hi), (lm, rm), (flo, fmid), (fmid, fhi), (flm, frm), (sl, sr)
+            )
+        ]
+        tol = np.repeat(0.5 * tol[keep], 2)
 
 
-def _failure(abs_tol, depth, stuck, missed):
-    """(message, achieved) for a row that failed at ``depth``; ``missed`` holds
+def _simpson_failure(abs_tol, depth, stuck, missed):
+    """(message, achieved) for a run that failed at ``depth``; ``missed`` holds
     its rejected decrements, ``stuck`` is False for an interval-budget failure."""
     worst = float(np.abs(missed).max() / 15.0)
     if not np.isfinite(worst):
@@ -301,5 +202,100 @@ def _failure(abs_tol, depth, stuck, missed):
     if depth == _MAX_SUBDIVISIONS:
         return (f"adaptive Simpson exhausted max_subdivisions={_MAX_SUBDIVISIONS} "
                 f"with error estimate {worst:g} > abs_tol={abs_tol:g}"), worst
+    return _stuck(abs_tol, worst), worst
+
+
+def _stuck(abs_tol, worst):
     return (f"abs_tol={abs_tol:g} is below the error attainable in double precision "
-            f"for this integrand (estimate stuck at {worst:g})"), worst
+            f"for this integrand (estimate stuck at {worst:g})")
+
+
+@functools.cache
+def _rules():
+    """The 16 and 32 abscissae of a panel on [-1, 1], joined, and the two weight vectors."""
+    t16, w16 = np.polynomial.legendre.leggauss(16)
+    t32, w32 = np.polynomial.legendre.leggauss(32)
+    return np.concatenate((t16, t32)), w16, w32
+
+
+def _gauss_legendre(f, a, b, abs_tol, panels, m):
+    """Rows 0..m-1 by composite Gauss-Legendre from ``panels`` panels.
+
+    A row's estimate is the sum over the panels of |32-point - 16-point sum|,
+    but never below a rounding floor of eps times the 32-point sum of |f|.
+    A row that meets ``abs_tol`` keeps its 32-point value; the others go on
+    with the panels doubled, until another level would pass
+    ``_MAX_ACTIVE_INTERVALS`` abscissae a row.  A row fails at once when its
+    sums overflow, or when its differences sum to within ``_NOISE_FACTOR``
+    floors: ``abs_tol`` is below what double precision can deliver.  A row
+    that fails stops the rows above it, and the lowest failed row is raised,
+    so a run fails where a loop over its rows would.  A row with a jump
+    inside a panel runs to the budget and fails.  A row's value, estimate and
+    counts are bit for bit those of its one-row run on the same panels
+    (:func:`_level`).
+    """
+    value, error = np.zeros(m), np.zeros(m)
+    levels, live, failure = np.zeros(m, dtype=int), np.arange(m), None
+    for level in itertools.count():
+        p = panels << level
+        total, diff, size = _level(f, a, b, p, live) * (b - a)
+        levels[live] = level
+        floor = _EPS * size
+        estimate = np.maximum(diff, floor)  # not finite where a sum overflows
+        done = estimate <= abs_tol
+        value[live[done]], error[live[done]] = total[done], estimate[done]
+        stuck = diff <= _NOISE_FACTOR * floor
+        budget = 2 * _NODES * p > _MAX_ACTIVE_INTERVALS
+        failed = ~done & (~np.isfinite(estimate) | stuck | budget)
+        keep = ~done
+        if failed.any():
+            i = int(np.argmax(failed))
+            message, achieved = _gauss_failure(abs_tol, p, stuck[i], estimate[i])
+            failure = NonConvergence(message, achieved=achieved, target=abs_tol, index=int(live[i]))
+            keep[i:] = False  # the failed row and every row above it stop here
+        live = live[keep]
+        if not live.size:
+            if failure is not None:
+                raise failure
+            return QuadratureResult(value, error, _NODES * panels * (2 ** (levels + 1) - 1), levels)
+
+
+def _gauss_failure(abs_tol, p, stuck, worst):
+    """(message, achieved) for a row that failed on ``p`` panels."""
+    if not np.isfinite(worst):
+        return f"the integrand's values overflow the Gauss-Legendre rule on {p} panels", None
+    if stuck:
+        return _stuck(abs_tol, worst), float(worst)
+    return (f"Gauss-Legendre budget exhausted at {p} panels with error estimate "
+            f"{worst:g} > abs_tol={abs_tol:g}"), float(worst)
+
+
+def _level(f, a, b, p, rows):
+    """Sums over p equal panels of [a, b], divided by 2p, for each row of
+    ``rows``: of each panel's 32-point sum, of |32-point - 16-point sum| and
+    of the 32-point sum of |f|; shape (3, len(rows)).  Each panel's nodes are
+    summed first, then a row's panels by numpy's pairwise sum, so a row keeps
+    its bits whatever other rows are in ``rows``.  A power of two scales the
+    panel sums first: it changes no bit and keeps the sum finite where the
+    integral is."""
+    nodes, w16, w32 = _rules()
+    centres, half = a + (b - a) * (np.arange(p) + 0.5) / p, 0.5 * (b - a) / p
+    scale = 0.5 ** (2 * p).bit_length()
+    block = max(1, min(_MAX_CELLS // _NODES, _MAX_CELLS // p))  # rows whose panel sums are held
+    out = np.empty((3, rows.size))
+    for start in range(0, rows.size, block):
+        idx = rows[start : start + block]
+        step = max(1, _MAX_CELLS // (_NODES * idx.size))  # panels of one call
+        sums = np.empty((3, idx.size, p))
+        for k in range(0, p, step):
+            x = centres[k : k + step, None] + half * nodes
+            values = np.asarray(f(x.reshape(-1), idx), dtype=float)
+            values = values.reshape(idx.size, -1, _NODES)
+            g16 = (values[..., :16] * w16).sum(axis=-1)
+            g32 = (values[..., 16:] * w32).sum(axis=-1)
+            sums[0, :, k : k + step] = g32
+            sums[1, :, k : k + step] = np.abs(g32 - g16)
+            sums[2, :, k : k + step] = (np.abs(values[..., 16:]) * w32).sum(axis=-1)
+        sums *= scale
+        out[:, start : start + block] = sums.sum(axis=-1)
+    return out / (2 * p * scale)

@@ -761,13 +761,13 @@ def test_eval_of_a_partial_sum_that_overflows_on_the_grid_is_refused(capsys, tmp
 
 
 def test_callable_whose_rule_overflows_is_a_numerical_failure(capsys):
-    # finite samples of 1e308 overflow the Simpson sums: exit 1, no warning
+    # finite samples of 1e308 overflow the Gauss-Legendre sums: exit 1, no warning
     code, out, err = run_cli(
         capsys, "coeffs", "--function", "poly:5e307,5e307", "--interval", "1", "--n", "2",
         "--format", "json",
     )
     message = ("cosine coefficient n=0 did not converge: "
-               "the integrand's values overflow the Simpson rule at depth 0")
+               "the integrand's values overflow the Gauss-Legendre rule on 64 panels")
     assert code == 1
     assert json.loads(out) == {"error": {"type": "NonConvergence", "message": message}}
     assert err.splitlines() == [f"antifourier coeffs: error: {message}"]

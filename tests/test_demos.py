@@ -1,6 +1,6 @@
-"""Smoke tests of the two fast demos, run as scripts with warnings as errors.
+"""Smoke tests of the five demos, run as scripts with warnings as errors.
 
-The other three demos take a few seconds each and are left to manual runs.
+Each takes well under a second on a 2-vCPU host.
 """
 
 import os
@@ -21,7 +21,10 @@ def run_demo(name):
     )
 
 
-@pytest.mark.parametrize("name", ["heat_rod.py", "sampled_data.py"])
+@pytest.mark.parametrize("name", [
+    "convergence_rates.py", "endpoint_coincidence.py", "gibbs_suppression.py", "heat_rod.py",
+    "sampled_data.py",
+])
 def test_demo_runs_cleanly(name):
     proc = run_demo(name)
     assert proc.returncode == 0, proc.stderr

@@ -111,6 +111,12 @@ class TestSolve:
         with pytest.raises(IncompatibleData):
             HeatProblem(1.0, np.pi, 1.0, FunctionSpec(np.pi, Named("identity")))
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_boundary_mean_rejected(self, c):
+        # a NaN c passed the compatibility test, which is False for NaN
+        with pytest.raises(ValueError, match=f"^boundary mean c must be finite, got {c!r}$"):
+            HeatProblem(1.0, 1.0, c, FunctionSpec(1.0, Polynomial((1.0,))))
+
     def test_half_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             HeatProblem(1.0, 2.0, 1.0, FunctionSpec(np.pi, Named("scaled-square")))

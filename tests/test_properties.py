@@ -421,23 +421,24 @@ def test_even_polynomials_have_exactly_zero_sine_coefficients(f, N):
 
 
 def per_harmonic(spec, shift, trig, atoms, ns):
-    """The projection one harmonic at a time, one integrate_result each: the
-    oracle of :func:`project`."""
+    """The projection one harmonic at a time, one one-row integrate_result
+    each: the oracle of :func:`project`."""
     basis, parity = (cospi, 1.0) if trig == "cos" else (sinpi, -1.0)
     values = np.empty(len(ns))
-    # every harmonic starts on the panels of the window's largest multiplier
+    # every harmonic takes the panels of the window's largest multiplier
     max_mult = max(abs(n + offset) for n in ns for _, offset in atoms)
     panels = 64
     if max_mult >= panels:
         panels = 2 * (int(max_mult) // 2 + 1)
     for i, n in enumerate(ns):
 
-        def integrand(u, n=n):
+        def integrand(u, rows, n=n):
             x = spec.L * u
             folded = (evaluate(spec, x) - shift) + parity * (evaluate(spec, -x) - shift)
-            return folded * sum(amplitude * basis((n + offset) * u) for amplitude, offset in atoms)
+            return folded * sum(amplitude * basis((n + offset) * u[None])
+                                for amplitude, offset in atoms)
 
-        values[i] = quadrature.integrate_result(integrand, 0.0, 1.0, panels=panels).value
+        values[i] = quadrature.integrate_result(integrand, 0.0, 1.0, rows=1, panels=panels).value[0]
     return values
 
 
@@ -457,6 +458,7 @@ HARMONICS = st.tuples(st.integers(min_value=0, max_value=64), st.integers(1, 8))
     lambda window: range(window[0], window[0] + window[1]))
 
 
+# the small cap takes the rows in blocks, deferring the later ones to later calls
 @pytest.mark.parametrize("cap", [quadrature._MAX_CELLS, 1 << 9], ids=["default-cap", "deferring"])
 @FAMILY_SETTINGS
 @given(BODIES, st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), FAMILIES, HARMONICS)

@@ -168,29 +168,38 @@ def stacked(fs, calls=None):
 
     def f(x, idx):
         if calls is not None:
-            calls.append((len(idx), len(x)))
+            calls.append((tuple(idx.tolist()), len(x)))
         return np.array([fs[i](x) for i in idx])
 
     return f
 
 
+def step(x):
+    return np.where(x < 0.3, 1.0, 0.0)
+
+
 def assert_rows_are_one_row_runs(result, fs, a, b, **settings):
     for i, g in enumerate(fs):
-        alone = integrate_result(g, a, b, **settings)
-        assert result.value[i].tobytes() == np.float64(alone.value).tobytes()
-        assert result.error_estimate[i].tobytes() == np.float64(alone.error_estimate).tobytes()
+        alone = integrate_result(stacked([g]), a, b, rows=1, **settings)
+        assert result.value[i].tobytes() == alone.value.tobytes()
+        assert result.error_estimate[i].tobytes() == alone.error_estimate.tobytes()
         assert (result.evaluations[i], result.refinements[i]) == (
-            alone.evaluations, alone.refinements)
+            alone.evaluations[0], alone.refinements[0])
 
 
 @pytest.mark.parametrize("cap", [quadrature._MAX_CELLS, 1 << 9], ids=["default-cap", "deferring"])
 def test_rows_are_their_one_row_runs_bitwise(monkeypatch, cap):
+    # the small cap takes the rows in blocks, deferring the later blocks to
+    # later calls, and the panels one call at a time
     monkeypatch.setattr(quadrature, "_MAX_CELLS", cap)
     for settings in ({}, {"abs_tol": 1e-12, "panels": 6}):
         result = integrate_result(stacked(ROWS), -1.0, 2.0, rows=len(ROWS), **settings)
         assert_rows_are_one_row_runs(result, ROWS, -1.0, 2.0, **settings)
         assert integrate(stacked(ROWS), -1.0, 2.0, rows=len(ROWS), **settings).tobytes() == (
             result.value.tobytes())
+        assert result.refinements.max() > 0  # some rows refine, some do not
+        assert (np.abs(result.value - [integrate(g, -1.0, 2.0, 1e-13) for g in ROWS])
+                <= 2.0 * settings.get("abs_tol", TOL)).all()
 
 
 def test_scalar_result_keeps_its_types():
@@ -200,8 +209,26 @@ def test_scalar_result_keeps_its_types():
 
 
 def test_each_row_counts_its_own_evaluations():
-    res = integrate_result(stacked([np.zeros_like] * 3), 0.0, 1.0, rows=3)
-    assert res.evaluations.tolist() == [65 + 64 + 128] * 3
+    # 16 + 32 nodes on each of 64 panels, and twice that for each doubling
+    res = integrate_result(stacked([np.zeros_like, step, np.zeros_like]), 0.0, 1.0, rows=3,
+                           abs_tol=1e-6)
+    assert res.refinements.tolist() == [0, 5, 0]
+    assert res.evaluations.tolist() == [48 * 64, 48 * 64 * (1 + 2 + 4 + 8 + 16 + 32), 48 * 64]
+
+
+@pytest.mark.parametrize("panels", [2, 64, 102, 1000])
+def test_a_constant_row_is_exact(panels):
+    # each weight vector sums to exactly 2.0, and the panels are summed before
+    # one division by 2p
+    ones = stacked([np.ones_like, lambda x: np.full_like(x, 0.5)])
+    assert integrate(ones, -1.0, 2.0, rows=2, panels=panels).tolist() == [3.0, 1.5]
+
+
+def test_values_near_the_largest_double_integrate():
+    # a power of two scales the panel sums before their sum, so 64 panel sums
+    # of about 2e307 do not overflow it
+    big = stacked([lambda x: np.full_like(x, 1e307)])
+    assert integrate(big, 0.0, 1.0, 1e300, rows=1) == pytest.approx(1e307, rel=1e-15)
 
 
 def test_row_count_must_be_positive():
@@ -212,45 +239,43 @@ def test_row_count_must_be_positive():
 
 
 def test_lowest_failed_row_is_raised(monkeypatch):
-    # row 2 oscillates everywhere and passes the interval budget at depth 0;
-    # row 1 keeps only the interval at its jump and exhausts the depth later
-    monkeypatch.setattr(quadrature, "_MAX_ACTIVE_INTERVALS", 8)
-    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
-    fs = (np.zeros_like, lambda x: np.where(x < 0.3, 1.0, 0.0), lambda x: np.sin(50.0 * x))
+    # row 2 overflows at once, on 8 panels; row 1 jumps and runs to the budget,
+    # 32 panels, where another level would pass 4 x 48 x 8 abscissae
+    monkeypatch.setattr(quadrature, "_MAX_ACTIVE_INTERVALS", 4 * 48 * 8)
+    fs = (np.zeros_like, step, lambda x: np.full_like(x, 1e308))
     with pytest.raises(NonConvergence) as first:
-        integrate(fs[2], 0.0, 1.0, panels=8)
-    assert "interval budget exceeded at depth 0" in str(first.value)
+        integrate(stacked(fs[2:]), 0.0, 1.0, rows=1, panels=8)
+    assert str(first.value) == "the integrand's values overflow the Gauss-Legendre rule on 8 panels"
     with pytest.raises(NonConvergence) as alone:
-        integrate(fs[1], 0.0, 1.0, panels=8)
+        integrate(stacked(fs[1:2]), 0.0, 1.0, rows=1, panels=8)
     with pytest.raises(NonConvergence) as info:
         integrate(stacked(fs), 0.0, 1.0, rows=3, panels=8)
-    assert info.value.index == 1
+    assert (info.value.index, alone.value.index) == (1, 0)
     assert str(info.value) == str(alone.value)
-    assert str(info.value).startswith("adaptive Simpson exhausted max_subdivisions=3 ")
+    assert str(info.value).startswith("Gauss-Legendre budget exhausted at 32 panels ")
     assert (info.value.achieved, info.value.target) == (alone.value.achieved, 1e-10)
-    assert alone.value.index is None
 
 
-def test_rows_failing_at_one_depth_raise_the_lowest(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_ACTIVE_INTERVALS", 8)
-    fs = (np.zeros_like, lambda x: np.sin(50.0 * x), lambda x: np.sin(60.0 * x))
+def test_rows_failing_at_one_depth_raise_the_lowest():
+    fs = (np.zeros_like, np.exp, np.exp)  # 1e-18 is unattainable for both
     with pytest.raises(NonConvergence) as info:
-        integrate(stacked(fs), 0.0, 1.0, rows=3, panels=8)
+        integrate(stacked(fs), 0.0, 1.0, 1e-18, rows=3, panels=8)
     assert info.value.index == 1
-    assert "interval budget exceeded at depth 0" in str(info.value)
+    assert str(info.value).startswith("abs_tol=1e-18 is below the error attainable")
 
 
 def test_a_failure_stops_the_waiting_rows_above_it(monkeypatch):
-    # the cap leaves row 3 waiting at depth 1; rows 1-3 all fail at depth 3
-    monkeypatch.setattr(quadrature, "_MAX_CELLS", 64)
-    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
-    step = lambda x: np.where(x < 0.3, 1.0, 0.0)  # noqa: E731
-    fs = (np.zeros_like, step, lambda x: np.sin(40.0 * x), lambda x: np.sin(41.0 * x))
+    # row 2 overflows on the first 8 panels; row 3 has a kink and waits to
+    # refine, but stops there, while row 1 goes on to the budget and is raised
+    kink = ROWS[2]
+    assert integrate_result(stacked([kink]), 0.0, 1.0, rows=1, panels=8).refinements[0] == 5
+    monkeypatch.setattr(quadrature, "_MAX_ACTIVE_INTERVALS", 4 * 48 * 8)
+    fs = (np.zeros_like, step, lambda x: np.full_like(x, 1e308), kink)
     calls = []
     with pytest.raises(NonConvergence) as info:
         integrate(stacked(fs, calls), 0.0, 1.0, rows=4, panels=8)
     assert info.value.index == 1
-    assert (2, 32) in calls  # rows 1 and 2 went on without row 3
+    assert calls == [((0, 1, 2, 3), 48 * 8), ((1,), 48 * 16), ((1,), 48 * 32)]
 
 
 def test_one_row_runs_keep_their_bits():
@@ -264,22 +289,37 @@ def test_one_row_runs_keep_their_bits():
 
 
 def test_values_that_overflow_the_rule_fail_at_once():
-    # finite values whose Simpson sums overflow fail at depth 0, with no warning
+    # finite values whose sums overflow fail on the first panels, with no warning
     fs = (x_sin_x, lambda x: np.full_like(x, 1e308), np.exp)
+    calls = []
     with pytest.raises(NonConvergence) as info:
-        integrate(stacked(fs), 0.0, 1.0, rows=3)
+        integrate(stacked(fs, calls), 0.0, 1.0, rows=3)
     assert (info.value.index, info.value.achieved) == (1, None)
-    assert str(info.value) == "the integrand's values overflow the Simpson rule at depth 0"
+    assert str(info.value) == "the integrand's values overflow the Gauss-Legendre rule on 64 panels"
+    assert calls == [((0, 1, 2), 48 * 64)]
+
+
+def test_a_row_with_a_jump_fails_within_the_budget():
+    # the panels double from 64 while another level stays within 2^21
+    # abscissae a row: 10 levels, the last on 32,768 panels
+    calls = []
+    with pytest.raises(NonConvergence) as info:
+        integrate(stacked([step], calls), 0.0, 1.0, rows=1)
+    assert str(info.value).startswith("Gauss-Legendre budget exhausted at 32768 panels ")
+    assert sum(points for _, points in calls) == 48 * 64 * (2**10 - 1)
+    assert 48 * 32768 <= quadrature._MAX_ACTIVE_INTERVALS < 2 * 48 * 32768
 
 
 def test_integrand_calls_stay_within_the_cap(monkeypatch):
     cap = 1 << 10
     monkeypatch.setattr(quadrature, "_MAX_CELLS", cap)
-    fs = [lambda x, k=k: np.sin(k * x) * x for k in range(12)]
-    calls, splits = [], []
-    part = quadrature._part
-    monkeypatch.setattr(quadrature, "_part", lambda *args: splits.append(args[0]) or part(*args))
+    # 29 smooth rows and one with a kink, which refines alone
+    fs = [lambda x, k=k: np.sin(k * x) * x for k in range(29)] + [ROWS[2]]
+    calls = []
     result = integrate_result(stacked(fs, calls), 0.0, 3.0, rows=len(fs))
-    assert all(rows * points <= cap for rows, points in calls if rows > 1)
-    assert splits  # the cap deferred rows
+    assert all(len(rows) * points <= cap for rows, points in calls)
+    # the panel sums of cap / 64 rows at a time, one panel a call; then the
+    # kink row alone, up to 21 panels a call
+    assert {len(rows) for rows, _ in calls} == {16, 14, 1}
+    assert max(points for rows, points in calls) == 21 * 48
     assert_rows_are_one_row_runs(result, fs, 0.0, 3.0)
