@@ -18,10 +18,12 @@ failure, tagged with the family, n and kind.  Two integration paths are used:
   catalog sign-function jumps at the origin, where every odd kernel
   vanishes, so every catalog body and ``poly:`` spec folds to a polynomial on
   (0, 1].  A family is one several-row ``integrate`` call, one row per
-  harmonic, all on the panels of its largest multiplier: each call folds f
-  once at its abscissae and takes the kernels of its rows as one block, and
-  every coefficient keeps the bits of its own one-row integration on those
-  panels.  A non-finite folded sample (f overflows) is a ValidationError.
+  harmonic, all starting on the smallest even panel count above its largest
+  multiplier, so a panel spans at most a half-turn of the top kernel: each
+  call folds f once at its abscissae and takes the kernels of its rows as
+  one block, and every coefficient keeps the bits of its own one-row
+  integration on those panels.  A non-finite folded sample (f overflows) is
+  a ValidationError.
 
 * sampled bodies: each panel of the piecewise-linear interpolant in u is
   integrated against each pair's trig term in closed form, by parts, so no
@@ -138,11 +140,13 @@ def _node_sums(weights, us, offset, ns):
 
 
 def _panels(ns, atoms):
-    """Panel count of a family's one ``integrate`` run over ``ns``: at least
-    64, even, and above the family's largest frequency multiplier, so each
-    panel of [0, 1] spans at most one half-turn of the top kernel."""
+    """Panel count of a family's one ``integrate`` run over ``ns``: the
+    smallest even count above the family's largest frequency multiplier, at
+    least 2, so each panel of [0, 1] spans at most one half-turn of the top
+    kernel.  A low-order family starts on few panels (2 at N = 0, 32 at
+    N = 30) and doubles them only where a row's estimate asks for it."""
     max_mult = max(abs(n + offset) for n in ns for _, offset in atoms)
-    return max(64, 2 * (int(max_mult) // 2 + 1))
+    return 2 * (int(max_mult) // 2 + 1)
 
 
 def _folded_kernels(spec, shift, trig, atoms, harmonics, what):

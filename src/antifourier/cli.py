@@ -9,6 +9,7 @@ an unrecognised flag with ``antifourier: error: unrecognized arguments: ...``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -113,7 +114,7 @@ _TIMES = _arg(float, lambda v: math.isfinite(v) and v >= 0.0, "nonnegative times
 _ORDERS = _arg(int, lambda v: v >= 0, "nonnegative orders", many=True)
 
 
-def _add_common(sub, with_function=True):
+def _add_common(sub, quad_tol=None, with_function=True):
     if with_function:
         sub.add_argument("--function", required=True, help="function spec (see grammar below)")
     sub.add_argument(
@@ -122,8 +123,7 @@ def _add_common(sub, with_function=True):
     )
     if with_function:  # argparse checks a text default as the flag, when the flag is absent
         sub.add_argument(
-            "--quad-tol", type=_QUAD_TOL,
-            default=os.environ.get(ENV_QUAD_TOL, repr(DEFAULT_TOL)),
+            "--quad-tol", type=_QUAD_TOL, default=quad_tol,
             help=f"absolute error target of each coefficient "
             f"(default ${ENV_QUAD_TOL}, else {DEFAULT_TOL:g})",
         )
@@ -132,6 +132,14 @@ def _add_common(sub, with_function=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser.  It is built once per process for each value of
+    ANTIFOURIER_QUAD_TOL, which is read on every call and is the --quad-tol
+    default; a parse leaves the parser as it was, so one serves every call."""
+    return _parser(os.environ.get(ENV_QUAD_TOL, repr(DEFAULT_TOL)))
+
+
+@functools.lru_cache(maxsize=1)
+def _parser(quad_tol: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="antifourier",
         description="Half-integer-harmonic Fourier series toolkit: coefficients, "
@@ -143,12 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="compute series coefficients")
-    _add_common(p)
+    _add_common(p, quad_tol)
     p.add_argument("--kind", choices=_KINDS, default="both")
     p.add_argument("--n", type=_ORDER, default=32, help="truncation order")
 
     p = sub.add_parser("eval", help="evaluate partial sums on a grid")
-    _add_common(p)
+    _add_common(p, quad_tol)
     p.add_argument("--kind", choices=_KINDS, default="both")
     p.add_argument("--n", type=_ORDER, default=32, help="truncation order")
     p.add_argument("--grid", type=_GRID, default=201, help="number of grid points")
@@ -158,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("compare", help="diagnostics ladder over truncation orders")
-    _add_common(p)
+    _add_common(p, quad_tol)
     p.add_argument(
         "--orders", type=_ORDERS, default=DEFAULT_ORDERS, metavar="M1,M2,...",
         help=f"truncation orders (default {','.join(map(str, DEFAULT_ORDERS))})",
@@ -168,14 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subgrid", type=_SUBGRID, default=4001, help="overshoot window grid")
 
     p = sub.add_parser("gibbs", help="endpoint overshoot report")
-    _add_common(p)
+    _add_common(p, quad_tol)
     p.add_argument("--kind", choices=_KINDS, default="both")
     p.add_argument("--n", type=_ORDER, default=400, help="truncation order")
     p.add_argument("--window-fraction", type=_WINDOW, default=0.1)
     p.add_argument("--subgrid", type=_SUBGRID, default=4001, help="overshoot window grid")
 
     p = sub.add_parser("heat", help="solve the mean-value heat problem")
-    _add_common(p)
+    _add_common(p, quad_tol)
     p.add_argument("--k", type=_POSITIVE, default=1.0, help="diffusivity")
     p.add_argument("--c", type=_FINITE, default=1.0, help="boundary mean temperature")
     p.add_argument("--n", type=_ORDER, default=10, help="truncation order")

@@ -161,19 +161,20 @@ def report_csv(reports) -> str:
 
 def write_text_atomic(path: str, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file + rename; never leaves a
-    partial file behind."""
+    partial file behind.  A failed step raises OSError "cannot write <path>:
+    <reason>", which names ``path`` and not the temp file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".antifourier-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp_path, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+            raise
     except OSError as exc:
         raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}") from exc
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise

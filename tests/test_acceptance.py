@@ -136,6 +136,26 @@ def test_catalog_bodies_at_400_match_the_closed_forms(name, forms):
         assert np.abs(computed - exact).max() <= 1e-12
 
 
+# Low orders start their families on few panels (2 at N = 0, 66 at N = 65):
+# each order, both series, against the closed forms above.
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 4, 7, 10, 16, 17, 25, 63, 64, 65])
+@pytest.mark.parametrize("name, forms", [
+    ("identity", _identity_forms),
+    ("signum", _signum_forms),
+    ("x-plus-sign", _x_plus_sign_forms),
+    ("scaled-square", _scaled_square_forms),
+], ids=["identity", "signum", "x-plus-sign", "scaled-square"])
+def test_catalog_bodies_at_low_orders_match_the_closed_forms(name, forms, N):
+    # at most 3.4e-15 off when this test was written
+    f = FunctionSpec(np.pi, Named(name))
+    classical, anti = classical_coefficients(f, N), antiperiodic_coefficients(f, N)
+    m, n = np.arange(1, N + 1), np.arange(N + 1)
+    a, b, gamma, alpha, beta = forms(m, n, (n + 0.5) * np.pi)
+    for computed, exact in [(classical.a, a), (classical.b, b), (anti.gamma, gamma),
+                            (anti.alpha, alpha), (anti.beta, beta)]:
+        assert np.abs(computed - exact).max(initial=0.0) <= 1e-13
+
+
 def test_criterion_05_split_identity():
     for spec in catalog_specs() + [QUADRATIC]:
         direct = antiperiodic_coefficients(spec, 16)

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -566,6 +568,7 @@ EVAL_KIND = {"classical": ["--kind", "classical"], "antiperiodic": ["--kind", "a
            "--coeffs-file", f"{{tmp}}/{name}.json"]
           for name, (kind, _, _) in BAD_COEFFICIENT_FILES.items()),
         ["basis", "--out", "{tmp}/no-such-dir/out.json"],
+        ["coeffs", "--function", "named:identity", "--n", "3", "--out", "{tmp}/a-directory"],
         ["compare", "--function", "named:identity", "--orders", "4", "--grid", "100"],
         # refused by size before any work, so none of these allocates anything
         ["eval", "--function", "named:identity", "--n", "1000", "--grid", "10000"],
@@ -593,6 +596,7 @@ EVAL_KIND = {"classical": ["--kind", "classical"], "antiperiodic": ["--kind", "a
         "gibbs-window", "compare-window", "gibbs-subgrid", "compare-subgrid", "missing-csv",
         "csv-not-utf8", "missing-coeffs-file", "coeffs-file-not-json",
         *(f"coeffs-file-{name}" for name in BAD_COEFFICIENT_FILES), "out-dir-missing",
+        "out-is-a-directory",
         "compare-even-grid", "eval-size", "compare-orders-size", "compare-grid-size",
         "gibbs-size", "heat-size", "heat-times-size", "basis-size", "coeffs-order",
         "coeffs-overflow", "csv-huge-cell", "coeffs-file-deep", "eval-coeffs-file-overflow",
@@ -604,6 +608,7 @@ def test_input_and_file_errors_exit_2(capsys, tmp_path, argv):
     (tmp_path / "latin-1.csv").write_bytes(b"x,y\n-3.14,\xe9\n3.14,1\n")
     (tmp_path / "big.csv").write_text("x,y\n-3.14," + "1" * 200_000 + "\n3.14,1\n")
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    (tmp_path / "a-directory").mkdir()
     (tmp_path / "classical.json").write_text(json.dumps(VALID_OBJECTS["classical"]))
     (tmp_path / "overflowing-sum.json").write_text(json.dumps(
         {**VALID_OBJECTS["classical"], "N": 2, "a": [1e308] * 3, "b": [0.0, 0.0]}
@@ -621,6 +626,36 @@ def test_input_and_file_errors_exit_2(capsys, tmp_path, argv):
     assert "Traceback" not in err
     assert out == ""
     assert sorted(tmp_path.iterdir()) == inputs  # no output or temp file
+
+
+def test_out_naming_a_directory_names_the_target(capsys, tmp_path):
+    target = tmp_path / "a-directory"
+    target.mkdir()
+    code, out, err = run_cli(
+        capsys, "coeffs", "--function", "named:identity", "--interval", "1", "--n", "3",
+        "--out", str(target),
+    )
+    assert (code, out) == (2, "")
+    reason = os.strerror(errno.EISDIR)
+    assert err.splitlines() == [
+        f"antifourier coeffs: error: [Errno {errno.EISDIR}] cannot write {target}: {reason}"
+    ]
+    assert ".antifourier-" not in err
+    assert list(tmp_path.glob(".antifourier-*.tmp")) == []  # the temp file is removed
+    assert list(target.iterdir()) == []
+
+
+def test_parser_is_built_once_for_each_value_of_the_env_var(monkeypatch):
+    monkeypatch.delenv("ANTIFOURIER_QUAD_TOL", raising=False)
+    parser = build_parser()
+    assert build_parser() is parser
+    monkeypatch.setenv("ANTIFOURIER_QUAD_TOL", "1e-8")
+    tighter = build_parser()
+    assert tighter is not parser and build_parser() is tighter
+    argv = ["coeffs", "--function", "named:identity", "--interval", "1"]
+    assert tighter.parse_args(argv).quad_tol == 1e-8
+    monkeypatch.delenv("ANTIFOURIER_QUAD_TOL")
+    assert build_parser().parse_args(argv).quad_tol == 1e-10
 
 
 @pytest.mark.parametrize("command", ["basis", "eval", "gibbs"])
@@ -761,13 +796,14 @@ def test_eval_of_a_partial_sum_that_overflows_on_the_grid_is_refused(capsys, tmp
 
 
 def test_callable_whose_rule_overflows_is_a_numerical_failure(capsys):
-    # finite samples of 1e308 overflow the Gauss-Legendre sums: exit 1, no warning
+    # finite samples of 1e308 overflow the Gauss-Legendre sums: exit 1, no warning;
+    # at --n 2 the top multiplier 2 starts the family on 4 panels
     code, out, err = run_cli(
         capsys, "coeffs", "--function", "poly:5e307,5e307", "--interval", "1", "--n", "2",
         "--format", "json",
     )
     message = ("cosine coefficient n=0 did not converge: "
-               "the integrand's values overflow the Gauss-Legendre rule on 64 panels")
+               "the integrand's values overflow the Gauss-Legendre rule on 4 panels")
     assert code == 1
     assert json.loads(out) == {"error": {"type": "NonConvergence", "message": message}}
     assert err.splitlines() == [f"antifourier coeffs: error: {message}"]

@@ -425,11 +425,12 @@ def per_harmonic(spec, shift, trig, atoms, ns):
     each: the oracle of :func:`project`."""
     basis, parity = (cospi, 1.0) if trig == "cos" else (sinpi, -1.0)
     values = np.empty(len(ns))
-    # every harmonic takes the panels of the window's largest multiplier
+    # every harmonic starts on the panels of the window's largest multiplier:
+    # the first even count above it, so a panel spans at most a half-turn
     max_mult = max(abs(n + offset) for n in ns for _, offset in atoms)
-    panels = 64
-    if max_mult >= panels:
-        panels = 2 * (int(max_mult) // 2 + 1)
+    panels = 2
+    while panels <= max_mult:
+        panels += 2
     for i, n in enumerate(ns):
 
         def integrand(u, rows, n=n):
@@ -452,8 +453,8 @@ BODIES = st.one_of(
     st.builds(FunctionSpec, POLY_HALF_WIDTHS, st.sampled_from(
         [Named("identity"), Named("signum"), Named("x-plus-sign"), Named("scaled-square")])),
 )
-# a window of up to 8 harmonics below 72, so that some windows cross the
-# 64-panel start of the harmonics above 63
+# a window of up to 8 harmonics below 72, so the windows start on every even
+# panel count from 2 to 72
 HARMONICS = st.tuples(st.integers(min_value=0, max_value=64), st.integers(1, 8)).map(
     lambda window: range(window[0], window[0] + window[1]))
 
@@ -484,6 +485,15 @@ def test_project_makes_one_integrate_call_per_callable_family(monkeypatch):
     table = FunctionSpec(1.0, Sampled((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0)))
     project(table, 0.0, [(*family, range(101), "beta", "sin")])
     assert calls == [(101, 102)]
+    # low orders start on the first even count above their top multiplier
+    calls.clear()
+    identity = FunctionSpec(np.pi, Named("identity"))
+    project(identity, 0.0, [("cos", ((1.0, 0.0),), range(1), "a", "cos"),
+                            (*family, range(7), "beta", "sin")])
+    assert calls == [(1, 2), (7, 8)]  # top multipliers 0 and 6.5
+    calls.clear()
+    solve_heat(HeatProblem(1.0, np.pi, 0.0, identity), 30)
+    assert calls == [(31, 32), (31, 32)]  # heat modes n + 1/2 up to 30.5
 
 
 @pytest.mark.parametrize("L", [1e-300, 1e-150, 1e-3, np.pi, 3e306])
