@@ -1,15 +1,11 @@
 """Quadrature with absolute error control.
 
-One integrand (``rows`` not given) takes adaptive Simpson, for general
-integrands: it subdivides every interval whose Richardson error estimate is
-too large, all active intervals at once, and reuses every evaluation, so
-evaluation counts are deterministic for fixed inputs.
-
-m smooth integrands (``rows=m``) take one composite Gauss-Legendre rule
-(:func:`_gauss_legendre`), one *row* each: the integrand is then called as
+One composite Gauss-Legendre rule (:func:`_gauss_legendre`) integrates m
+integrands (``rows=m``), one *row* each: the integrand is then called as
 ``f(x, idx)`` with an integer array of row indices and returns those rows'
-values at ``x``, shape ``(len(idx), len(x))``.  Integrands must accept numpy
-arrays.
+values at ``x``, shape ``(len(idx), len(x))``.  One integrand (``rows`` not
+given) is called as ``f(x)``, returns shape ``(len(x),)``, and is the one-row
+case of the same rule, bit for bit.  Integrands must accept numpy arrays.
 """
 
 from __future__ import annotations
@@ -29,13 +25,9 @@ _EPS = np.finfo(float).eps
 # Default absolute error target of every integral.
 DEFAULT_TOL = 1e-10
 
-# Deepest subdivision level of adaptive Simpson; reaching it unresolved is a failure.
-_MAX_SUBDIVISIONS = 30
-
-# Cap on the simultaneously active adaptive Simpson intervals, and on the
-# abscissae of one Gauss-Legendre row at one level.  Reaching it means the
-# tolerance is unattainable; that is reported as NonConvergence instead of
-# letting the work grow without bound.
+# Most abscissae of one row at one level of the Gauss-Legendre rule.  A row
+# that would need more has an unattainable tolerance; that is reported as
+# NonConvergence instead of letting the work grow without bound.
 _MAX_ACTIVE_INTERVALS = 1 << 21
 
 # Most row x abscissa values one integrand call of the Gauss-Legendre rule
@@ -43,9 +35,9 @@ _MAX_ACTIVE_INTERVALS = 1 << 21
 # smaller caps were both slower at N = 25, 100 and 400.
 _MAX_CELLS = 1 << 14
 
-# A Simpson interval whose Richardson decrement, or a Gauss-Legendre row whose
-# estimate, is within this many eps of the magnitude of its sums sits at
-# rounding level and cannot be improved by refining further.
+# A row whose |32-point - 16-point| differences sum to within this many
+# rounding floors (eps times its 32-point sum of |f|) sits at rounding level
+# and cannot be improved by refining further.
 _NOISE_FACTOR = 16.0
 
 # Abscissae of one Gauss-Legendre panel: the 16-point rule's, then the 32-point rule's.
@@ -68,9 +60,9 @@ def check_tol(abs_tol):
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value, error estimate, evaluation count and refinement depth: scalars
-    (float, float, int, int), or with ``rows=m`` arrays of length m of those
-    types, one entry per row (the depth is the number of panel doublings)."""
+    """Value, error estimate, evaluation count and refinement depth (the
+    number of panel doublings): scalars (float, float, int, int), or with
+    ``rows=m`` arrays of length m of those types, one entry per row."""
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
@@ -87,16 +79,17 @@ def integrate(
     Parameters
     ----------
     f : callable
-        Vectorized integrand; called with numpy arrays of abscissae, or with
-        ``rows`` as ``f(x, idx)`` returning shape ``(len(idx), len(x))``.
+        Vectorized integrand; called as ``f(x)`` with a numpy array of
+        abscissae, returning shape ``(len(x),)``, or with ``rows`` as
+        ``f(x, idx)`` returning shape ``(len(idx), len(x))``.  Its values
+        must be real.  The ends a and b are not evaluated.
     a, b : float
         Integration bounds, a < b.
     abs_tol : float
         Absolute error target for the whole integral; positive and finite.
     rows : int, optional
-        Number of smooth integrands computed together by composite
-        Gauss-Legendre, each to ``abs_tol``; an integer of at least 1.
-        Without it, one integrand is integrated by adaptive Simpson.
+        Number of integrands computed together, each to ``abs_tol``; an
+        integer of at least 1.  Each row gets the bits of its one-row run.
     panels : int
         Number of equal panels the refinement starts from; an even integer
         of at least 2.
@@ -110,6 +103,9 @@ def integrate(
     ------
     InvalidInterval
         If a >= b.
+    ValueError
+        If an argument is out of range, or the integrand returns complex
+        values or values of the wrong shape.
     NonConvergence
         If the refinement budget is exhausted before the tolerance is met,
         or the tolerance is below what double precision can deliver.  With
@@ -133,81 +129,11 @@ def integrate_result(
     if _integer(panels, "panels") < 2 or panels % 2:
         raise ValueError("panels must be even and at least 2")
     with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows fails
-        if rows is None:
-            return _adaptive(f, a, b, abs_tol, panels)
-        return _gauss_legendre(f, a, b, abs_tol, panels, rows)
-
-
-def _simpson_batch(lo, hi, flo, fmid, fhi):
-    return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-
-def _adaptive(f, a, b, abs_tol, n0):
-    """Adaptive Simpson for one integrand from ``n0`` panels."""
-    edges = a + (b - a) * np.arange(n0 + 1) / n0
-    edges[-1] = b
-    fe = np.asarray(f(edges), dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    flo, fhi = fe[:-1], fe[1:]
-    mid = 0.5 * (lo + hi)
-    fmid = np.asarray(f(mid), dtype=float)
-    evals = 2 * n0 + 1
-    s = _simpson_batch(lo, hi, flo, fmid, fhi)
-    tol = abs_tol * (hi - lo) / (b - a)
-    value = error = 0.0
-    for depth in itertools.count():
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        fnew = np.asarray(f(np.concatenate([lm, rm])), dtype=float)
-        evals += 2 * lo.size
-        flm, frm = fnew[: lo.size], fnew[lo.size :]
-        sl = _simpson_batch(lo, mid, flo, flm, fmid)
-        sr = _simpson_batch(mid, hi, fmid, frm, fhi)
-        s2 = sl + sr
-        delta = s2 - s
-        accept = np.abs(delta) <= 15.0 * tol
-        keep = ~accept
-        if keep.any():
-            missed = delta[keep]
-            # at the last depth every interval still refining fails
-            stuck = depth == _MAX_SUBDIVISIONS or bool(
-                ((np.abs(missed) <= _NOISE_FACTOR * _EPS * (np.abs(sl[keep]) + np.abs(sr[keep])))
-                 | ~np.isfinite(missed)).any())
-            if stuck or 2 * int(keep.sum()) > _MAX_ACTIVE_INTERVALS:
-                message, achieved = _simpson_failure(abs_tol, depth, stuck, missed)
-                raise NonConvergence(message, achieved=achieved, target=abs_tol)
-        value += float((s2[accept] + delta[accept] / 15.0).sum())
-        error += float(np.abs(delta[accept]).sum() / 15.0)
-        if not keep.any():
-            return QuadratureResult(value, error, evals, depth)
-        # each kept interval is replaced by its left and right half, in order
-        lo, hi, mid, flo, fhi, fmid, s = [
-            np.column_stack((left[keep], right[keep])).ravel()
-            for left, right in (
-                (lo, mid), (mid, hi), (lm, rm), (flo, fmid), (fmid, fhi), (flm, frm), (sl, sr)
-            )
-        ]
-        tol = np.repeat(0.5 * tol[keep], 2)
-
-
-def _simpson_failure(abs_tol, depth, stuck, missed):
-    """(message, achieved) for a run that failed at ``depth``; ``missed`` holds
-    its rejected decrements, ``stuck`` is False for an interval-budget failure."""
-    worst = float(np.abs(missed).max() / 15.0)
-    if not np.isfinite(worst):
-        return f"the integrand's values overflow the Simpson rule at depth {depth}", None
-    if not stuck:
-        return (f"adaptive Simpson interval budget exceeded at depth {depth}; "
-                f"abs_tol={abs_tol:g} appears unattainable"), None
-    if depth == _MAX_SUBDIVISIONS:
-        return (f"adaptive Simpson exhausted max_subdivisions={_MAX_SUBDIVISIONS} "
-                f"with error estimate {worst:g} > abs_tol={abs_tol:g}"), worst
-    return _stuck(abs_tol, worst), worst
-
-
-def _stuck(abs_tol, worst):
-    return (f"abs_tol={abs_tol:g} is below the error attainable in double precision "
-            f"for this integrand (estimate stuck at {worst:g})")
+        result = _gauss_legendre(f, a, b, abs_tol, panels, rows)
+    if rows is not None:
+        return result
+    return QuadratureResult(float(result.value[0]), float(result.error_estimate[0]),
+                            int(result.evaluations[0]), int(result.refinements[0]))
 
 
 @functools.cache
@@ -218,8 +144,10 @@ def _rules():
     return np.concatenate((t16, t32)), w16, w32
 
 
-def _gauss_legendre(f, a, b, abs_tol, panels, m):
-    """Rows 0..m-1 by composite Gauss-Legendre from ``panels`` panels.
+def _gauss_legendre(f, a, b, abs_tol, panels, rows):
+    """Rows 0..rows-1 by composite Gauss-Legendre from ``panels`` panels;
+    with ``rows`` None, the one integrand ``f(x)`` as row 0, and a failure
+    names no row.
 
     A row's estimate is the sum over the panels of |32-point - 16-point sum|,
     but never below a rounding floor of eps times the 32-point sum of |f|.
@@ -234,11 +162,12 @@ def _gauss_legendre(f, a, b, abs_tol, panels, m):
     counts are bit for bit those of its one-row run on the same panels
     (:func:`_level`).
     """
+    m = 1 if rows is None else rows
     value, error = np.zeros(m), np.zeros(m)
     levels, live, failure = np.zeros(m, dtype=int), np.arange(m), None
     for level in itertools.count():
         p = panels << level
-        total, diff, size = _level(f, a, b, p, live) * (b - a)
+        total, diff, size = _level(f, a, b, p, live, rows is None) * (b - a)
         levels[live] = level
         floor = _EPS * size
         estimate = np.maximum(diff, floor)  # not finite where a sum overflows
@@ -251,7 +180,8 @@ def _gauss_legendre(f, a, b, abs_tol, panels, m):
         if failed.any():
             i = int(np.argmax(failed))
             message, achieved = _gauss_failure(abs_tol, p, stuck[i], estimate[i])
-            failure = NonConvergence(message, achieved=achieved, target=abs_tol, index=int(live[i]))
+            failure = NonConvergence(message, achieved=achieved, target=abs_tol,
+                                     index=None if rows is None else int(live[i]))
             keep[i:] = False  # the failed row and every row above it stop here
         live = live[keep]
         if not live.size:
@@ -265,15 +195,17 @@ def _gauss_failure(abs_tol, p, stuck, worst):
     if not np.isfinite(worst):
         return f"the integrand's values overflow the Gauss-Legendre rule on {p} panels", None
     if stuck:
-        return _stuck(abs_tol, worst), float(worst)
+        return (f"abs_tol={abs_tol:g} is below the error attainable in double precision "
+                f"for this integrand (estimate stuck at {worst:g})"), float(worst)
     return (f"Gauss-Legendre budget exhausted at {p} panels with error estimate "
             f"{worst:g} > abs_tol={abs_tol:g}"), float(worst)
 
 
-def _level(f, a, b, p, rows):
+def _level(f, a, b, p, rows, one):
     """Sums over p equal panels of [a, b], divided by 2p, for each row of
     ``rows``: of each panel's 32-point sum, of |32-point - 16-point sum| and
-    of the 32-point sum of |f|; shape (3, len(rows)).  Each panel's nodes are
+    of the 32-point sum of |f|; shape (3, len(rows)).  ``one`` calls ``f(x)``
+    for the one integrand instead of ``f(x, idx)``.  Each panel's nodes are
     summed first, then a row's panels by numpy's pairwise sum, so a row keeps
     its bits whatever other rows are in ``rows``.  A power of two scales the
     panel sums first: it changes no bit and keeps the sum finite where the
@@ -288,9 +220,14 @@ def _level(f, a, b, p, rows):
         step = max(1, _MAX_CELLS // (_NODES * idx.size))  # panels of one call
         sums = np.empty((3, idx.size, p))
         for k in range(0, p, step):
-            x = centres[k : k + step, None] + half * nodes
-            values = np.asarray(f(x.reshape(-1), idx), dtype=float)
-            values = values.reshape(idx.size, -1, _NODES)
+            x = (centres[k : k + step, None] + half * nodes).reshape(-1)
+            values = np.asarray(f(x) if one else f(x, idx))
+            shape, form = ((x.size,), "(len(x),)") if one else (
+                (idx.size, x.size), "(len(idx), len(x))")
+            if values.shape != shape or np.iscomplexobj(values):
+                raise ValueError(f"the integrand must return real values of shape {form} = "
+                                 f"{shape}, got {values.dtype} values of shape {values.shape}")
+            values = values.astype(float, copy=False).reshape(idx.size, -1, _NODES)
             g16 = (values[..., :16] * w16).sum(axis=-1)
             g32 = (values[..., 16:] * w32).sum(axis=-1)
             sums[0, :, k : k + step] = g32

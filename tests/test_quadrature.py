@@ -35,7 +35,7 @@ class TestConfig:
         for fn in (integrate, integrate_result):
             parameters = inspect.signature(fn).parameters
             assert (parameters["abs_tol"].default, parameters["panels"].default) == (1e-10, 64)
-        assert quadrature._MAX_SUBDIVISIONS == 30
+        assert quadrature._MAX_ACTIVE_INTERVALS == 1 << 21
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -122,10 +122,13 @@ def test_invalid_interval():
 
 
 def test_nonconvergence_adaptive_depth(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
+    # a step runs from 4 panels to 32, where another level would pass 48 x 32
+    # abscissae
+    monkeypatch.setattr(quadrature, "_MAX_ACTIVE_INTERVALS", 48 * 32)
     with pytest.raises(NonConvergence) as info:
-        integrate(np.exp, 0.0, 1.0, 1e-14, panels=2)
+        integrate(step, 0.0, 1.0, 1e-14, panels=4)
     assert info.value.target == 1e-14
+    assert str(info.value).startswith("Gauss-Legendre budget exhausted at 32 panels ")
 
 
 def test_nonconvergence_below_machine_precision():
@@ -143,11 +146,51 @@ def test_deterministic_evaluation_counts():
 
 
 def test_evaluation_count_reuses_boundaries():
-    # An identically zero integrand is accepted on the first adaptive pass:
-    # 65 edges + 64 midpoints + 2 * 64 half midpoints, nothing re-evaluated.
+    # An identically zero integrand is accepted on the start panels: 16 + 32
+    # nodes on each of 64 panels, the ends never evaluated.
     res = integrate_result(lambda x: np.zeros_like(x), 0.0, 1.0)
     assert res.value == 0.0
-    assert res.evaluations == 65 + 64 + 128
+    assert (res.evaluations, res.refinements) == (48 * 64, 0)
+
+
+# One-integrand corpus with closed forms: kinks, a steep step, fast
+# oscillation, Runge's function, a high power and a square-root end.
+CORPUS = {
+    "kink-1": (lambda x: np.abs(x - 0.3), -1.0, 2.0, (1.3**2 + 1.7**2) / 2),
+    "kink-1.1": (lambda x: np.abs(x - 0.3) ** 1.1, -1.0, 2.0, (1.3**2.1 + 1.7**2.1) / 2.1),
+    "kink-1.2": (lambda x: np.abs(x - 0.3) ** 1.2, -1.0, 2.0, (1.3**2.2 + 1.7**2.2) / 2.2),
+    "kink-1.5": (lambda x: np.abs(x - 0.3) ** 1.5, -1.0, 2.0, (1.3**2.5 + 1.7**2.5) / 2.5),
+    # log cosh(1000 (x - 0.3)) at 2 and -1 is 1700 - log 2 and 1300 - log 2
+    "tanh-1000": (lambda x: np.tanh(1000.0 * (x - 0.3)), -1.0, 2.0, 0.4),
+    "sin-1000": (lambda x: np.sin(1000.0 * x), 0.0, 1.0, (1.0 - np.cos(1000.0)) / 1000.0),
+    "runge": (lambda x: 1.0 / (1.0 + 25.0 * x**2), -1.0, 1.0, 0.4 * np.arctan(5.0)),
+    "x^20": (lambda x: x**20, -1.0, 1.0, 2.0 / 21.0),
+    "sqrt": (np.sqrt, 0.0, 1.0, 2.0 / 3.0),
+}
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_one_integrand_meets_its_tolerance(name):
+    f, a, b, exact = CORPUS[name]
+    assert abs(integrate(f, a, b) - exact) <= TOL
+
+
+@pytest.mark.parametrize(
+    "f,rows,expected",
+    [
+        (lambda x: 1.0, None, "(len(x),) = (3072,), got float64 values of shape ()"),
+        (lambda x: x[:-1], None, "(len(x),) = (3072,), got float64 values of shape (3071,)"),
+        (lambda x: np.exp(1j * x), None,
+         "(len(x),) = (3072,), got complex128 values of shape (3072,)"),
+        (lambda x, idx: np.ones((1, x.size)), 2,
+         "(len(idx), len(x)) = (2, 3072), got float64 values of shape (1, 3072)"),
+    ],
+    ids=["scalar", "wrong-length", "complex", "wrong-row-count"],
+)
+def test_a_malformed_integrand_is_refused(f, rows, expected):
+    with pytest.raises(ValueError) as info:
+        integrate(f, 0.0, 1.0, rows=rows)
+    assert str(info.value) == f"the integrand must return real values of shape {expected}"
 
 
 
@@ -160,6 +203,23 @@ ROWS = (
     np.zeros_like,
     np.exp,
 )
+
+
+def _x2_sin_7x(x):
+    # an antiderivative of x^2 sin 7x
+    return -(x**2) * np.cos(7.0 * x) / 7.0 + 2.0 * x * np.sin(7.0 * x) / 49.0 + (
+        2.0 * np.cos(7.0 * x) / 343.0)
+
+
+# The integrals of ROWS over [-1, 2], in closed form.
+EXACT = np.array([
+    np.sin(2.0) - 2.0 * np.cos(2.0) + np.sin(1.0) - np.cos(1.0),
+    _x2_sin_7x(2.0) - _x2_sin_7x(-1.0),
+    (1.3**2.5 + 1.7**2.5) / 2.5,
+    (np.log(np.cosh(52.0)) - np.log(np.cosh(68.0))) / 40.0,
+    0.0,
+    np.exp(2.0) - np.exp(-1.0),
+])
 
 
 def stacked(fs, calls=None):
@@ -198,14 +258,25 @@ def test_rows_are_their_one_row_runs_bitwise(monkeypatch, cap):
         assert integrate(stacked(ROWS), -1.0, 2.0, rows=len(ROWS), **settings).tobytes() == (
             result.value.tobytes())
         assert result.refinements.max() > 0  # some rows refine, some do not
-        assert (np.abs(result.value - [integrate(g, -1.0, 2.0, 1e-13) for g in ROWS])
-                <= 2.0 * settings.get("abs_tol", TOL)).all()
+        assert (np.abs(result.value - EXACT) <= 2.0 * settings.get("abs_tol", TOL)).all()
 
 
 def test_scalar_result_keeps_its_types():
     res = integrate_result(x_sin_x, -np.pi, np.pi)
     assert [type(v) for v in (res.value, res.error_estimate, res.evaluations, res.refinements)] == [
         float, float, int, int]
+
+
+@pytest.mark.parametrize("panels", [2, 6, 64])
+def test_one_integrand_is_its_one_row_run(panels):
+    res = integrate_result(ROWS[2], -1.0, 2.0, panels=panels)
+    alone = integrate_result(stacked([ROWS[2]]), -1.0, 2.0, rows=1, panels=panels)
+    fields = (res.value, res.error_estimate, res.evaluations, res.refinements)
+    assert [type(v) for v in fields] == [float, float, int, int]
+    assert fields == (alone.value[0], alone.error_estimate[0], alone.evaluations[0],
+                      alone.refinements[0])
+    assert res.value.hex() == alone.value[0].hex()
+    assert res.refinements > 0
 
 
 def test_each_row_counts_its_own_evaluations():
@@ -279,13 +350,18 @@ def test_a_failure_stops_the_waiting_rows_above_it(monkeypatch):
 
 
 def test_one_row_runs_keep_their_bits():
-    # each depth adds its accepted intervals with one numpy sum, in interval order
-    res = integrate_result(x_sin_x, -np.pi, np.pi)
-    assert (res.value.hex(), res.error_estimate.hex(), res.evaluations, res.refinements) == (
-        "0x1.921fb54442d1ap+2", "0x1.98132e565d555p-36", 1769, 3)
-    res = integrate_result(lambda x: np.sin(40.0 * x) * x, 0.0, 3.0)
-    assert (res.value.hex(), res.error_estimate.hex(), res.evaluations, res.refinements) == (
-        "-0x1.f142933a7dd44p-5", "0x1.62ae01be8f6abp-35", 17061, 7)
+    # both are met on the 64 start panels
+    for g, a, b, pinned in (
+        (x_sin_x, -np.pi, np.pi, ("0x1.921fb54442d18p+2", "0x1.921fb54442d18p-50")),
+        (lambda x: np.sin(40.0 * x) * x, 0.0, 3.0,
+         ("-0x1.f142933a7dcc7p-5", "0x1.dd6c000000000p-49")),
+    ):
+        res = integrate_result(g, a, b)
+        assert (res.value.hex(), res.error_estimate.hex(), res.evaluations, res.refinements) == (
+            *pinned, 48 * 64, 0)
+        alone = integrate_result(stacked([g]), a, b, rows=1)
+        assert (res.value.hex(), res.error_estimate.hex()) == (
+            alone.value[0].hex(), alone.error_estimate[0].hex())
 
 
 def test_values_that_overflow_the_rule_fail_at_once():
