@@ -9,9 +9,10 @@ parsed from / rendered to a compact string grammar::
     named:<id>[:<p1>,<p2>]    catalog entry, optional parameters
     csv:<path>                sampled table loaded from a CSV file
 
-The CSV format is two columns ``x,y``, comma separated, UTF-8, decimal
-point '.', with an optional header row (detected by a non-numeric first
-row).  Abscissae must be strictly increasing and span exactly [-L, L].
+The CSV format is two columns ``x,y``, comma separated, UTF-8, with or
+without a byte-order mark, decimal point '.', with an optional header row
+(detected by a non-numeric first cell).  Abscissae must be strictly
+increasing and span exactly [-L, L].
 """
 
 from __future__ import annotations
@@ -132,8 +133,8 @@ class FunctionSpec:
                 raise ValidationError("sample abscissae must be strictly increasing")
             if xs[0] != -self.L or xs[-1] != self.L:
                 raise ValidationError(
-                    f"samples must span [-L, L] exactly; got [{xs[0]!r}, {xs[-1]!r}] "
-                    f"for L={self.L!r}"
+                    "samples must span [-L, L] exactly; "
+                    f"got [{float(xs[0])!r}, {float(xs[-1])!r}] for L={float(self.L)!r}"
                 )
         else:
             raise ValidationError(f"unsupported body type {type(body).__name__}")
@@ -228,41 +229,34 @@ def render_function_spec(spec: FunctionSpec) -> str:
 
 
 def load_samples(path: str, L: float) -> FunctionSpec:
-    """Load a two-column x,y CSV file into a Sampled spec on [-L, L].
+    """Load a two-column x,y CSV file into a Sampled spec on [-L, L], in one pass.
 
-    Reading stops, with a ValidationError, at the first row past MAX_TABLE_ROWS.
+    The first problem in file order is reported, as a ValidationError: a
+    malformed row, a line the csv module refuses, or the row past MAX_TABLE_ROWS.
     """
-    rows = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    xs, ys, index = [], [], -1
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
-            for row in reader:
-                if not row:
-                    continue  # skip blank lines
-                if len(rows) == MAX_TABLE_ROWS:
+            for index, row in enumerate(filter(None, reader)):  # blank lines skipped
+                if index == MAX_TABLE_ROWS:
                     raise ValidationError(f"{path}: more than {MAX_TABLE_ROWS} rows, the limit")
-                rows.append(row)
+                if index == 0:
+                    try:
+                        float(row[0])
+                    except ValueError:
+                        continue  # header row
+                if len(row) != 2:
+                    raise ValidationError(f"{path}: row {index} has {len(row)} columns, expected 2")
+                try:
+                    xs.append(float(row[0]))
+                    ys.append(float(row[1]))
+                except ValueError:
+                    raise ValidationError(f"{path}: row {index} is not numeric: {row!r}") from None
         except csv.Error as exc:  # a cell past the csv module's field limit, say
             raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
+    if index < 0:
         raise ValidationError(f"{path}: no data rows")
-
-    def _as_pair(row, index):
-        if len(row) != 2:
-            raise ValidationError(f"{path}: row {index} has {len(row)} columns, expected 2")
-        try:
-            return float(row[0]), float(row[1])
-        except ValueError:
-            raise ValidationError(f"{path}: row {index} is not numeric: {row!r}") from None
-
-    start = 0
-    try:
-        float(rows[0][0])
-    except (ValueError, IndexError):
-        start = 1  # header row
-    if start == len(rows):
+    if not xs:
         raise ValidationError(f"{path}: no data rows after header")
-    pairs = [_as_pair(row, i) for i, row in enumerate(rows[start:], start=start)]
-    xs = tuple(p[0] for p in pairs)
-    ys = tuple(p[1] for p in pairs)
-    return FunctionSpec(L, Sampled(xs, ys, source=path))
+    return FunctionSpec(L, Sampled(tuple(xs), tuple(ys), source=path))

@@ -116,8 +116,7 @@ def _modes(sol: HeatSolution, t, M):
         raise ValueError("time must be a scalar or a 1-D array of times")
     negative = ts[ts < 0.0]
     if negative.size:
-        first = t if ts.ndim == 0 else float(negative[0])
-        raise NegativeTime(f"heat solution is not defined for t={first!r} < 0")
+        raise NegativeTime(f"heat solution is not defined for t={float(negative[0])!r} < 0")
     mults = np.arange(M + 1, dtype=float) + 0.5
     omega = mults * (np.pi / sol.L)
     kt = sol.k * ts[..., None]

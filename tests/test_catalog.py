@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,10 @@ class TestValidation:
             FunctionSpec(1.0, Sampled((-0.5, 1.0), (0.0, 1.0)))
         with pytest.raises(ValidationError):
             FunctionSpec(1.0, Sampled((-1.0, 0.5), (0.0, 1.0)))
+        # numpy inputs are named as plain floats
+        with pytest.raises(ValidationError) as info:
+            FunctionSpec(np.float64(2.0), Sampled(np.array([-1.0, 0.5]), np.zeros(2)))
+        assert str(info.value) == "samples must span [-L, L] exactly; got [-1.0, 0.5] for L=2.0"
 
     def test_sampled_too_short(self):
         with pytest.raises(ValidationError):
@@ -148,6 +154,30 @@ class TestParse:
     def test_bad_param(self):
         with pytest.raises(ParseError):
             parse_function_spec("named:const:zero", 1.0)
+
+    def test_csv_with_a_byte_order_mark(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("-1,0\n0,1\n1,0\n", encoding="utf-8")
+        expected = parse_function_spec(f"csv:{plain}", 1.0).body
+        for text in ("x,y\n-1,0\n0,1\n1,0\n", "-1,0\n0,1\n1,0\n"):
+            path = tmp_path / "bom.csv"
+            path.write_text(text, encoding="utf-8-sig")
+            body = parse_function_spec(f"csv:{path}", 1.0).body
+            assert (body.xs, body.ys) == (expected.xs, expected.ys)
+
+    def test_long_csv_peaks_under_twice_what_it_keeps(self, tmp_path):
+        path = tmp_path / "long.csv"
+        xs = np.linspace(-1.0, 1.0, 1 << 16)
+        path.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in
+                                          zip(xs.tolist(), np.sin(3.0 * xs).tolist())))
+        tracemalloc.start()
+        try:
+            spec = parse_function_spec(f"csv:{path}", 1.0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(spec.body.xs) == 1 << 16
+        assert peak < 2 * kept
 
     def test_csv_duplicates_are_validation_errors(self, tmp_path):
         path = tmp_path / "dup.csv"

@@ -715,6 +715,17 @@ def test_table_past_the_row_cap_is_refused(capsys, tmp_path, monkeypatch):
     assert err.splitlines()[-1] == f"antifourier coeffs: error: {path}: more than 4 rows, the limit"
 
 
+def test_table_reports_its_first_problem_in_file_order(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(catalog, "MAX_TABLE_ROWS", 4)
+    path = tmp_path / "table.csv"
+    path.write_text("x,y\n-1,0\n-0.5,one\n0,1\n0.5,1\n1,0\n")  # 6 rows, row 2 not numeric
+    code, out, err = run_cli(capsys, "coeffs", "--function", f"csv:{path}", "--interval", "1")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == (
+        f"antifourier coeffs: error: {path}: row 2 is not numeric: ['-0.5', 'one']"
+    )
+
+
 COEFFS_ARGV, COMPARE_ARGV = ["coeffs", "--n", "2"], ["compare", "--orders", "2", "--grid", "101"]
 
 

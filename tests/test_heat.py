@@ -149,6 +149,10 @@ class TestEval:
             heat_eval(scaled_square_solution, 0.0, -0.1)
         with pytest.raises(NegativeTime):
             heat_eval_dx(scaled_square_solution, 0.0, -1e-9)
+        # numpy times are named as plain floats
+        for t in (np.float64(-1.0), np.array(-1.0)):
+            with pytest.raises(NegativeTime, match=r"^heat solution is not defined for t=-1\.0 <"):
+                heat_eval(scaled_square_solution, 0.0, t)
 
     def test_order_exceeds(self, scaled_square_solution):
         with pytest.raises(OrderExceedsTruncation):
