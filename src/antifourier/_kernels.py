@@ -19,11 +19,14 @@ failure, tagged with the family, n and kind.  Two integration paths are used:
   vanishes, so every catalog body and ``poly:`` spec folds to a polynomial on
   (0, 1].  A family is one several-row ``integrate`` call, one row per
   harmonic, all starting on the smallest even panel count above its largest
-  multiplier, so a panel spans at most a half-turn of the top kernel: each
-  call folds f once at its abscissae and takes the kernels of its rows as
-  one block, and every coefficient keeps the bits of its own one-row
-  integration on those panels.  A non-finite folded sample (f overflows) is
-  a ValidationError.
+  multiplier, so a panel spans at most a half-turn of the top kernel.  Its
+  panel rule (:func:`_folded_rule`) folds f once a level and takes each
+  kernel as an angle sum at the panel centre and the node step, so a level
+  takes rows x (p + 48) basis values a pair instead of rows x 48 p, and each
+  row's panel sums are contractions of the weighted fold with its node
+  basis; every coefficient keeps the bits of its own one-row integration on
+  those panels.  A non-finite folded sample (f overflows) is a
+  ValidationError.
 
 * sampled bodies: each panel of the piecewise-linear interpolant in u is
   integrated against each pair's trig term in closed form, by parts, so no
@@ -56,7 +59,7 @@ import numpy as np
 from ._trig import cospi, cossinpi, sinpi
 from .catalog import FunctionSpec, Sampled, evaluate
 from .errors import NonConvergence, OrderExceedsTruncation, ValidationError
-from .quadrature import DEFAULT_TOL, _integer, check_tol, integrate
+from .quadrature import DEFAULT_TOL, _integer, _rules, check_tol, integrate
 
 # Baby steps of :func:`trig_sum`: mode o + BABY a + j, j < BABY, is one angle sum.
 BABY = 16
@@ -145,34 +148,60 @@ def _panels(ns, atoms):
     least 2, so each panel of [0, 1] spans at most one half-turn of the top
     kernel.  A low-order family starts on few panels (2 at N = 0, 32 at
     N = 30) and doubles them only where a row's estimate asks for it."""
-    max_mult = max(abs(n + offset) for n in ns for _, offset in atoms)
+    max_mult = max(np.abs(ns + offset).max() for _, offset in atoms)
     return 2 * (int(max_mult) // 2 + 1)
 
 
-def _folded_kernels(spec, shift, trig, atoms, harmonics, what):
-    """Integrand of :func:`integrate` with one row per harmonic: the
-    parity-folded (f(L u) - shift) times K_n at u in [0, 1].  Each call folds
-    f once and takes the kernels of the rows asked for as one rows x
-    abscissae block, which the rule's cap on a call bounds."""
+def _folded_rule(spec, shift, trig, atoms, harmonics, what):
+    """Panel rule of :func:`integrate` with one row per harmonic: on each
+    panel of [0, 1], the G32 and G16 sums of the parity-folded
+    (f(L u) - shift) times K_n, and a rounding size, (sum of |amplitude|)
+    times the G32 sum of |fold|, which bounds the G32 sum of |fold K_n|.
+
+    An abscissa is a panel centre c plus a node step s = half * t, so each
+    kernel term is an angle sum of cospi and sinpi of mult c and of mult s,
+    mult = n + offset.  A level folds f once on its 48 p abscissae; a call
+    then takes the basis of its rows at the p centres and the 48 steps,
+    rows x (p + 48) values of each kind a pair, and contracts each row's
+    node basis with the weighted fold of every panel by one batched
+    product, so a row keeps its bits whatever other rows are in the call."""
     # cosine kernels are even and keep f(x) + f(-x); sine kernels are odd
-    basis, parity = (cospi, 1.0) if trig == "cos" else (sinpi, -1.0)
-    mults = [harmonics + offset for _, offset in atoms]
+    parity = 1.0 if trig == "cos" else -1.0
+    nodes, w16, w32 = _rules()
+    bound = sum(abs(amplitude) for amplitude, _ in atoms)
+    level = {}  # panel count -> the weighted fold [G16 | G32] (48, 2p) and the sizes (p,)
 
-    def integrand(u, rows):
-        x = spec.L * u
-        # an overflow leaves a nan or an infinity, refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            folded = (evaluate(spec, x) - shift) + parity * (evaluate(spec, -x) - shift)
-        if not np.isfinite(folded).all():
-            raise ValidationError(
-                f"{what} n={harmonics[rows[0]]} is not finite: the function's values are too large"
-            )
-        return folded * sum(
-            amplitude * basis(np.multiply.outer(mult[rows], u))
-            for (amplitude, _), mult in zip(atoms, mults)
-        )
+    def rule(centres, half, rows):
+        p = centres.size
+        if p not in level:
+            x = spec.L * (centres[:, None] + half * nodes).reshape(-1)
+            # an overflow leaves a nan or an infinity, refused below
+            with np.errstate(over="ignore", invalid="ignore"):
+                folded = (evaluate(spec, x) - shift) + parity * (evaluate(spec, -x) - shift)
+            if not np.isfinite(folded).all():
+                raise ValidationError(f"{what} n={harmonics[rows[0]]} is not finite: "
+                                      "the function's values are too large")
+            folded = folded.reshape(p, -1).T
+            fold = np.zeros((folded.shape[0], 2 * p))
+            fold[:16, :p], fold[16:, p:] = w16[:, None] * folded[:16], w32[:, None] * folded[16:]
+            level.clear()
+            level[p] = fold, bound * (w32 @ np.abs(folded[16:]))
+        fold, size = level[p]
+        angles = np.concatenate((centres, half * nodes))  # the p centres, then the 48 steps
+        sums = 0.0  # the G16 and G32 sums, (2, rows, p)
+        for amplitude, offset in atoms:
+            at = np.multiply.outer(harmonics[rows] + offset, angles)
+            basis = np.stack((cospi(at), sinpi(at)), axis=1)  # (rows, 2, p + 48)
+            # each row's G16 and G32 sums of fold times cos and of fold times sin of mult s
+            cb, sb = (basis[:, :, p:] @ fold).reshape(-1, 2, 2, p).transpose(1, 2, 0, 3)
+            ca, sa = basis[:, 0, :p], basis[:, 1, :p]
+            # cos(a + b) = ca cb - sa sb and sin(a + b) = sa cb + ca sb
+            first, second = (ca, -sa) if trig == "cos" else (sa, ca)
+            sums = sums + amplitude * (first * cb + second * sb)
+        g16, g32 = sums
+        return np.stack((g32, np.abs(g32 - g16), np.broadcast_to(size, g32.shape)))
 
-    return integrand
+    return rule
 
 
 def project(spec: FunctionSpec, shift: float, families, abs_tol: float = DEFAULT_TOL):
@@ -220,9 +249,9 @@ def _callable_family(spec, shift, trig, atoms, ns, what, kind, abs_tol):
     """A family of :func:`project` on a callable body, one ``integrate`` run."""
     if not ns.size:
         return np.empty(0)
-    integrand = _folded_kernels(spec, shift, trig, atoms, ns, what)
+    rule = _folded_rule(spec, shift, trig, atoms, ns, what)
     try:
-        return integrate(integrand, 0.0, 1.0, abs_tol, rows=ns.size, panels=_panels(ns, atoms))
+        return integrate(rule, 0.0, 1.0, abs_tol, rows=ns.size, panels=_panels(ns, atoms))
     except NonConvergence as exc:
         n = int(ns[exc.index])
         raise NonConvergence(
@@ -344,7 +373,7 @@ def freeze_fields(obj, first: str, second: str, extra: int = 0, positive=("L",))
         value = getattr(obj, name)
         if not np.isfinite(value) or (name in positive and value <= 0.0):
             rule = "finite and positive" if name in positive else "finite"
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
+            raise ValueError(f"{name} must be {rule}, got {float(value)!r}")
     arrays = {name: np.asarray(getattr(obj, name), dtype=float) for name in (first, second)}
     if any(array.ndim != 1 for array in arrays.values()):
         raise ValueError(f"{first} and {second} must be one-dimensional")

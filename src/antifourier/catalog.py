@@ -90,7 +90,7 @@ class FunctionSpec:
 
     def __post_init__(self):
         if not (np.isfinite(self.L) and self.L > 0.0):
-            raise ValidationError(f"interval half-width must be positive, got {self.L!r}")
+            raise ValidationError(f"interval half-width must be positive, got {float(self.L)!r}")
         body = self.body
         if isinstance(body, Polynomial) and not isinstance(body.coefficients, tuple):
             body = Polynomial(tuple(body.coefficients))
@@ -147,7 +147,7 @@ def evaluate(spec: FunctionSpec, x):
     """Evaluate ``spec`` at scalar or array ``x``; raises OutOfDomain if |x| > L."""
     arr = np.asarray(x, dtype=float)
     if np.any(np.abs(arr) > spec.L):
-        raise OutOfDomain(f"argument outside [-{spec.L!r}, {spec.L!r}]")
+        raise OutOfDomain(f"argument outside [-{float(spec.L)!r}, {float(spec.L)!r}]")
     body = spec.body
     if isinstance(body, Polynomial):
         out = np.polynomial.polynomial.polyval(arr, np.asarray(body.coefficients))

@@ -7,11 +7,12 @@ Coefficients follow the usual normalization
 
 and the partial sum is a_0/2 + sum_{n=1}^{M} (a_n cos + b_n sin).  Each
 coefficient keeps its own error control (no FFT): each family is one
-composite Gauss-Legendre run, one row per harmonic on shared panels, but each
-row keeps its own error estimate and panel doublings, so arbitrary function
-specs and tolerances are supported.  Basis values are computed with
-the exact-at-half-multiples helpers, which makes sin(n pi) at x = +-L exactly
-zero and the endpoint symmetry S(-L) == S(L) hold bitwise.
+composite Gauss-Legendre run, one row per harmonic on shared panels, which
+folds f once a level and takes each row's panel sums as angle-sum
+contractions, but each row keeps its own error estimate and panel doublings,
+so arbitrary function specs and tolerances are supported.  Basis values are
+computed with the exact-at-half-multiples helpers, which makes sin(n pi) at
+x = +-L exactly zero and the endpoint symmetry S(-L) == S(L) hold bitwise.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ GIBBS_COLUMNS = ("series_kind", "order", "window_fraction", "subgrid_points", "o
 # (largest order + 1) x table rows products of a table's node sums.
 MAX_VALUES = 1 << 23
 # Most harmonics of a callable body's projection, a bound on run time, which
-# grows as N^2: coeffs --kind both on named:identity takes about 7 s at
+# grows as N^2: coeffs --kind both on named:identity takes about 0.7 s at
 # N=1023 on a 2-vCPU host.  Tables, basis and eval --coeffs-file run no
 # quadrature, so MAX_VALUES alone bounds them.
 MAX_HARMONICS = 1 << 10

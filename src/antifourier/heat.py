@@ -49,17 +49,17 @@ class HeatProblem:
         if not (np.isfinite(self.k) and self.k > 0.0):
             raise ValueError("diffusivity k must be positive")
         if not np.isfinite(self.boundary_mean):
-            raise ValueError(f"boundary mean c must be finite, got {self.boundary_mean!r}")
+            raise ValueError(f"boundary mean c must be finite, got {float(self.boundary_mean)!r}")
         if self.L != self.initial.L:
             raise ValueError(
-                f"problem half-length L={self.L!r} differs from the initial "
-                f"condition's L={self.initial.L!r}"
+                f"problem half-length L={float(self.L)!r} differs from the initial "
+                f"condition's L={float(self.initial.L)!r}"
             )
         defect = antiperiodic_defect(self.initial)
         if abs(defect - 2.0 * self.boundary_mean) > COMPATIBILITY_TOL:
             raise IncompatibleData(
                 f"initial data incompatible with the boundary mean: "
-                f"f(-L) + f(L) = {defect!r} but 2c = {2.0 * self.boundary_mean!r}"
+                f"f(-L) + f(L) = {float(defect)!r} but 2c = {float(2.0 * self.boundary_mean)!r}"
             )
 
 

@@ -1,11 +1,14 @@
 """Quadrature with absolute error control.
 
 One composite Gauss-Legendre rule (:func:`_gauss_legendre`) integrates m
-integrands (``rows=m``), one *row* each: the integrand is then called as
-``f(x, idx)`` with an integer array of row indices and returns those rows'
-values at ``x``, shape ``(len(idx), len(x))``.  One integrand (``rows`` not
-given) is called as ``f(x)``, returns shape ``(len(x),)``, and is the one-row
-case of the same rule, bit for bit.  Integrands must accept numpy arrays.
+integrands (``rows=m``), one *row* each, level by level on p equal panels.
+With ``rows`` the integrand is a *panel rule* ``f(centres, half, idx)``
+that returns, for the rows ``idx``, each panel's 32-point sum,
+|32-point - 16-point sum| and 32-point sum of |f| over the abscissae
+centre + half * t of :func:`_rules`: shape ``(3, len(idx), len(centres))``.
+One integrand (``rows`` not given) is called as ``f(x)``, returns shape
+``(len(x),)``, and goes through :func:`_panel_sums`, the panel rule of a
+plain function.  Integrands must accept numpy arrays.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ DEFAULT_TOL = 1e-10
 # NonConvergence instead of letting the work grow without bound.
 _MAX_ACTIVE_INTERVALS = 1 << 21
 
-# Most row x abscissa values one integrand call of the Gauss-Legendre rule
-# receives, and most row x panel sums a level holds at once, past one row.  Larger and
-# smaller caps were both slower at N = 25, 100 and 400.
+# Most row x panel sums one panel-rule call returns, past one row, and most
+# abscissae one call of a plain integrand receives.
 _MAX_CELLS = 1 << 14
 
 # A row whose |32-point - 16-point| differences sum to within this many
@@ -80,16 +82,20 @@ def integrate(
     ----------
     f : callable
         Vectorized integrand; called as ``f(x)`` with a numpy array of
-        abscissae, returning shape ``(len(x),)``, or with ``rows`` as
-        ``f(x, idx)`` returning shape ``(len(idx), len(x))``.  Its values
-        must be real.  The ends a and b are not evaluated.
+        abscissae, returning real values of shape ``(len(x),)``.  With
+        ``rows``, a panel rule (see the module docstring): called as
+        ``f(centres, half, idx)``, returning real sums of shape
+        ``(3, len(idx), len(centres))``.  The ends a and b are not
+        evaluated.
     a, b : float
         Integration bounds, a < b.
     abs_tol : float
         Absolute error target for the whole integral; positive and finite.
     rows : int, optional
         Number of integrands computed together, each to ``abs_tol``; an
-        integer of at least 1.  Each row gets the bits of its one-row run.
+        integer of at least 1.  Each row gets the bits of its one-row run,
+        as long as the panel rule's sums for a row do not depend on the
+        other rows of a call.
     panels : int
         Number of equal panels the refinement starts from; an even integer
         of at least 2.
@@ -104,8 +110,8 @@ def integrate(
     InvalidInterval
         If a >= b.
     ValueError
-        If an argument is out of range, or the integrand returns complex
-        values or values of the wrong shape.
+        If an argument is out of range, or the integrand or panel rule
+        returns complex values or values of the wrong shape.
     NonConvergence
         If the refinement budget is exhausted before the tolerance is met,
         or the tolerance is below what double precision can deliver.  With
@@ -128,8 +134,10 @@ def integrate_result(
         raise ValueError("rows must be at least 1")
     if _integer(panels, "panels") < 2 or panels % 2:
         raise ValueError("panels must be even and at least 2")
+    rule = f if rows is not None else (
+        lambda centres, half, idx: _panel_sums(f, centres, half)[:, None])
     with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows fails
-        result = _gauss_legendre(f, a, b, abs_tol, panels, rows)
+        result = _gauss_legendre(rule, a, b, abs_tol, panels, rows)
     if rows is not None:
         return result
     return QuadratureResult(float(result.value[0]), float(result.error_estimate[0]),
@@ -144,9 +152,9 @@ def _rules():
     return np.concatenate((t16, t32)), w16, w32
 
 
-def _gauss_legendre(f, a, b, abs_tol, panels, rows):
-    """Rows 0..rows-1 by composite Gauss-Legendre from ``panels`` panels;
-    with ``rows`` None, the one integrand ``f(x)`` as row 0, and a failure
+def _gauss_legendre(rule, a, b, abs_tol, panels, rows):
+    """Rows 0..rows-1 of the panel rule ``rule`` by composite Gauss-Legendre
+    from ``panels`` panels; with ``rows`` None, the one row 0, and a failure
     names no row.
 
     A row's estimate is the sum over the panels of |32-point - 16-point sum|,
@@ -160,14 +168,14 @@ def _gauss_legendre(f, a, b, abs_tol, panels, rows):
     so a run fails where a loop over its rows would.  A row with a jump
     inside a panel runs to the budget and fails.  A row's value, estimate and
     counts are bit for bit those of its one-row run on the same panels
-    (:func:`_level`).
+    (:func:`_level`) whenever the rule gives it the same panel sums.
     """
     m = 1 if rows is None else rows
     value, error = np.zeros(m), np.zeros(m)
     levels, live, failure = np.zeros(m, dtype=int), np.arange(m), None
     for level in itertools.count():
         p = panels << level
-        total, diff, size = _level(f, a, b, p, live, rows is None) * (b - a)
+        total, diff, size = _level(rule, a, b, p, live) * (b - a)
         levels[live] = level
         floor = _EPS * size
         estimate = np.maximum(diff, floor)  # not finite where a sum overflows
@@ -201,38 +209,46 @@ def _gauss_failure(abs_tol, p, stuck, worst):
             f"{worst:g} > abs_tol={abs_tol:g}"), float(worst)
 
 
-def _level(f, a, b, p, rows, one):
+def _level(rule, a, b, p, rows):
     """Sums over p equal panels of [a, b], divided by 2p, for each row of
     ``rows``: of each panel's 32-point sum, of |32-point - 16-point sum| and
-    of the 32-point sum of |f|; shape (3, len(rows)).  ``one`` calls ``f(x)``
-    for the one integrand instead of ``f(x, idx)``.  Each panel's nodes are
-    summed first, then a row's panels by numpy's pairwise sum, so a row keeps
-    its bits whatever other rows are in ``rows``.  A power of two scales the
-    panel sums first: it changes no bit and keeps the sum finite where the
-    integral is."""
-    nodes, w16, w32 = _rules()
+    of the 32-point sum of |f|; shape (3, len(rows)).  ``rule`` is asked for
+    the panel sums of at most ``_MAX_CELLS`` rows x panels at a time, and
+    each row's panels are added by numpy's pairwise sum, so a row keeps the
+    bits of its panel sums whatever other rows are in ``rows``.  A power of
+    two scales the panel sums first: it changes no bit and keeps the sum
+    finite where the integral is."""
     centres, half = a + (b - a) * (np.arange(p) + 0.5) / p, 0.5 * (b - a) / p
     scale = 0.5 ** (2 * p).bit_length()
-    block = max(1, min(_MAX_CELLS // _NODES, _MAX_CELLS // p))  # rows whose panel sums are held
+    block = max(1, _MAX_CELLS // p)  # rows of one call
     out = np.empty((3, rows.size))
     for start in range(0, rows.size, block):
         idx = rows[start : start + block]
-        step = max(1, _MAX_CELLS // (_NODES * idx.size))  # panels of one call
-        sums = np.empty((3, idx.size, p))
-        for k in range(0, p, step):
-            x = (centres[k : k + step, None] + half * nodes).reshape(-1)
-            values = np.asarray(f(x) if one else f(x, idx))
-            shape, form = ((x.size,), "(len(x),)") if one else (
-                (idx.size, x.size), "(len(idx), len(x))")
-            if values.shape != shape or np.iscomplexobj(values):
-                raise ValueError(f"the integrand must return real values of shape {form} = "
-                                 f"{shape}, got {values.dtype} values of shape {values.shape}")
-            values = values.astype(float, copy=False).reshape(idx.size, -1, _NODES)
-            g16 = (values[..., :16] * w16).sum(axis=-1)
-            g32 = (values[..., 16:] * w32).sum(axis=-1)
-            sums[0, :, k : k + step] = g32
-            sums[1, :, k : k + step] = np.abs(g32 - g16)
-            sums[2, :, k : k + step] = (np.abs(values[..., 16:]) * w32).sum(axis=-1)
-        sums *= scale
-        out[:, start : start + block] = sums.sum(axis=-1)
+        sums = np.asarray(rule(centres, half, idx))
+        if sums.shape != (3, idx.size, p) or np.iscomplexobj(sums):
+            raise ValueError(
+                "the integrand must return real values of shape (3, len(idx), len(centres)) = "
+                f"{(3, idx.size, p)}, got {sums.dtype} values of shape {sums.shape}")
+        out[:, start : start + block] = (sums * scale).sum(axis=-1)
     return out / (2 * p * scale)
+
+
+def _panel_sums(f, centres, half):
+    """The panel rule of one plain integrand ``f(x)``: on each panel, the
+    32-point sum, |32-point - 16-point sum| and the 32-point sum of |f|,
+    shape (3, len(centres)), each panel's nodes summed by numpy's pairwise
+    sum.  ``f`` receives at most ``_MAX_CELLS`` abscissae a call."""
+    nodes, w16, w32 = _rules()
+    step = max(1, _MAX_CELLS // _NODES)  # panels of one call
+    sums = np.empty((3, centres.size))
+    for k in range(0, centres.size, step):
+        x = (centres[k : k + step, None] + half * nodes).reshape(-1)
+        values = np.asarray(f(x))
+        if values.shape != x.shape or np.iscomplexobj(values):
+            raise ValueError("the integrand must return real values of shape (len(x),) = "
+                             f"{x.shape}, got {values.dtype} values of shape {values.shape}")
+        values = values.astype(float, copy=False).reshape(-1, _NODES)
+        g16 = (values[:, :16] * w16).sum(axis=-1)
+        g32 = (values[:, 16:] * w32).sum(axis=-1)
+        sums[:, k : k + step] = g32, np.abs(g32 - g16), (np.abs(values[:, 16:]) * w32).sum(axis=-1)
+    return sums

@@ -47,6 +47,14 @@ class TestEvaluate:
         with pytest.raises(OutOfDomain):
             evaluate(spec, np.array([0.0, -2.0]))
 
+    def test_numpy_half_widths_print_as_plain_floats(self):
+        spec = FunctionSpec(np.float64(2.0), Named("identity"))
+        with pytest.raises(OutOfDomain, match=r"^argument outside \[-2\.0, 2\.0\]$"):
+            evaluate(spec, 3.0)
+        message = "^interval half-width must be positive, got nan$"
+        with pytest.raises(ValidationError, match=message):
+            FunctionSpec(np.float64("nan"), Named("identity"))
+
     def test_callable_sugar(self):
         spec = FunctionSpec(2.0, Named("const", (3.0,)))
         assert spec(1.0) == 3.0

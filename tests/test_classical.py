@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from antifourier import (
+    AntiperiodicCoefficients,
     ClassicalCoefficients,
     FunctionSpec,
     HeatProblem,
@@ -188,6 +189,13 @@ class TestTerms:
 def test_coefficient_arrays_must_be_flat(a, b):
     with pytest.raises(ValueError, match="one-dimensional"):
         ClassicalCoefficients(1.0, a, b)
+
+
+def test_a_numpy_scalar_field_prints_as_a_plain_float():
+    with pytest.raises(ValueError, match="^L must be finite and positive, got -1.0$"):
+        ClassicalCoefficients(np.float64(-1.0), [1.0], [])
+    with pytest.raises(ValueError, match="^gamma must be finite, got nan$"):
+        AntiperiodicCoefficients(1.0, np.float64("nan"), [1.0], [1.0])
 
 
 def test_coefficients_are_immutable():

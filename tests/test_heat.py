@@ -121,6 +121,16 @@ class TestSolve:
         with pytest.raises(ValueError):
             HeatProblem(1.0, 2.0, 1.0, FunctionSpec(np.pi, Named("scaled-square")))
 
+    def test_numpy_inputs_print_as_plain_floats(self):
+        f = FunctionSpec(np.float64(1.0), Polynomial((1.0,)))
+        with pytest.raises(ValueError, match="^boundary mean c must be finite, got nan$"):
+            HeatProblem(1.0, 1.0, np.float64("nan"), f)
+        with pytest.raises(ValueError, match="^problem half-length L=2.0 differs from the "
+                                             "initial condition's L=1.0$"):
+            HeatProblem(1.0, np.float64(2.0), 1.0, f)
+        with pytest.raises(IncompatibleData, match=r"f\(L\) = 2.0 but 2c = 0.6$"):
+            HeatProblem(1.0, 1.0, np.float64(0.3), f)
+
 
     def test_nonconvergence_is_tagged(self):
         # the modes are the half-integer coefficients of f - c: for the

@@ -420,27 +420,41 @@ def test_even_polynomials_have_exactly_zero_sine_coefficients(f, N):
     assert (coefficients_via_periodic_split(f, N).beta == 0.0).all()
 
 
-def per_harmonic(spec, shift, trig, atoms, ns):
-    """The projection one harmonic at a time, one one-row integrate_result
-    each: the oracle of :func:`project`."""
-    basis, parity = (cospi, 1.0) if trig == "cos" else (sinpi, -1.0)
-    values = np.empty(len(ns))
-    # every harmonic starts on the panels of the window's largest multiplier:
-    # the first even count above it, so a panel spans at most a half-turn
+def window_panels(ns, atoms):
+    """The start panels of a family over ``ns``: the first even count above
+    its largest multiplier, so a panel spans at most a half-turn."""
     max_mult = max(abs(n + offset) for n in ns for _, offset in atoms)
     panels = 2
     while panels <= max_mult:
         panels += 2
-    for i, n in enumerate(ns):
+    return panels
 
-        def integrand(u, rows, n=n):
-            x = spec.L * u
-            folded = (evaluate(spec, x) - shift) + parity * (evaluate(spec, -x) - shift)
-            return folded * sum(amplitude * basis((n + offset) * u[None])
-                                for amplitude, offset in atoms)
 
-        values[i] = quadrature.integrate_result(integrand, 0.0, 1.0, rows=1, panels=panels).value[0]
-    return values
+def per_harmonic(spec, shift, trig, atoms, ns):
+    """The projection one harmonic at a time, each its one-harmonic
+    :func:`project` run on the panels of the whole window: the oracle of
+    :func:`project`."""
+    panels = window_panels(ns, atoms)
+    with mock.patch.object(_kernels, "_panels", lambda *_: panels):
+        return np.array([project(spec, shift, [(trig, atoms, [n], "c", trig)])[0][0] for n in ns])
+
+
+def folded(spec, shift, trig):
+    """The parity-folded (f(L u) - shift) on [0, 1] of a ``trig`` family."""
+    parity = 1.0 if trig == "cos" else -1.0
+    return lambda u: ((evaluate(spec, spec.L * u) - shift)
+                      + parity * (evaluate(spec, -spec.L * u) - shift))
+
+
+def direct_kernels(spec, shift, trig, atoms, ns):
+    """Each harmonic as a one-row integration of the fold times its kernel,
+    taken by ``cospi`` or ``sinpi`` of (n + offset) u at every abscissa, on
+    the panels of the whole window."""
+    basis = cospi if trig == "cos" else sinpi
+    fold, panels = folded(spec, shift, trig), window_panels(ns, atoms)
+    return np.array([quadrature.integrate(
+        lambda u, n=n: fold(u) * sum(a * basis((n + offset) * u) for a, offset in atoms),
+        0.0, 1.0, panels=panels) for n in ns])
 
 
 # (trig, atoms) of the classical, half-integer and two periodic-split families
@@ -459,16 +473,99 @@ HARMONICS = st.tuples(st.integers(min_value=0, max_value=64), st.integers(1, 8))
     lambda window: range(window[0], window[0] + window[1]))
 
 
-# the small cap takes the rows in blocks, deferring the later ones to later calls
+# the small cap takes the rows in blocks of 512 // p, one panel-rule call each
 @pytest.mark.parametrize("cap", [quadrature._MAX_CELLS, 1 << 9], ids=["default-cap", "deferring"])
 @FAMILY_SETTINGS
 @given(BODIES, st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), FAMILIES, HARMONICS)
 @example(FunctionSpec(np.pi, Named("identity")), 0.0, ("sin", ((1.0, 0.5),)), range(58, 66))
 def test_project_is_the_per_harmonic_loop_bitwise(cap, f, shift, family, ns):
+    # each harmonic of a family is its one-harmonic run on the same panels
     trig, atoms = family
     with mock.patch.object(quadrature, "_MAX_CELLS", cap):
         (values,) = project(f, shift, [(trig, atoms, ns, "coefficient", trig)])
     assert same_bits(values, per_harmonic(f, shift, trig, atoms, ns))
+
+
+@FAMILY_SETTINGS
+@given(BODIES, st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), FAMILIES, HARMONICS)
+@example(FunctionSpec(np.pi, Named("x-plus-sign")), 0.5, ("cos", ((1.0, 0.5),)), range(392, 401))
+@example(FunctionSpec(np.pi, Named("scaled-square")), 0.0, ("sin", ((0.5, 0.5), (-0.5, -0.5))),
+         range(395, 401))
+def test_project_is_the_direct_kernel_run_within_its_rounding(f, shift, family, ns):
+    # An abscissa c + s takes its kernel as an angle sum of cospi and sinpi
+    # at the panel centre c and the node step s, where the direct run takes
+    # them at the rounded c + s.  The angles differ by the rounding of
+    # (n + offset) times c, s and c + s, at most 1.5 pi |n + offset| eps,
+    # and the angle sum adds a few eps, so each coefficient moves by at most
+    # 5 (|n + offset| + 1) eps times sum |amplitude| times sum w |fold|.
+    trig, atoms = family
+    (values,) = project(f, shift, [(trig, atoms, ns, "c", trig)])
+    fold = folded(f, shift, trig)
+    panels = window_panels(ns, atoms)
+    size = quadrature.integrate(lambda u: np.abs(fold(u)), 0.0, 1.0, panels=panels)
+    mults = np.array([max(abs(n + offset) for _, offset in atoms) for n in ns])
+    bound = 5.0 * (mults + 1.0) * np.finfo(float).eps * sum(abs(a) for a, _ in atoms) * size
+    assert (np.abs(values - direct_kernels(f, shift, trig, atoms, ns)) <= bound).all()
+
+
+# x^400 on [-1, 1]: the five rows of its half-cosine family on range(5)
+# start on 6 panels (top multiplier 4.5) and each refines once, to 12
+REFINING = FunctionSpec(1.0, Polynomial((0.0,) * 400 + (1.0,)))
+
+
+def refining_family(monkeypatch, cap):
+    """Spies on the REFINING family with its rows taken in blocks of at most
+    ``cap`` row x panel sums: returns the sizes of each ``evaluate`` call,
+    of each basis call by kind, the (rows, panels) of each panel-rule call
+    and the levels reached."""
+    monkeypatch.setattr(quadrature, "_MAX_CELLS", cap)
+    sizes, basis, calls, levels = [], {"cospi": [], "sinpi": []}, [], []
+
+    def spy_integrate(rule, a, b, abs_tol, rows=None, panels=64):
+        def spy_rule(centres, half, idx):
+            calls.append((idx.size, centres.size))
+            return rule(centres, half, idx)
+
+        result = quadrature.integrate_result(spy_rule, a, b, abs_tol, rows, panels)
+        levels.append(int(result.refinements.max()) + 1)
+        return result.value
+
+    monkeypatch.setattr(_kernels, "integrate", spy_integrate)
+    monkeypatch.setattr(_kernels, "evaluate",
+                        lambda spec, x: sizes.append(np.size(x)) or evaluate(spec, x))
+    for name, fn in (("cospi", cospi), ("sinpi", sinpi)):
+        monkeypatch.setattr(_kernels, name,
+                            lambda t, name=name, fn=fn: basis[name].append(np.size(t)) or fn(t))
+    project(REFINING, 0.0, [("cos", ((1.0, 0.5),), range(5), "c", "cos")])
+    return sizes, basis, calls, levels[0]
+
+
+@pytest.mark.parametrize("cap", [quadrature._MAX_CELLS, 24], ids=["default-cap", "row-blocks"])
+def test_a_family_folds_f_once_a_level(monkeypatch, cap):
+    sizes, basis, _, levels = refining_family(monkeypatch, cap)
+    assert levels == 2
+    # one evaluate at x and one at -x on the 48 p abscissae of each level
+    assert sizes == [48 * 6] * 2 + [48 * 12] * 2
+    # rows x (p + 48) basis values of each kind a level, whatever the blocks
+    for name in ("cospi", "sinpi"):
+        assert sum(basis[name]) == 5 * (6 + 48) + 5 * (12 + 48)
+
+
+def test_a_family_call_holds_at_most_the_cap_of_row_x_panel_sums(monkeypatch):
+    calls = []
+    rule_of = _kernels._folded_rule
+
+    def spy_rule(*args):
+        rule = rule_of(*args)
+        return lambda centres, half, idx: calls.append(idx.size * centres.size) or rule(
+            centres, half, idx)
+
+    monkeypatch.setattr(_kernels, "_folded_rule", spy_rule)
+    antiperiodic_coefficients(FunctionSpec(np.pi, Named("identity")), 400)
+    assert max(calls) == 40 * 402 <= quadrature._MAX_CELLS  # 40 rows on 402 panels
+    # 24 // 6 = 4 rows a call on the 6 start panels, 2 on 12
+    _, _, calls, _ = refining_family(monkeypatch, 24)
+    assert calls == [(4, 6), (1, 6), (2, 12), (2, 12), (1, 12)]
 
 
 def test_project_makes_one_integrate_call_per_callable_family(monkeypatch):

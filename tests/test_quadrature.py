@@ -182,8 +182,8 @@ def test_one_integrand_meets_its_tolerance(name):
         (lambda x: x[:-1], None, "(len(x),) = (3072,), got float64 values of shape (3071,)"),
         (lambda x: np.exp(1j * x), None,
          "(len(x),) = (3072,), got complex128 values of shape (3072,)"),
-        (lambda x, idx: np.ones((1, x.size)), 2,
-         "(len(idx), len(x)) = (2, 3072), got float64 values of shape (1, 3072)"),
+        (lambda centres, half, idx: np.ones((3, 1, centres.size)), 2,
+         "(3, len(idx), len(centres)) = (3, 2, 64), got float64 values of shape (3, 1, 64)"),
     ],
     ids=["scalar", "wrong-length", "complex", "wrong-row-count"],
 )
@@ -223,15 +223,15 @@ EXACT = np.array([
 
 
 def stacked(fs, calls=None):
-    """Several-row integrand whose row i is ``fs[i]``; ``calls`` records the
-    (rows, points) of every call."""
+    """Panel rule whose row i is the plain integrand ``fs[i]``; ``calls``
+    records the (rows, abscissae) of every call."""
 
-    def f(x, idx):
+    def rule(centres, half, idx):
         if calls is not None:
-            calls.append((tuple(idx.tolist()), len(x)))
-        return np.array([fs[i](x) for i in idx])
+            calls.append((tuple(idx.tolist()), 48 * len(centres)))
+        return np.stack([quadrature._panel_sums(fs[i], centres, half) for i in idx], axis=1)
 
-    return f
+    return rule
 
 
 def step(x):
@@ -249,8 +249,7 @@ def assert_rows_are_one_row_runs(result, fs, a, b, **settings):
 
 @pytest.mark.parametrize("cap", [quadrature._MAX_CELLS, 1 << 9], ids=["default-cap", "deferring"])
 def test_rows_are_their_one_row_runs_bitwise(monkeypatch, cap):
-    # the small cap takes the rows in blocks, deferring the later blocks to
-    # later calls, and the panels one call at a time
+    # the small cap takes the rows in blocks of 512 // p, one call each
     monkeypatch.setattr(quadrature, "_MAX_CELLS", cap)
     for settings in ({}, {"abs_tol": 1e-12, "panels": 6}):
         result = integrate_result(stacked(ROWS), -1.0, 2.0, rows=len(ROWS), **settings)
@@ -393,9 +392,12 @@ def test_integrand_calls_stay_within_the_cap(monkeypatch):
     fs = [lambda x, k=k: np.sin(k * x) * x for k in range(29)] + [ROWS[2]]
     calls = []
     result = integrate_result(stacked(fs, calls), 0.0, 3.0, rows=len(fs))
-    assert all(len(rows) * points <= cap for rows, points in calls)
-    # the panel sums of cap / 64 rows at a time, one panel a call; then the
-    # kink row alone, up to 21 panels a call
+    assert all(len(rows) * (points // 48) <= cap for rows, points in calls)
+    # the panel sums of cap / 64 rows at a time on the 64 start panels; then
+    # the kink row alone
     assert {len(rows) for rows, _ in calls} == {16, 14, 1}
-    assert max(points for rows, points in calls) == 21 * 48
     assert_rows_are_one_row_runs(result, fs, 0.0, 3.0)
+    # a plain integrand receives up to cap / 48 = 21 panels a call
+    sizes = []
+    integrate(lambda x: sizes.append(x.size) or ROWS[2](x), 0.0, 3.0)
+    assert max(sizes) == 21 * 48
