@@ -57,7 +57,7 @@ from dataclasses import fields
 import numpy as np
 
 from ._trig import cospi, cossinpi, sinpi
-from .catalog import FunctionSpec, Sampled, evaluate
+from .catalog import FunctionSpec, Polynomial, Sampled, evaluate
 from .errors import NonConvergence, OrderExceedsTruncation, ValidationError
 from .quadrature import DEFAULT_TOL, _integer, _rules, check_tol, integrate
 
@@ -150,6 +150,13 @@ def _panels(ns, atoms):
     N = 30) and doubles them only where a row's estimate asks for it."""
     max_mult = max(np.abs(ns + offset).max() for _, offset in atoms)
     return 2 * (int(max_mult) // 2 + 1)
+
+
+def first_level_values(spec, N):
+    """Values of a callable family's first quadrature level over orders 0..N:
+    its start panels x (N + 1 harmonic rows + one Horner pass per term of f)."""
+    terms = len(spec.body.coefficients) if isinstance(spec.body, Polynomial) else 1
+    return _panels(np.array([N]), ((1.0, 0.5),)) * (N + 1 + terms)
 
 
 def _folded_rule(spec, shift, trig, atoms, harmonics, what):

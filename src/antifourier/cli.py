@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import io
+from ._kernels import first_level_values
 from .antiperiodic import antiperiodic_coefficients, half_basis
 from .catalog import Sampled, evaluate, parse_function_spec
 from .classical import classical_coefficients
@@ -40,16 +41,11 @@ _KINDS = {
     "classical": ("classical",), "anti": ("antiperiodic",), "both": ("classical", "antiperiodic")
 }
 GIBBS_COLUMNS = ("series_kind", "order", "window_fraction", "subgrid_points", "overshoot")
-# Most values one array of a command may hold: (largest order + 1) x (largest
-# grid), and for heat also times x grid and times x (largest order + 1).  The
-# default compare ladder needs 401 x 4001, about 1.6M.  It also bounds the
-# (largest order + 1) x table rows products of a table's node sums.
+# Most values one term of a command's work may count: (largest order + 1) x
+# (largest grid), for heat also times x grid and times x (largest order + 1),
+# and, where f is projected, the first quadrature level (see _check_size).  The
+# default compare ladder needs 401 x 4001, about 1.6M.
 MAX_VALUES = 1 << 23
-# Most harmonics of a callable body's projection, a bound on run time, which
-# grows as N^2: coeffs --kind both on named:identity takes about 0.7 s at
-# N=1023 on a 2-vCPU host.  Tables, basis and eval --coeffs-file run no
-# quadrature, so MAX_VALUES alone bounds them.
-MAX_HARMONICS = 1 << 10
 
 _EPILOG = f"""\
 function spec grammar:
@@ -201,35 +197,30 @@ def _parser(quad_tol: str) -> argparse.ArgumentParser:
 
 def _check_size(args):
     """Return the command's parsed function (None for basis), after refusing a
-    command whose largest array passes MAX_VALUES or that projects a callable
-    body on more than MAX_HARMONICS harmonics."""
+    command when any one term of its work, a count of values, passes MAX_VALUES."""
     spec = None if args.command == "basis" else parse_function_spec(args.function, args.interval)
     harmonics = (max(args.orders) if args.command == "compare" else args.n) + 1
     grid = max(getattr(args, "grid", 0), getattr(args, "subgrid", 0))  # coeffs has neither
     sizes = {}
     if spec is not None and not getattr(args, "coeffs_file", None):  # the command projects f
         if isinstance(spec.body, Sampled):
-            rows = len(spec.body.xs)
-            sizes["(largest order + 1) x table rows"] = (harmonics * rows, "values", MAX_VALUES)
+            sizes["(largest order + 1) x table rows"] = harmonics * len(spec.body.xs)
         else:
-            sizes["largest order + 1"] = (harmonics, "harmonics", MAX_HARMONICS)
-    sizes["(largest order + 1) x (largest grid)"] = (harmonics * grid, "values", MAX_VALUES)
+            work = first_level_values(spec, harmonics - 1)
+            sizes["first-level panels x (largest order + 1 + terms of f)"] = work
+    sizes["(largest order + 1) x (largest grid)"] = harmonics * grid
     if args.command == "heat":
-        sizes["times x grid"] = (len(args.times) * args.grid, "values", MAX_VALUES)
-        sizes["times x (largest order + 1)"] = (len(args.times) * harmonics, "values", MAX_VALUES)
-    for what, (size, unit, limit) in sizes.items():
-        if size > limit:
-            raise ValidationError(f"{what} is {size} {unit}, above the limit of {limit}")
+        sizes["times x grid"] = len(args.times) * args.grid
+        sizes["times x (largest order + 1)"] = len(args.times) * harmonics
+    for what, size in sizes.items():
+        if size > MAX_VALUES:
+            raise ValidationError(f"{what} is {size} values, above the limit of {MAX_VALUES}")
     return spec
 
 
 def _compute_series(spec, kinds, N, abs_tol):
-    out = {}
-    if "classical" in kinds:
-        out["classical"] = classical_coefficients(spec, N, abs_tol)
-    if "antiperiodic" in kinds:
-        out["antiperiodic"] = antiperiodic_coefficients(spec, N, abs_tol)
-    return out
+    compute = {"classical": classical_coefficients, "antiperiodic": antiperiodic_coefficients}
+    return {kind: compute[kind](spec, N, abs_tol) for kind in kinds}
 
 
 def _cmd_coeffs(args, spec) -> str:

@@ -43,7 +43,7 @@ _MAX_CELLS = 1 << 14
 _NOISE_FACTOR = 16.0
 
 # Abscissae of one Gauss-Legendre panel: the 16-point rule's, then the 32-point rule's.
-_NODES = 48
+_PANEL_NODES = 48
 
 
 def _integer(value, name):
@@ -182,7 +182,7 @@ def _gauss_legendre(rule, a, b, abs_tol, panels, rows):
         done = estimate <= abs_tol
         value[live[done]], error[live[done]] = total[done], estimate[done]
         stuck = diff <= _NOISE_FACTOR * floor
-        budget = 2 * _NODES * p > _MAX_ACTIVE_INTERVALS
+        budget = 2 * _PANEL_NODES * p > _MAX_ACTIVE_INTERVALS
         failed = ~done & (~np.isfinite(estimate) | stuck | budget)
         keep = ~done
         if failed.any():
@@ -195,7 +195,8 @@ def _gauss_legendre(rule, a, b, abs_tol, panels, rows):
         if not live.size:
             if failure is not None:
                 raise failure
-            return QuadratureResult(value, error, _NODES * panels * (2 ** (levels + 1) - 1), levels)
+            points = _PANEL_NODES * panels * (2 ** (levels + 1) - 1)
+            return QuadratureResult(value, error, points, levels)
 
 
 def _gauss_failure(abs_tol, p, stuck, worst):
@@ -239,7 +240,7 @@ def _panel_sums(f, centres, half):
     shape (3, len(centres)), each panel's nodes summed by numpy's pairwise
     sum.  ``f`` receives at most ``_MAX_CELLS`` abscissae a call."""
     nodes, w16, w32 = _rules()
-    step = max(1, _MAX_CELLS // _NODES)  # panels of one call
+    step = max(1, _MAX_CELLS // _PANEL_NODES)  # panels of one call
     sums = np.empty((3, centres.size))
     for k in range(0, centres.size, step):
         x = (centres[k : k + step, None] + half * nodes).reshape(-1)
@@ -247,7 +248,7 @@ def _panel_sums(f, centres, half):
         if values.shape != x.shape or np.iscomplexobj(values):
             raise ValueError("the integrand must return real values of shape (len(x),) = "
                              f"{x.shape}, got {values.dtype} values of shape {values.shape}")
-        values = values.astype(float, copy=False).reshape(-1, _NODES)
+        values = values.astype(float, copy=False).reshape(-1, _PANEL_NODES)
         g16 = (values[:, :16] * w16).sum(axis=-1)
         g32 = (values[:, 16:] * w32).sum(axis=-1)
         sums[:, k : k + step] = g32, np.abs(g32 - g16), (np.abs(values[:, 16:]) * w32).sum(axis=-1)

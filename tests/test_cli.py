@@ -13,6 +13,7 @@ from antifourier import (
     HeatProblem,
     Named,
     ValidationError,
+    _kernels,
     antiperiodic_coefficients,
     catalog,
     classical_coefficients,
@@ -28,7 +29,8 @@ from antifourier import (
     partial_sum,
     solve_heat,
 )
-from antifourier.cli import MAX_HARMONICS, MAX_VALUES, _check_size, build_parser, main
+from antifourier._kernels import first_level_values
+from antifourier.cli import MAX_VALUES, _check_size, build_parser, main
 from antifourier.diagnostics import REPORT_COLUMNS, report_rows
 from conftest import child_env
 
@@ -689,18 +691,92 @@ def test_size_guard_refuses_one_value_past_the_limit():
     assert f"is {MAX_VALUES + 1} values, above the limit of {MAX_VALUES}" in str(info.value)
 
 
+CALLABLE_TERM = "first-level panels x (largest order + 1 + terms of f)"
+
+
 def test_order_guard_refuses_one_harmonic_past_the_limit():
-    def coeffs(n):
+    # a callable projection counts its first quadrature level against
+    # MAX_VALUES: a family over orders 0..n starts on 2 (n // 2 + 1) panels
+    def coeffs(function, n):
         return build_parser().parse_args(
-            ["coeffs", "--function", "named:identity", "--interval", "pi", "--n", str(n)]
+            ["coeffs", "--function", function, "--interval", "pi", "--n", str(n)]
         )
 
-    _check_size(coeffs(MAX_HARMONICS - 1))
+    def poly(terms):
+        return "poly:" + ",".join(["1"] * terms)
+
+    _check_size(coeffs("named:identity", 2894))  # 2896 x 2896 = 8,386,816
     with pytest.raises(ValidationError) as info:
-        _check_size(coeffs(MAX_HARMONICS))
+        _check_size(coeffs("named:identity", 2895))
     assert str(info.value) == (
-        f"largest order + 1 is {MAX_HARMONICS + 1} harmonics, above the limit of {MAX_HARMONICS}"
+        f"{CALLABLE_TERM} is {2896 * 2897} values, above the limit of {MAX_VALUES}"
     )
+    _check_size(coeffs(poly(7168), 1023))  # 1024 x 8192 = 2^23
+    with pytest.raises(ValidationError) as info:
+        _check_size(coeffs(poly(7169), 1023))
+    assert str(info.value) == (
+        f"{CALLABLE_TERM} is {1024 * 8193} values, above the limit of {MAX_VALUES}"
+    )
+
+
+@pytest.mark.parametrize("N", [0, 7, 10])
+def test_callable_term_counts_the_panels_each_family_starts_on(monkeypatch, N):
+    spec = parse_function_spec("poly:1,2,3", 1.0)
+    starts = []
+
+    def spy(rule, a, b, abs_tol, rows, panels):
+        starts.append(panels)
+        return np.zeros(rows)
+
+    monkeypatch.setattr(_kernels, "integrate", spy)
+    # the projections of coeffs, eval, compare and gibbs
+    classical_coefficients(spec, N)
+    antiperiodic_coefficients(spec, N)
+    assert set(starts) == {first_level_values(spec, N) // (N + 1 + 3)}
+
+
+def test_heat_times_x_grid_refuses_one_value_past_the_limit():
+    # 2^23 + 1 = 3 x 2,796,203
+    def heat(grid):
+        return build_parser().parse_args(
+            ["heat", "--function", "named:identity", "--interval", "1", "--n", "0",
+             "--times", "0,0,0", "--grid", str(grid)]
+        )
+
+    _check_size(heat(2796202))
+    with pytest.raises(ValidationError) as info:
+        _check_size(heat(2796203))
+    assert str(info.value) == f"times x grid is {MAX_VALUES + 1} values, above the limit of 8388608"
+
+
+def test_callable_orders_past_1023_run(capsys):
+    code, out, _ = run_cli(
+        capsys, "coeffs", "--kind", "anti", "--n", "1024", "--function", "named:signum",
+        "--interval", "1",
+    )
+    assert code == 0
+    assert json.loads(out)["N"] == 1024
+
+
+def test_longest_polynomial_at_order_1023_is_refused_before_any_work(
+    capsys, tmp_path, monkeypatch
+):
+    # the longest poly: spec one argv string holds, 65,533 coefficients
+    function = "poly:" + ",".join(["1"] * 65533)
+    monkeypatch.setattr(
+        cli, "_compute_series", lambda *_: pytest.fail("f was projected past the size limit")
+    )
+    out_path = tmp_path / "out.json"
+    code, out, err = run_cli(
+        capsys, "coeffs", "--kind", "both", "--n", "1023", "--function", function,
+        "--interval", "1", "--out", str(out_path),
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"antifourier coeffs: error: {CALLABLE_TERM} is {1024 * (1024 + 65533)} values, "
+        "above the limit of 8388608"
+    ]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_table_past_the_row_cap_is_refused(capsys, tmp_path, monkeypatch):
