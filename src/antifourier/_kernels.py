@@ -289,11 +289,12 @@ def trig_sum(L, shift, mults, cos_w, sin_w, x, counts=None):
     Scalar ``x`` gives a float, array ``x`` an array of its shape.  2-D
     weights give one such sum per row, stacked: shape (rows, *x.shape), each
     row the computation of its 1-D weights alone, so it keeps their bits.
-    ``counts`` (1-D weights only) gives one sum per count k instead, over
-    the first k modes, stacked: shape (len(counts), *x.shape).  The giant
-    rows are summed once, as running totals, and a k that ends inside a row
-    adds that row cut, so a further count costs one row of under BABY
-    modes, not k modes.  The basis is taken once for every row or count.
+    ``counts`` gives one sum per count k instead, over the first k modes,
+    stacked: shape (len(counts), *x.shape) for 1-D weights and (rows,
+    len(counts), *x.shape) for 2-D ones, each row again its 1-D call.  The
+    giant rows are summed once, as running totals, and a k that ends inside
+    a row adds that row cut, so a further count costs one row of under BABY
+    modes, not k modes.  The basis is taken once for every row and count.
     """
     mults = np.asarray(mults, dtype=float)
     m = mults.size
@@ -313,10 +314,10 @@ def trig_sum(L, shift, mults, cos_w, sin_w, x, counts=None):
     cw, sw = cw.reshape(flat), sw.reshape(flat)
     both = np.concatenate((cw, sw), axis=2)  # @ baby: Cw @ cb + Sw @ sb
     cross = np.concatenate((sw, -cw), axis=2)  # @ baby: Sw @ cb - Cw @ sb
+    ks = [m] if counts is None else counts
+    sums = [_first_modes(shift, basis, b, c, m, ks) for b, c in zip(both, cross)]
     if counts is not None:
-        sums = _first_modes(shift, basis, both[0], cross[0], m, counts)
-        return sums.reshape(len(counts), *u.shape)
-    sums = [_first_modes(shift, basis, b, c, m, [m])[0] for b, c in zip(both, cross)]
+        return np.reshape(sums, (*rows, len(counts), *u.shape))
     value = np.reshape(sums, (*rows, *u.shape))
     return float(value) if value.ndim == 0 else value
 
@@ -333,10 +334,11 @@ def _first_modes(shift, basis, both, cross, m, counts):
     def giant(a, both, cross):  # cg_a (Cw_a @ cb + Sw_a @ sb) + sg_a (Sw_a @ cb - Cw_a @ sb)
         return cos_g[a] * (both @ baby) + sin_g[a] * (cross @ baby)
 
-    totals = [0.0]  # totals[a]: the first a rows, added in order
-    for row in giant(slice(None), both, cross):
-        totals.append(totals[-1] + row)
     out = np.empty((len(counts), baby.shape[1]))
+    rows = giant(slice(None), both, cross)
+    for a in range(1, len(rows)):  # running totals, in order and in place
+        rows[a] += rows[a - 1]
+    totals = [0.0, *rows]  # totals[a]: the first a rows
     for i, k in enumerate(counts):
         a, r = divmod(int(k), BABY)
         if k == m or not r:

@@ -82,7 +82,9 @@ def _grid(L, grid_size):
 
 
 def _windows(L, window_fraction, subgrid_points):
-    """The right overshoot window [L (1 - w), L] and its mirror on the left."""
+    """The right overshoot window [L (1 - w), L] and its exact mirror on the
+    left, -right[::-1]: for L above 1e-300, within 2 ulps of linspace(-L,
+    -L (1 - w), n)."""
     if not 0.0 < window_fraction < 0.5:
         raise ValueError("window_fraction must lie strictly between 0 and 0.5")
     if subgrid_points < MIN_SUBGRID_POINTS:
@@ -90,8 +92,17 @@ def _windows(L, window_fraction, subgrid_points):
             f"subgrid_points must be at least {MIN_SUBGRID_POINTS} to resolve the spike"
         )
     right = np.linspace(L * (1.0 - window_fraction), L, subgrid_points)
-    left = np.linspace(-L, -L * (1.0 - window_fraction), subgrid_points)
-    return right, left
+    return right, -right[::-1]
+
+
+def _window_sums(L, terms, right, counts=None):
+    """:func:`trig_sum` of ``terms`` on the right window and on its mirror
+    -right[::-1], from one basis.  cospi is even and sinpi odd, so the sum at
+    -x is the sum at x with the sine weights negated: one call on ``right``
+    with the two weight rows, the second reversed."""
+    shift, mults, cos_w, sin_w = terms
+    at_right, at_left = trig_sum(L, shift, mults, (cos_w, cos_w), (sin_w, -sin_w), right, counts)
+    return at_right, at_left[..., ::-1]
 
 
 def _profile(sums, values) -> ErrorProfile:
@@ -128,30 +139,34 @@ def gibbs_overshoot(
     On the right window [L (1 - w), L] this is max(S) - max(f); on the left
     window it is min(f) - min(S), the mirror excursion below the function.
     The larger of the two is returned.  It may be nonpositive when the sum
-    stays inside the function's range (no overshoot).
+    stays inside the function's range (no overshoot).  The left window is
+    the exact mirror of the right one (within 2 ulps of a linspace over it),
+    and its sums come from the right window's basis.
     """
     right, left = _windows(f.L, window_fraction, subgrid_points)
-    return _overshoot(
-        partial_sum(series, right, M), evaluate(f, right),
-        partial_sum(series, left, M), evaluate(f, left),
-    )
+    if not isinstance(series, (ClassicalCoefficients, AntiperiodicCoefficients)):
+        raise TypeError(f"unsupported series type {type(series).__name__}")
+    at_right, at_left = _window_sums(f.L, series.terms(M), right)
+    return _overshoot(at_right, evaluate(f, right), at_left, evaluate(f, left))
 
 
-def _ladder(series: SeriesCoefficients, orders, grids):
-    """Partial sums of ``series`` on each of ``grids``, for each of ``orders``.
+def _ladder(series: SeriesCoefficients, orders, grid, window):
+    """Partial sums of ``series`` on ``grid``, on ``window`` and on its mirror
+    -window[::-1], as a triple for each of ``orders``.
 
-    Each order is checked as ``partial_sum`` checks it.  Each grid is one
+    Each order is checked as ``partial_sum`` checks it.  ``grid`` is one
     :func:`trig_sum` call on the modes up to the top order, with one count
     per distinct order: the basis is taken once for every order, the giant
-    rows once as running totals, and each order adds the one it cuts.
+    rows once as running totals, and each order adds the one it cuts.  The
+    window and its mirror are one more such call (:func:`_window_sums`).
     """
     orders = [check_order(M, series.N) for M in orders]
     distinct = {M: i for i, M in enumerate(sorted(set(orders)))}
-    shift, mults, cos_w, sin_w = series.terms(max(orders, default=0))
+    terms = series.terms(max(orders, default=0))
     # the modes of each distinct order: n for mode n and for mode n + 1/2
-    counts = np.searchsorted(np.floor(mults), list(distinct), side="right")
-    sums = [trig_sum(series.L, shift, mults, cos_w, sin_w, x, counts) for x in grids]
-    return [[rows[distinct[M]] for rows in sums] for M in orders]
+    counts = np.searchsorted(np.floor(terms[1]), list(distinct), side="right")
+    sums = trig_sum(series.L, *terms, grid, counts), *_window_sums(series.L, terms, window, counts)
+    return [tuple(rows[distinct[M]] for rows in sums) for M in orders]
 
 
 def decay_exponent(series: SeriesCoefficients, order: Optional[int] = None) -> float:
@@ -199,13 +214,16 @@ def compare_orders(
     The grid arguments are checked first, then each order as ``partial_sum``
     checks it.  Rows keep the given orders, duplicates included.  f is
     evaluated once on each grid, and the partial sums of each series come
-    from one :func:`_ladder`.
+    from one :func:`_ladder`.  The left overshoot window is the exact mirror
+    of the right one (within 2 ulps of a linspace over it), and its sums
+    take no trig values of their own.
     """
     pairs = (("classical", classical), ("antiperiodic", antiperiodic))
-    grids = (_grid(f.L, grid_size), *_windows(f.L, window_fraction, subgrid_points))
+    grid = _grid(f.L, grid_size)
+    right, left = _windows(f.L, window_fraction, subgrid_points)
     orders = list(orders)
-    ladders = [_ladder(series, orders, grids) for _, series in pairs]
-    f_grid, f_right, f_left = (evaluate(f, x) for x in grids)
+    ladders = [_ladder(series, orders, grid, right) for _, series in pairs]
+    f_grid, f_right, f_left = (evaluate(f, x) for x in (grid, right, left))
     rows = []
     for i, M in enumerate(orders):
         dec_c = _decay_or_nan(classical, M)

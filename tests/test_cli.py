@@ -32,7 +32,7 @@ from antifourier import (
 from antifourier._kernels import first_level_values
 from antifourier.cli import MAX_VALUES, _check_size, build_parser, main
 from antifourier.diagnostics import REPORT_COLUMNS, report_rows
-from conftest import child_env
+from conftest import child_env, two_level_values
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +161,27 @@ class TestCompare:
         anti_50 = by_key[("antiperiodic", 50)]
         assert float(classical_50[3]) == pytest.approx(np.pi, abs=1e-12)
         assert float(anti_50[4]) < float(classical_50[4])  # sup_error column
+
+    def test_default_ladder_on_a_table_takes_each_basis_once(self, capsys, tmp_path,
+                                                              basis_values):
+        # the two table projections of harmonics 0..400 (the two table ends
+        # and a two-level node sum each), then the 400 and 401 modes of the
+        # two series on the grid and on the right window, whose basis also
+        # gives the left window's sums
+        rows = 3000
+        xs = np.linspace(-2.0, 2.0, rows)
+        noise = 0.01 * np.random.default_rng(0).standard_normal(rows)
+        ys = 0.5 * xs + 0.2 * np.sin(0.75 * np.pi * xs) + noise
+        table = tmp_path / "table.csv"
+        table.write_text("".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(xs, ys)))
+        code, out, _ = run_cli(
+            capsys, "compare", "--function", f"csv:{table}", "--interval", "2", "--format", "csv"
+        )
+        assert code == 0 and len(parse_csv(out)[1]) == 12
+        tables = 2 * (2 * 401 + two_level_values(401, rows))
+        grid = two_level_values(400, 2001) + two_level_values(401, 2001)
+        windows = two_level_values(400, 4001) + two_level_values(401, 4001)
+        assert sum(basis_values) == tables + grid + windows == 751_770
 
     def test_undefined_fits_are_json_null_and_csv_nan(self, capsys):
         argv = ["compare", "--function", "named:const:1", "--interval", "1",

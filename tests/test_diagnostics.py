@@ -16,7 +16,7 @@ from antifourier import (
     gibbs_overshoot,
     partial_sum,
 )
-from antifourier.diagnostics import REPORT_COLUMNS, _ladder
+from antifourier.diagnostics import REPORT_COLUMNS, _ladder, _window_sums, _windows
 from conftest import two_level_values
 
 
@@ -198,11 +198,12 @@ class TestCompareOrders:
 
     def test_each_basis_value_is_taken_once(self, ident, basis_values):
         # the 400 and 401 modes of the two series, in one two-level sum on
-        # each of the three grids: (25 + 16 + 26 + 16) x 10,003 = 830,249
+        # the grid and one on the right window, whose basis also gives the
+        # left window's sums: (25 + 16 + 26 + 16) x (2,001 + 4,001) = 498,166
         compare_orders(ident, identity_classical(400), identity_anti(400))
-        points = 2001 + 2 * 4001
+        points = 2001 + 4001
         assert sum(basis_values) == two_level_values(400, points) + two_level_values(401, points)
-        assert sum(basis_values) == 830_249
+        assert sum(basis_values) == 498_166
 
     @pytest.mark.parametrize("M", [0, 1, 16, 17, 400])
     def test_a_partial_sum_takes_its_basis_once(self, basis_values, M):
@@ -235,12 +236,24 @@ class TestLadder:
     def test_each_order_is_the_partial_sum(self, kind, seed):
         rng = np.random.default_rng(seed)
         series = random_series(rng, kind, 60, float(10.0 ** rng.uniform(-2, 2)))
-        grids = [rng.uniform(-3 * series.L, 3 * series.L, size) for size in (1, 17, 301)]
-        ladder = _ladder(series, LADDER, grids)
-        assert len(ladder) == len(LADDER)
-        for M, sums in zip(LADDER, ladder):
-            for x, value in zip(grids, sums):
-                assert np.abs(value - partial_sum(series, x, M)).max() <= sum_bound(series, M)
+        for size in (1, 17, 301):
+            grid, window = rng.uniform(-3 * series.L, 3 * series.L, (2, size))
+            ladder = _ladder(series, LADDER, grid, window)
+            assert len(ladder) == len(LADDER)
+            for M, sums in zip(LADDER, ladder):
+                for x, value in zip((grid, window, -window[::-1]), sums):
+                    assert np.abs(value - partial_sum(series, x, M)).max() <= sum_bound(series, M)
+
+    @pytest.mark.parametrize("kind", ["classical", "antiperiodic"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_left_window_sums_are_its_partial_sums(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        series = random_series(rng, kind, 60, float(10.0 ** rng.uniform(-2, 2)))
+        M = int(rng.integers(0, 61))
+        right, left = _windows(series.L, float(rng.uniform(0.01, 0.49)), 2001)
+        at_right, at_left = _window_sums(series.L, series.terms(M), right)
+        assert np.array_equal(at_right, partial_sum(series, right, M))
+        assert np.abs(at_left - partial_sum(series, left, M)).max() <= sum_bound(series, M)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_compare_rows_are_the_single_order_diagnostics(self, seed):

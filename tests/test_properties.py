@@ -49,7 +49,7 @@ from antifourier import _kernels, quadrature
 from antifourier._kernels import BABY, project, trig_sum
 from antifourier._trig import cospi, cossinpi, sinpi
 from antifourier.catalog import NAMED_FUNCTIONS, Sampled, evaluate
-from antifourier.diagnostics import _ladder
+from antifourier.diagnostics import MIN_SUBGRID_POINTS, _ladder, _windows
 from antifourier.errors import NegativeTime
 from antifourier.io import csv_text, fmt, from_dict, to_dict
 from conftest import two_level_values
@@ -198,6 +198,22 @@ def test_trig_sum_rows_are_its_one_row_calls_bitwise(m, rows, offset, L, shift, 
     x = data.draw(positions(L))
     stacked = [trig_sum(L, shift, mults, c, s, x) for c, s in zip(cos_w, sin_w)]
     assert same_bits(trig_sum(L, shift, mults, cos_w, sin_w, x), stacked)
+    counts = data.draw(st.lists(st.integers(min_value=0, max_value=m), min_size=1, max_size=4))
+    sums = trig_sum(L, shift, mults, cos_w, sin_w, x, counts)
+    assert sums.shape == (rows, len(counts), *np.shape(x))
+    assert same_bits(sums, [trig_sum(L, shift, mults, c, s, x, counts)
+                            for c, s in zip(cos_w, sin_w)])
+
+
+@SETTINGS
+@given(HALF_WIDTHS, st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+       st.integers(min_value=MIN_SUBGRID_POINTS, max_value=3 * MIN_SUBGRID_POINTS))
+def test_the_left_window_is_the_right_one_mirrored(L, w, n):
+    right, left = _windows(L, w, n)
+    assert same_bits(left, -right[::-1])
+    # within 2 ulps of the linspace over [-L, -L (1 - w)]
+    spread = np.linspace(-L, -L * (1.0 - w), n)
+    assert (np.abs(left - spread) <= 2.0 * np.spacing(np.abs(spread))).all()
 
 
 EPS = float(np.finfo(float).eps)
@@ -275,8 +291,8 @@ def test_sine_only_classical_sum_is_plus_zero_at_both_ends(c, zero, data):
     c = ClassicalCoefficients(c.L, np.full(c.N + 1, zero), c.b)
     ends = np.array([-c.L, c.L])
     orders = data.draw(st.lists(st.integers(min_value=0, max_value=c.N), min_size=1))
-    for M, (sums,) in zip(orders, _ladder(c, orders, [ends])):
-        assert same_bits(sums, [0.0, 0.0])
+    for M, sums in zip(orders, _ladder(c, orders, ends, ends)):
+        assert same_bits(sums, [[0.0, 0.0]] * 3)
         assert same_bits(classical_partial_sum(c, ends, M), [0.0, 0.0])
         assert same_bits(classical_partial_sum(c, c.L, M), 0.0)
 
@@ -287,8 +303,8 @@ def test_cosine_only_half_integer_sum_is_plus_zero_at_both_ends(c, zero, data):
     c = AntiperiodicCoefficients(c.L, zero, c.alpha, c.beta)
     ends = np.array([-c.L, c.L])
     orders = data.draw(st.lists(st.integers(min_value=0, max_value=c.N), min_size=1))
-    for M, (sums,) in zip(orders, _ladder(c, orders, [ends])):
-        assert same_bits(sums, [0.0, 0.0])
+    for M, sums in zip(orders, _ladder(c, orders, ends, ends)):
+        assert same_bits(sums, [[0.0, 0.0]] * 3)
         assert same_bits(antiperiodic_partial_sum(c, ends, M), [0.0, 0.0])
         assert same_bits(antiperiodic_partial_sum(c, -c.L, M), 0.0)
 
