@@ -17,16 +17,17 @@ failure, tagged with the family, n and kind.  Two integration paths are used:
   combination cancels pointwise before multiplication) and removes the
   catalog sign-function jumps at the origin, where every odd kernel
   vanishes, so every catalog body and ``poly:`` spec folds to a polynomial on
-  (0, 1].  A family is one several-row ``integrate`` call, one row per
-  harmonic, all starting on the smallest even panel count above its largest
-  multiplier, so a panel spans at most a half-turn of the top kernel.  Its
-  panel rule (:func:`_folded_rule`) folds f once a level and takes each
+  (0, 1].  A set is one several-row ``integrate`` call, one row per
+  harmonic of each family in turn, starting on the smallest even panel count
+  above its largest multiplier, so a panel spans at most a half-turn of the
+  top kernel.  Its panel rule (:func:`_folded_rule`) evaluates f at x and at
+  -x once a level, for the even and the odd fold, and takes each
   kernel as an angle sum at the panel centre and the node step, so a level
   takes rows x (p + 48) basis values a pair instead of rows x 48 p, and each
   row's panel sums are contractions of the weighted fold with its node
   basis; every coefficient keeps the bits of its own one-row integration on
-  those panels.  A non-finite folded sample (f overflows) is a
-  ValidationError.
+  those panels.  A fold that is not finite (f overflows) is a
+  ValidationError for the first family that reads it.
 
 * sampled bodies: each panel of the piecewise-linear interpolant in u is
   integrated against each pair's trig term in closed form, by parts, so no
@@ -143,72 +144,82 @@ def _node_sums(weights, us, offset, ns):
 
 
 def _panels(ns, atoms):
-    """Panel count of a family's one ``integrate`` run over ``ns``: the
-    smallest even count above the family's largest frequency multiplier, at
-    least 2, so each panel of [0, 1] spans at most one half-turn of the top
-    kernel.  A low-order family starts on few panels (2 at N = 0, 32 at
-    N = 30) and doubles them only where a row's estimate asks for it."""
+    """Start panels of a family over ``ns``: the smallest even count above
+    the family's largest frequency multiplier, at least 2, so each panel of
+    [0, 1] spans at most one half-turn of the top kernel.  A set starts on
+    the largest count of its families, the one count of every family of a
+    public set.  A low order starts on few panels (2 at N = 0, 32 at N = 30)
+    and doubles them only where a row's estimate asks for it."""
     max_mult = max(np.abs(ns + offset).max() for _, offset in atoms)
     return 2 * (int(max_mult) // 2 + 1)
 
 
 def first_level_values(spec, N):
-    """Values of a callable family's first quadrature level over orders 0..N:
-    its start panels x (N + 1 harmonic rows + one Horner pass per term of f)."""
+    """Values of the first quadrature level of a callable set over orders
+    0..N, for each of its families: the start panels x (N + 1 harmonic rows
+    + one Horner pass per term of f)."""
     terms = len(spec.body.coefficients) if isinstance(spec.body, Polynomial) else 1
     return _panels(np.array([N]), ((1.0, 0.5),)) * (N + 1 + terms)
 
 
-def _folded_rule(spec, shift, trig, atoms, harmonics, what):
-    """Panel rule of :func:`integrate` with one row per harmonic: on each
-    panel of [0, 1], the G32 and G16 sums of the parity-folded
-    (f(L u) - shift) times K_n, and a rounding size, (sum of |amplitude|)
-    times the G32 sum of |fold|, which bounds the G32 sum of |fold K_n|.
+def _folded_rule(spec, shift, families, starts):
+    """Panel rule of :func:`integrate` with one row per harmonic, family i
+    on rows starts[i] to starts[i + 1] - 1: on each panel of [0, 1], the G32
+    and G16 sums of the parity-folded (f(L u) - shift) times K_n, and a
+    rounding size, (sum of |amplitude|) times the G32 sum of |fold|, which
+    bounds the G32 sum of |fold K_n|; and a flag for each row, set where it
+    read a fold that is not finite, so that its sums are not finite either.
 
-    An abscissa is a panel centre c plus a node step s = half * t, so each
-    kernel term is an angle sum of cospi and sinpi of mult c and of mult s,
-    mult = n + offset.  A level folds f once on its 48 p abscissae; a call
-    then takes the basis of its rows at the p centres and the 48 steps,
-    rows x (p + 48) values of each kind a pair, and contracts each row's
-    node basis with the weighted fold of every panel by one batched
-    product, so a row keeps its bits whatever other rows are in the call."""
-    # cosine kernels are even and keep f(x) + f(-x); sine kernels are odd
-    parity = 1.0 if trig == "cos" else -1.0
+    An abscissa is a panel centre c plus a node step s, so each kernel term
+    is an angle sum of cospi and sinpi of mult c and of mult s, mult = n +
+    offset.  A level evaluates f at its 48 p abscissae and at their negatives
+    once, for the fold of each kind; a call then takes, family by family, the
+    basis of its rows at the p centres and the 48 steps, rows x (p + 48)
+    values of each kind a pair, and contracts each row's node basis with the
+    weighted fold of every panel by one batched product, so a row keeps its
+    bits whatever other rows are in the call."""
     nodes, w16, w32 = _rules()
-    bound = sum(abs(amplitude) for amplitude, _ in atoms)
-    level = {}  # panel count -> the weighted fold [G16 | G32] (48, 2p) and the sizes (p,)
+    overflowed = np.zeros(starts[-1], dtype=bool)
+    level = {}  # (panel count, kind) -> (weighted fold [G16 | G32], G32 sums of |fold|, overflow)
 
     def rule(centres, half, rows):
         p = centres.size
-        if p not in level:
+        if (p, "cos") not in level:
             x = spec.L * (centres[:, None] + half * nodes).reshape(-1)
-            # an overflow leaves a nan or an infinity, refused below
-            with np.errstate(over="ignore", invalid="ignore"):
-                folded = (evaluate(spec, x) - shift) + parity * (evaluate(spec, -x) - shift)
-            if not np.isfinite(folded).all():
-                raise ValidationError(f"{what} n={harmonics[rows[0]]} is not finite: "
-                                      "the function's values are too large")
-            folded = folded.reshape(p, -1).T
-            fold = np.zeros((folded.shape[0], 2 * p))
-            fold[:16, :p], fold[16:, p:] = w16[:, None] * folded[:16], w32[:, None] * folded[16:]
             level.clear()
-            level[p] = fold, bound * (w32 @ np.abs(folded[16:]))
-        fold, size = level[p]
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its rows
+                pos, neg = evaluate(spec, x) - shift, evaluate(spec, -x) - shift
+                for trig, parity in (("cos", 1.0), ("sin", -1.0)):  # cosine kernels are even
+                    folded = (pos + parity * neg).reshape(p, -1).T
+                    fold = np.zeros((folded.shape[0], 2 * p))
+                    fold[:16, :p] = w16[:, None] * folded[:16]
+                    fold[16:, p:] = w32[:, None] * folded[16:]
+                    level[p, trig] = (fold, w32 @ np.abs(folded[16:]),
+                                      not np.isfinite(folded).all())
         angles = np.concatenate((centres, half * nodes))  # the p centres, then the 48 steps
-        sums = 0.0  # the G16 and G32 sums, (2, rows, p)
-        for amplitude, offset in atoms:
-            at = np.multiply.outer(harmonics[rows] + offset, angles)
-            basis = np.stack((cospi(at), sinpi(at)), axis=1)  # (rows, 2, p + 48)
-            # each row's G16 and G32 sums of fold times cos and of fold times sin of mult s
-            cb, sb = (basis[:, :, p:] @ fold).reshape(-1, 2, 2, p).transpose(1, 2, 0, 3)
-            ca, sa = basis[:, 0, :p], basis[:, 1, :p]
-            # cos(a + b) = ca cb - sa sb and sin(a + b) = sa cb + ca sb
-            first, second = (ca, -sa) if trig == "cos" else (sa, ca)
-            sums = sums + amplitude * (first * cb + second * sb)
-        g16, g32 = sums
-        return np.stack((g32, np.abs(g32 - g16), np.broadcast_to(size, g32.shape)))
+        blocks = []  # (3, rows, p) for each family with rows in the call
+        for (trig, atoms, ns, *_), start, cut in zip(
+                families, starts, np.split(rows, np.searchsorted(rows, starts[1:-1]))):
+            if not cut.size:
+                continue
+            fold, size, overflowed[cut] = level[p, trig]  # the fold of the family's kind
+            sums = 0.0  # the G16 and G32 sums, (2, rows, p)
+            for amplitude, offset in atoms:
+                at = np.multiply.outer(ns[cut - start] + offset, angles)
+                basis = np.stack((cospi(at), sinpi(at)), axis=1)  # (rows, 2, p + 48)
+                # each row's G16 and G32 sums of fold times cos and of fold times sin of mult s
+                cb, sb = (basis[:, :, p:] @ fold).reshape(-1, 2, 2, p).transpose(1, 2, 0, 3)
+                ca, sa = basis[:, 0, :p], basis[:, 1, :p]
+                # cos(a + b) = ca cb - sa sb and sin(a + b) = sa cb + ca sb
+                first, second = (ca, -sa) if trig == "cos" else (sa, ca)
+                sums = sums + amplitude * (first * cb + second * sb)
+            g16, g32 = sums
+            bound = sum(abs(amplitude) for amplitude, _ in atoms)
+            blocks.append(np.stack((g32, np.abs(g32 - g16),
+                                    np.broadcast_to(bound * size, g32.shape))))
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
-    return rule
+    return rule, overflowed
 
 
 def project(spec: FunctionSpec, shift: float, families, abs_tol: float = DEFAULT_TOL):
@@ -228,7 +239,24 @@ def project(spec: FunctionSpec, shift: float, families, abs_tol: float = DEFAULT
     families = [(trig, atoms, np.asarray(ns, dtype=int), what, kind)
                 for trig, atoms, ns, what, kind in families]
     if not isinstance(spec.body, Sampled):
-        return [_callable_family(spec, shift, *family, abs_tol) for family in families]
+        starts = np.cumsum([0] + [ns.size for _, _, ns, _, _ in families])
+        rule, overflowed = _folded_rule(spec, shift, families, starts)
+        panels = max((_panels(ns, atoms) for _, atoms, ns, _, _ in families if ns.size), default=2)
+        try:
+            values = integrate(rule, 0.0, 1.0, abs_tol, rows=int(starts[-1]), panels=panels
+                               ) if starts[-1] else np.empty(0)
+        except NonConvergence as exc:
+            i = int(np.searchsorted(starts, exc.index, side="right")) - 1
+            _, _, ns, what, kind = families[i]
+            n = int(ns[exc.index - starts[i]])
+            if overflowed[exc.index]:
+                raise ValidationError(f"{what} n={n} is not finite: "
+                                      "the function's values are too large") from None
+            raise NonConvergence(
+                f"{what} n={n} did not converge: {exc}",
+                achieved=exc.achieved, target=exc.target, index=n, kind=kind,
+            ) from exc
+        return np.split(values, starts[1:-1])
     union = np.unique(np.concatenate([ns for _, _, ns, _, _ in families]))
     if not union.size:
         return [np.empty(0) for _ in families]
@@ -250,21 +278,6 @@ def project(spec: FunctionSpec, shift: float, families, abs_tol: float = DEFAULT
                 )
             out.append(values)
     return out
-
-
-def _callable_family(spec, shift, trig, atoms, ns, what, kind, abs_tol):
-    """A family of :func:`project` on a callable body, one ``integrate`` run."""
-    if not ns.size:
-        return np.empty(0)
-    rule = _folded_rule(spec, shift, trig, atoms, ns, what)
-    try:
-        return integrate(rule, 0.0, 1.0, abs_tol, rows=ns.size, panels=_panels(ns, atoms))
-    except NonConvergence as exc:
-        n = int(ns[exc.index])
-        raise NonConvergence(
-            f"{what} n={n} did not converge: {exc}",
-            achieved=exc.achieved, target=exc.target, index=n, kind=kind,
-        ) from exc
 
 
 def trig_sum(L, shift, mults, cos_w, sin_w, x, counts=None):

@@ -52,6 +52,17 @@ def basis_values(monkeypatch):
     return received
 
 
+@pytest.fixture
+def sample_sizes(monkeypatch):
+    """List that receives the number of abscissae of every ``evaluate`` call
+    of the projection."""
+    received = []
+    evaluate = antifourier._kernels.evaluate
+    monkeypatch.setattr(antifourier._kernels, "evaluate",
+                        lambda spec, x: received.append(np.size(x)) or evaluate(spec, x))
+    return received
+
+
 def catalog_specs(L=np.pi):
     """One instance of every named catalog entry on [-L, L]."""
     return [

@@ -866,6 +866,30 @@ def test_callable_whose_values_overflow_is_refused(capsys, tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("kind, family", [("classical", "sine coefficient n=1"),
+                                          ("anti", "half-sine coefficient n=0")])
+def test_a_callable_set_names_the_family_whose_own_fold_overflows(capsys, kind, family):
+    # 1e308 x folds to exactly 0.0 for the cosine families, and overflows
+    # only in the sine folds, which the cosine families never read
+    code, out, err = run_cli(capsys, "coeffs", "--function", "poly:0,1e308", "--interval", "1",
+                             "--n", "3", "--kind", kind)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"antifourier coeffs: error: {family} is not finite: the function's values are too large"
+    ]
+
+
+def test_an_earlier_family_that_fails_is_named_before_a_later_overflow(capsys):
+    # the cosine family fails on the first panels at abs_tol=1e-17, and the
+    # sine fold of 1e307 + 1e308 x overflows: the cosine failure is reported
+    code, out, err = run_cli(capsys, "coeffs", "--function", "poly:1e307,1e308", "--interval",
+                             "1", "--n", "3", "--quad-tol", "1e-17")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "NonConvergence"
+    assert err.startswith("antifourier coeffs: error: cosine coefficient n=0 did not converge: "
+                          "abs_tol=1e-17 is below the error attainable in double precision")
+
+
 def test_eval_of_a_function_that_overflows_on_the_grid_is_refused(capsys, tmp_path):
     # the file is valid at L = 3e306; only f at the grid ends overflows
     source, target = tmp_path / "classical.json", tmp_path / "out.json"

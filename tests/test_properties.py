@@ -2,10 +2,10 @@
 the heat eigenfunctions as the half-integer basis, the symmetries and exact
 values of cospi/sinpi, cossinpi as the two of them bit for bit, the
 coefficient families of random low-degree polynomials, each family projected
-in one run as the per-harmonic loop bit for bit and in a set as alone, the
-two-level series sum against the one-level sum within its rounding bound,
-and the round trips of rendered function specs and of CSV cells over every
-finite double.
+in one run as the per-harmonic loop bit for bit and in a set as alone on the
+set's panels, the two-level series sum against the one-level sum within its
+rounding bound, and the round trips of rendered function specs and of CSV
+cells over every finite double.
 
 Coefficients are random finite doubles with |v| <= 1e6 on random
 half-widths L; every claim below but the split agreement and the two-level
@@ -52,7 +52,7 @@ from antifourier.catalog import NAMED_FUNCTIONS, Sampled, evaluate
 from antifourier.diagnostics import MIN_SUBGRID_POINTS, _ladder, _windows
 from antifourier.errors import NegativeTime
 from antifourier.io import csv_text, fmt, from_dict, to_dict
-from conftest import two_level_values
+from conftest import catalog_specs, two_level_values
 
 VALUES = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 HALF_WIDTHS = st.floats(min_value=1e-3, max_value=1e3)
@@ -473,10 +473,11 @@ def direct_kernels(spec, shift, trig, atoms, ns):
         0.0, 1.0, panels=panels) for n in ns])
 
 
-# (trig, atoms) of the classical, half-integer and two periodic-split families
+# (trig, atoms) of the classical, half-integer and four periodic-split families
 FAMILIES = st.sampled_from([
     ("cos", ((1.0, 0.0),)), ("sin", ((1.0, 0.0),)), ("cos", ((1.0, 0.5),)), ("sin", ((1.0, 0.5),)),
     ("cos", ((0.5, -0.5), (0.5, 0.5))), ("sin", ((0.5, 0.5), (-0.5, -0.5))),
+    ("sin", ((0.5, 0.5), (0.5, -0.5))), ("cos", ((0.5, -0.5), (-0.5, 0.5))),
 ])
 BODIES = st.one_of(
     polynomials(),
@@ -524,18 +525,28 @@ def test_project_is_the_direct_kernel_run_within_its_rounding(f, shift, family, 
     assert (np.abs(values - direct_kernels(f, shift, trig, atoms, ns)) <= bound).all()
 
 
+def heat_coefficients(f, N):
+    return solve_heat(HeatProblem(1.0, f.L, 0.0, f), N)
+
+
 # x^400 on [-1, 1]: the five rows of its half-cosine family on range(5)
 # start on 6 panels (top multiplier 4.5) and each refines once, to 12
 REFINING = FunctionSpec(1.0, Polynomial((0.0,) * 400 + (1.0,)))
+HALF_COSINE = [("cos", ((1.0, 0.5),), range(5), "c", "cos")]
+# the periodic split of order 3, whose four families start on 6 panels too
+SPLIT = [("cos", ((0.5, -0.5), (0.5, 0.5)), range(5), "a", "cos"),
+         ("sin", ((0.5, 0.5), (-0.5, -0.5)), range(5), "at", "cos"),
+         ("sin", ((0.5, 0.5), (0.5, -0.5)), range(1, 5), "b", "sin"),
+         ("cos", ((0.5, -0.5), (-0.5, 0.5)), range(1, 5), "bt", "sin")]
 
 
-def refining_family(monkeypatch, cap):
-    """Spies on the REFINING family with its rows taken in blocks of at most
-    ``cap`` row x panel sums: returns the sizes of each ``evaluate`` call,
-    of each basis call by kind, the (rows, panels) of each panel-rule call
-    and the levels reached."""
+def refining_family(monkeypatch, cap, families=HALF_COSINE):
+    """Spies on the projection of REFINING onto ``families`` with its rows
+    taken in blocks of at most ``cap`` row x panel sums: returns the sizes of
+    each basis call by kind, the (rows, panels) of each panel-rule call and
+    the levels reached."""
     monkeypatch.setattr(quadrature, "_MAX_CELLS", cap)
-    sizes, basis, calls, levels = [], {"cospi": [], "sinpi": []}, [], []
+    basis, calls, levels = {"cospi": [], "sinpi": []}, [], []
 
     def spy_integrate(rule, a, b, abs_tol, rows=None, panels=64):
         def spy_rule(centres, half, idx):
@@ -547,24 +558,34 @@ def refining_family(monkeypatch, cap):
         return result.value
 
     monkeypatch.setattr(_kernels, "integrate", spy_integrate)
-    monkeypatch.setattr(_kernels, "evaluate",
-                        lambda spec, x: sizes.append(np.size(x)) or evaluate(spec, x))
     for name, fn in (("cospi", cospi), ("sinpi", sinpi)):
         monkeypatch.setattr(_kernels, name,
                             lambda t, name=name, fn=fn: basis[name].append(np.size(t)) or fn(t))
-    project(REFINING, 0.0, [("cos", ((1.0, 0.5),), range(5), "c", "cos")])
-    return sizes, basis, calls, levels[0]
+    project(REFINING, 0.0, families)
+    return basis, calls, levels[0]
 
 
 @pytest.mark.parametrize("cap", [quadrature._MAX_CELLS, 24], ids=["default-cap", "row-blocks"])
-def test_a_family_folds_f_once_a_level(monkeypatch, cap):
-    sizes, basis, _, levels = refining_family(monkeypatch, cap)
+def test_a_family_folds_f_once_a_level(monkeypatch, sample_sizes, cap):
+    basis, _, levels = refining_family(monkeypatch, cap)
     assert levels == 2
     # one evaluate at x and one at -x on the 48 p abscissae of each level
-    assert sizes == [48 * 6] * 2 + [48 * 12] * 2
+    assert sample_sizes == [48 * 6] * 2 + [48 * 12] * 2
     # rows x (p + 48) basis values of each kind a level, whatever the blocks
     for name in ("cospi", "sinpi"):
         assert sum(basis[name]) == 5 * (6 + 48) + 5 * (12 + 48)
+
+
+@pytest.mark.parametrize("cap", [quadrature._MAX_CELLS, 24], ids=["default-cap", "row-blocks"])
+@pytest.mark.parametrize("families", [
+    HALF_COSINE + [("sin", ((1.0, 0.5),), range(5), "s", "sin")], SPLIT,
+], ids=["two-families", "periodic-split"])
+def test_a_set_folds_f_once_a_level_for_all_its_families(monkeypatch, sample_sizes, cap,
+                                                          families):
+    # the even and odd folds of every family come from one sample at x and -x
+    _, _, levels = refining_family(monkeypatch, cap, families)
+    assert levels == 2
+    assert sample_sizes == [48 * 6] * 2 + [48 * 12] * 2
 
 
 def test_a_family_call_holds_at_most_the_cap_of_row_x_panel_sums(monkeypatch):
@@ -572,19 +593,19 @@ def test_a_family_call_holds_at_most_the_cap_of_row_x_panel_sums(monkeypatch):
     rule_of = _kernels._folded_rule
 
     def spy_rule(*args):
-        rule = rule_of(*args)
-        return lambda centres, half, idx: calls.append(idx.size * centres.size) or rule(
-            centres, half, idx)
+        rule, overflowed = rule_of(*args)
+        return (lambda centres, half, idx: calls.append(idx.size * centres.size) or rule(
+            centres, half, idx)), overflowed
 
     monkeypatch.setattr(_kernels, "_folded_rule", spy_rule)
     antiperiodic_coefficients(FunctionSpec(np.pi, Named("identity")), 400)
     assert max(calls) == 40 * 402 <= quadrature._MAX_CELLS  # 40 rows on 402 panels
     # 24 // 6 = 4 rows a call on the 6 start panels, 2 on 12
-    _, _, calls, _ = refining_family(monkeypatch, 24)
+    _, calls, _ = refining_family(monkeypatch, 24)
     assert calls == [(4, 6), (1, 6), (2, 12), (2, 12), (1, 12)]
 
 
-def test_project_makes_one_integrate_call_per_callable_family(monkeypatch):
+def test_project_makes_one_integrate_call_per_callable_set(monkeypatch):
     calls = []
 
     def spy(f, a, b, abs_tol, rows=None, panels=64):
@@ -598,15 +619,59 @@ def test_project_makes_one_integrate_call_per_callable_family(monkeypatch):
     table = FunctionSpec(1.0, Sampled((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0)))
     project(table, 0.0, [(*family, range(101), "beta", "sin")])
     assert calls == [(101, 102)]
-    # low orders start on the first even count above their top multiplier
+    # a set is one call over the rows of all its families, on the start
+    # panels of its largest family: top multipliers 0 and 6.5 start on 8
     calls.clear()
     identity = FunctionSpec(np.pi, Named("identity"))
     project(identity, 0.0, [("cos", ((1.0, 0.0),), range(1), "a", "cos"),
                             (*family, range(7), "beta", "sin")])
-    assert calls == [(1, 2), (7, 8)]  # top multipliers 0 and 6.5
+    assert calls == [(1 + 7, 8)]
     calls.clear()
     solve_heat(HeatProblem(1.0, np.pi, 0.0, identity), 30)
-    assert calls == [(31, 32), (31, 32)]  # heat modes n + 1/2 up to 30.5
+    assert calls == [(31 + 31, 32)]  # heat modes n + 1/2 up to 30.5
+    calls.clear()
+    coefficients_via_periodic_split(identity, 30)
+    assert calls == [(32 + 32 + 31 + 31, 32)]  # multipliers n -+ 1/2 up to 31.5
+    calls.clear()
+    project(identity, 0.0, [(*family, range(0), "beta", "sin")])
+    assert calls == []  # a set without rows makes no call
+
+
+def test_every_public_set_starts_its_families_on_one_panel_count(monkeypatch):
+    # so a public coefficient keeps the bits of its family's one-family run
+    counts, sets = [], []
+    panels_of = _kernels._panels
+    monkeypatch.setattr(_kernels, "_panels",
+                        lambda ns, atoms: counts.append(panels_of(ns, atoms)) or counts[-1])
+
+    def spy(f, a, b, abs_tol, rows=None, panels=64):
+        sets.append(set(counts))
+        counts.clear()
+        return np.zeros(rows)
+
+    monkeypatch.setattr(_kernels, "integrate", spy)
+    identity = FunctionSpec(np.pi, Named("identity"))
+    for N in range(3001):
+        for compute in (classical_coefficients, antiperiodic_coefficients,
+                        coefficients_via_periodic_split, heat_coefficients):
+            compute(identity, N)
+    assert len(sets) == 4 * 3001
+    assert all(len(counts) == 1 for counts in sets)
+
+
+# at order 6 every set starts on 8 panels and takes its rows in blocks of
+# 40 // 8 = 5, so a block spans its first family boundary (at row 7 or 8)
+@pytest.mark.parametrize("compute", [classical_coefficients, antiperiodic_coefficients,
+                                     coefficients_via_periodic_split])
+@pytest.mark.parametrize("spec", [*catalog_specs(1.3),
+                                  FunctionSpec(1.3, Polynomial((1.0, -2.0, 0.5, 3.0)))])
+def test_row_blocks_across_a_family_boundary_keep_every_row_bitwise(compute, spec):
+    def weights(cap):
+        with mock.patch.object(quadrature, "_MAX_CELLS", cap):
+            shift, _, cos_w, sin_w = compute(spec, 6).terms()
+        return np.concatenate([[shift], cos_w, sin_w])
+
+    assert same_bits(weights(40), weights(quadrature._MAX_CELLS))
 
 
 @pytest.mark.parametrize("L", [1e-300, 1e-150, 1e-3, np.pi, 3e306])
@@ -669,10 +734,6 @@ def test_table_family_takes_its_basis_once(basis_values):
     assert two_level_values(401, rows) == (26 + 16) * rows
 
 
-def heat_coefficients(f, N):
-    return solve_heat(HeatProblem(1.0, f.L, 0.0, f), N)
-
-
 @pytest.mark.parametrize("compute, offsets, harmonics", [
     (classical_coefficients, 1, 401),
     (antiperiodic_coefficients, 1, 401),
@@ -707,10 +768,13 @@ def test_a_sine_family_at_the_zero_frequency_is_zero():
 
 def each_family_alone(f, shift, families):
     """Whether each family of the set ``families`` has the bits of the same
-    family projected as a one-family set."""
+    family projected as a one-family set on the set's start panels, those of
+    its largest family (a table takes no panels)."""
     whole = project(f, shift, families)
-    return all(same_bits(values, project(f, shift, [family])[0])
-               for family, values in zip(families, whole))
+    panels = max((window_panels(ns, atoms) for _, atoms, ns, *_ in families if len(ns)), default=2)
+    with mock.patch.object(_kernels, "_panels", lambda *_: panels):
+        return all(same_bits(values, project(f, shift, [family])[0])
+                   for family, values in zip(families, whole))
 
 
 @pytest.mark.parametrize("table", ["noisy", "one-ulp-step"])
