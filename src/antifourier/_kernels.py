@@ -47,8 +47,8 @@ half-integer series (shift gamma, mult n + 1/2) from their containers'
 order), and the heat solution and its x-derivative (weights scaled by
 e^(lambda_n k t), one row of weights per time) in ``heat_eval`` and
 ``heat_eval_dx``.  Each mode is one angle sum of two ``cossinpi`` values, a
-giant and a baby step.  The containers share :func:`freeze_fields` and
-:func:`check_order`.
+giant and a baby step; the two series of a ``compare`` ladder share the baby
+rows.  The containers share :func:`freeze_fields` and :func:`check_order`.
 """
 
 from __future__ import annotations
@@ -280,14 +280,20 @@ def project(spec: FunctionSpec, shift: float, families, abs_tol: float = DEFAULT
     return out
 
 
-def trig_sum(L, shift, mults, cos_w, sin_w, x, counts=None):
+def baby_block(L, width, x):
+    """The baby rows [cos; sin] of :func:`trig_sum`: ``cossinpi`` of j x / L, j < width."""
+    u = np.asarray(x, dtype=float) / L
+    return np.concatenate(cossinpi(np.multiply.outer(np.arange(width, dtype=float), u.reshape(-1))))
+
+
+def trig_sum(L, shift, mults, cos_w, sin_w, x, counts=None, baby=None):
     """Return shift + sum_m (cos_w[m] cospi(mults[m] x / L) + sin_w[m] sinpi(...)).
 
     ``mults`` must be o + arange(m) (ValueError otherwise).  Mode
     o + BABY a + j (j < BABY) is one angle sum of the giant step o + BABY a
     and the baby step j, so the basis is ``cossinpi`` of ceil(m / BABY) +
-    min(BABY, m) multipliers times u = x / L, not of m.  With the weights in
-    rows of BABY, zero-padded, the sum is
+    min(BABY, m) multipliers times u = x / L, not of m (``baby`` may give
+    the baby rows).  With the weights in rows of BABY, zero-padded, the sum is
 
         shift + sum_a [cg_a (Cw_a @ cb + Sw_a @ sb) + sg_a (Sw_a @ cb - Cw_a @ sb)] + 0.0,
 
@@ -316,9 +322,8 @@ def trig_sum(L, shift, mults, cos_w, sin_w, x, counts=None):
     u = np.asarray(x, dtype=float) / L
     width, giants = min(BABY, m), mults[::BABY]
     g = giants.size
-    steps = np.concatenate((giants, np.arange(width, dtype=float)))
-    cos_t, sin_t = cossinpi(np.multiply.outer(steps, u.reshape(-1)))
-    basis = cos_t[:g], sin_t[:g], np.concatenate((cos_t[g:], sin_t[g:]))
+    cos_g, sin_g = cossinpi(np.multiply.outer(giants, u.reshape(-1)))
+    basis = cos_g, sin_g, (baby_block(L, width, x) if baby is None else baby)
     # each row of weights in rows of BABY, one per giant step, zero-padded
     rows = np.shape(cos_w)[:-1]
     cw, sw = np.zeros((2, *rows, g * width))

@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._kernels import check_order, trig_sum
+from ._kernels import BABY, baby_block, check_order, trig_sum
 from .antiperiodic import AntiperiodicCoefficients, antiperiodic_partial_sum
 from .catalog import FunctionSpec, evaluate
 from .classical import ClassicalCoefficients, classical_partial_sum
@@ -95,13 +95,13 @@ def _windows(L, window_fraction, subgrid_points):
     return right, -right[::-1]
 
 
-def _window_sums(L, terms, right, counts=None):
+def _window_sums(L, terms, right, counts=None, baby=None):
     """:func:`trig_sum` of ``terms`` on the right window and on its mirror
     -right[::-1], from one basis.  cospi is even and sinpi odd, so the sum at
     -x is the sum at x with the sine weights negated: one call on ``right``
-    with the two weight rows, the second reversed."""
-    shift, mults, cos_w, sin_w = terms
-    at_right, at_left = trig_sum(L, shift, mults, (cos_w, cos_w), (sin_w, -sin_w), right, counts)
+    with the two weight rows, the second reversed, and ``baby`` as given."""
+    shift, mults, cos, sin = terms
+    at_right, at_left = trig_sum(L, shift, mults, (cos, cos), (sin, -sin), right, counts, baby)
     return at_right, at_left[..., ::-1]
 
 
@@ -150,7 +150,7 @@ def gibbs_overshoot(
     return _overshoot(at_right, evaluate(f, right), at_left, evaluate(f, left))
 
 
-def _ladder(series: SeriesCoefficients, orders, grid, window):
+def _ladder(series: SeriesCoefficients, orders, grid, window, babies=None):
     """Partial sums of ``series`` on ``grid``, on ``window`` and on its mirror
     -window[::-1], as a triple for each of ``orders``.
 
@@ -159,13 +159,19 @@ def _ladder(series: SeriesCoefficients, orders, grid, window):
     per distinct order: the basis is taken once for every order, the giant
     rows once as running totals, and each order adds the one it cuts.  The
     window and its mirror are one more such call (:func:`_window_sums`).
+    Both calls keep their baby blocks in ``babies``, by (L, width).
     """
     orders = [check_order(M, series.N) for M in orders]
     distinct = {M: i for i, M in enumerate(sorted(set(orders)))}
     terms = series.terms(max(orders, default=0))
     # the modes of each distinct order: n for mode n and for mode n + 1/2
     counts = np.searchsorted(np.floor(terms[1]), list(distinct), side="right")
-    sums = trig_sum(series.L, *terms, grid, counts), *_window_sums(series.L, terms, window, counts)
+    babies = {} if babies is None else babies
+    key = series.L, min(BABY, terms[1].size)
+    if key not in babies:
+        babies[key] = [baby_block(*key, x) for x in (grid, window)]
+    sums = (trig_sum(series.L, *terms, grid, counts, babies[key][0]),
+            *_window_sums(series.L, terms, window, counts, babies[key][1]))
     return [tuple(rows[distinct[M]] for rows in sums) for M in orders]
 
 
@@ -213,16 +219,17 @@ def compare_orders(
 
     The grid arguments are checked first, then each order as ``partial_sum``
     checks it.  Rows keep the given orders, duplicates included.  f is
-    evaluated once on each grid, and the partial sums of each series come
-    from one :func:`_ladder`.  The left overshoot window is the exact mirror
-    of the right one (within 2 ulps of a linspace over it), and its sums
-    take no trig values of their own.
+    evaluated once on each grid, the partial sums of each series come from
+    one :func:`_ladder`, both ladders share a baby block a grid (same L, top
+    order 16 or more), and the left window is the exact mirror of the right
+    one (within 2 ulps of a linspace) and takes no trig values of its own.
     """
     pairs = (("classical", classical), ("antiperiodic", antiperiodic))
     grid = _grid(f.L, grid_size)
     right, left = _windows(f.L, window_fraction, subgrid_points)
     orders = list(orders)
-    ladders = [_ladder(series, orders, grid, right) for _, series in pairs]
+    babies = {}
+    ladders = [_ladder(series, orders, grid, right, babies) for _, series in pairs]
     f_grid, f_right, f_left = (evaluate(f, x) for x in (grid, right, left))
     rows = []
     for i, M in enumerate(orders):

@@ -16,6 +16,9 @@ from antifourier import (
     gibbs_overshoot,
     partial_sum,
 )
+from antifourier import diagnostics
+from antifourier._kernels import BABY
+from antifourier.catalog import Sampled
 from antifourier.diagnostics import REPORT_COLUMNS, _ladder, _window_sums, _windows
 from conftest import two_level_values
 
@@ -199,11 +202,13 @@ class TestCompareOrders:
     def test_each_basis_value_is_taken_once(self, ident, basis_values):
         # the 400 and 401 modes of the two series, in one two-level sum on
         # the grid and one on the right window, whose basis also gives the
-        # left window's sums: (25 + 16 + 26 + 16) x (2,001 + 4,001) = 498,166
+        # left window's sums; the two series share the 16 baby steps on each:
+        # (25 + 26 + 16) x (2,001 + 4,001) = 402,134
         compare_orders(ident, identity_classical(400), identity_anti(400))
         points = 2001 + 4001
-        assert sum(basis_values) == two_level_values(400, points) + two_level_values(401, points)
-        assert sum(basis_values) == 498_166
+        assert sum(basis_values) == (two_level_values(400, points) + two_level_values(401, points)
+                                     - BABY * points)
+        assert sum(basis_values) == 402_134
 
     @pytest.mark.parametrize("M", [0, 1, 16, 17, 400])
     def test_a_partial_sum_takes_its_basis_once(self, basis_values, M):
@@ -279,6 +284,32 @@ class TestLadder:
                 equal_nan=True,
             )
             assert (row.grid_size, row.window_fraction) == (301, 0.2)
+
+    @pytest.mark.parametrize("body", ["table", "callable"])
+    def test_both_ladders_share_one_baby_block_and_keep_their_bits(self, monkeypatch, body):
+        L = 1.5
+        if body == "table":
+            xs = np.linspace(-L, L, 500)
+            ys = 0.5 * xs + 0.01 * np.random.default_rng(0).standard_normal(xs.size)
+            f = FunctionSpec(L, Sampled(tuple(xs), tuple(ys)))
+        else:
+            f = FunctionSpec(L, Named("x-plus-sign"))
+        classical, anti = classical_coefficients(f, 60), antiperiodic_coefficients(f, 60)
+        ladder, calls = diagnostics._ladder, []
+
+        def spy(series, orders, grid, window, babies):
+            calls.append((series, grid, window, babies, ladder(series, orders, grid, window, babies)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(diagnostics, "_ladder", spy)
+        compare_orders(f, classical, anti, LADDER, 301, 0.2, 2001)
+        assert [call[0] for call in calls] == [classical, anti]  # by identity
+        # one dict of blocks, filled once: a grid and a window block for both
+        assert calls[0][3] is calls[1][3] and len(calls[0][3]) == 1
+        for series, grid, window, _, shared in calls:
+            alone = ladder(series, LADDER, grid, window)  # with its own baby block
+            for got, want in zip(shared, alone):
+                assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
     def test_orders_are_checked_as_partial_sums_check_them(self, ident):
         classical, anti = identity_classical(50), identity_anti(50)

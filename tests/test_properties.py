@@ -1,9 +1,10 @@
 """Property tests: JSON round trips, the exact endpoint zeros of the series,
 the heat eigenfunctions as the half-integer basis, the symmetries and exact
-values of cospi/sinpi, cossinpi as the two of them bit for bit, the
-coefficient families of random low-degree polynomials, each family projected
-in one run as the per-harmonic loop bit for bit and in a set as alone on the
-set's panels, the two-level series sum against the one-level sum within its
+values of cospi/sinpi, cossinpi as the two of them bit for bit, the blocked
+trig kernel as the masked one it replaced bit for bit, the coefficient
+families of random low-degree polynomials, each family projected in one run
+as the per-harmonic loop bit for bit and in a set as alone on the set's
+panels, the two-level series sum against the one-level sum within its
 rounding bound, and the round trips of rendered function specs and of CSV
 cells over every finite double.
 
@@ -16,6 +17,7 @@ zero of cospi/sinpi is +0.0.
 
 import json
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -382,6 +384,86 @@ def test_cossinpi_is_cospi_and_sinpi_bitwise(t):
     assert same_bits(cos_t, cospi(t)) and same_bits(sin_t, sinpi(t))
     assert np.array_equal(np.isnan(cos_t), np.isnan(t))
     assert np.array_equal(np.isnan(sin_t), np.isnan(t))
+
+
+def _masked_split(t):
+    # the masked kernel that the blocked one replaced, kept as an oracle
+    t = np.asarray(t, dtype=float)
+    r = np.abs(t, out=np.empty_like(t))
+    r -= 2.0 * np.floor(0.5 * r)
+    k = np.rint(r)
+    r -= k
+    up, down = r >= 0.25, r <= -0.25
+    np.subtract(r, 0.5, out=r, where=up)
+    np.add(r, 0.5, out=r, where=down)
+    return np.multiply(np.pi, r, out=r), up, down, k == 1.0, t < 0.0
+
+
+def _masked_signed(w, sine, negate):
+    np.cos(w, where=~sine, out=w)
+    np.sin(w, where=sine, out=w)
+    np.subtract(0.0, w, out=w, where=negate)
+    return w.item() if w.ndim == 0 else w
+
+
+def masked_cospi(t):
+    w, up, down, k_odd, _ = _masked_split(t)
+    return _masked_signed(w, up | down, k_odd ^ up)
+
+
+def masked_sinpi(t):
+    w, up, down, k_odd, negative = _masked_split(t)
+    return _masked_signed(w, ~(up | down), k_odd ^ down ^ negative)
+
+
+# sizes on both sides of one and of three blocks of the kernel
+BLOCK_EDGES = (2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A float, a numpy scalar, a 0-d array, a small 2-D array, or a 1-D or
+    2-D array of a size about the block size, of the values drawn."""
+    values = draw(st.lists(st.one_of(TRIG_ARGUMENTS, st.just(-0.0)), min_size=1, max_size=16))
+    form = draw(st.sampled_from(["float", "numpy", "0-d", "2-D", "blocks"]))
+    if form == "float":
+        return values[0]
+    if form == "numpy":
+        return np.float64(values[0])
+    if form == "0-d":
+        return np.array(values[0])
+    if form == "2-D":
+        return np.resize(values, draw(st.sampled_from([(1, 1), (2, 3), (5, 7), (16, 3)])))
+    size = draw(st.sampled_from(BLOCK_EDGES))
+    shape = draw(st.sampled_from([(size,), (1, size), (size, 1)]))
+    # the values at random places, so that each block sees several of them
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).choice(values, shape)
+
+
+@SETTINGS
+@given(kernel_inputs())
+@example(0.25)
+@example(np.resize(np.arange(-12, 13) / 8.0, (1, 3 * 2**14 + 5)))
+def test_the_blocked_kernel_is_the_masked_one_bitwise(t):
+    want_cos, want_sin = masked_cospi(t), masked_sinpi(t)
+    for got, want in ((cospi(t), want_cos), (sinpi(t), want_sin),
+                      *zip(cossinpi(t), (want_cos, want_sin))):
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want) and same_bits(got, want)
+
+
+def test_the_kernel_holds_its_outputs_and_a_few_blocks():
+    # a basis of 42 steps on 6,002 points: the two outputs take twice the
+    # input's bytes, and every temporary is one block's
+    steps = np.concatenate((BABY * np.arange(26.0), np.arange(16.0)))
+    t = np.multiply.outer(steps, np.linspace(-1.0, 1.0, 6002))
+    tracemalloc.start()
+    try:
+        cossinpi(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * t.nbytes
 
 
 @SETTINGS
