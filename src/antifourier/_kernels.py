@@ -45,10 +45,11 @@ in :func:`trig_sum`: the classical series (shift a_0/2, mult n) and the
 half-integer series (shift gamma, mult n + 1/2) from their containers'
 ``terms`` views, the ``compare`` ladder (the first k modes, one k per
 order), and the heat solution and its x-derivative (weights scaled by
-e^(lambda_n k t), one row of weights per time) in ``heat_eval`` and
-``heat_eval_dx``.  Each mode is one angle sum of two ``cossinpi`` values, a
-giant and a baby step; the two series of a ``compare`` ladder share the baby
-rows.  The containers share :func:`freeze_fields` and :func:`check_order`.
+e^(lambda_n k t), one series per time) in ``heat_eval`` and
+``heat_eval_dx``.  A call sums a list of series on one point set.  Each mode
+is one angle sum of two ``cossinpi`` values, a giant and a baby step: the
+series of a call share the baby rows, those of one origin the giant rows.
+The containers share :func:`freeze_fields` and :func:`check_order`.
 """
 
 from __future__ import annotations
@@ -280,78 +281,73 @@ def project(spec: FunctionSpec, shift: float, families, abs_tol: float = DEFAULT
     return out
 
 
-def baby_block(L, width, x):
-    """The baby rows [cos; sin] of :func:`trig_sum`: ``cossinpi`` of j x / L, j < width."""
-    u = np.asarray(x, dtype=float) / L
-    return np.concatenate(cossinpi(np.multiply.outer(np.arange(width, dtype=float), u.reshape(-1))))
-
-
-def trig_sum(L, shift, mults, cos_w, sin_w, x, counts=None, baby=None):
-    """Return shift + sum_m (cos_w[m] cospi(mults[m] x / L) + sin_w[m] sinpi(...)).
+def trig_sum(L, terms, x, counts=None):
+    """Return shift + sum_m (cos_w[m] cospi(mults[m] x / L) + sin_w[m] sinpi(...))
+    for each series (shift, mults, cos_w, sin_w) of the list ``terms``: a
+    float for scalar ``x``, an array of its shape otherwise.
 
     ``mults`` must be o + arange(m) (ValueError otherwise).  Mode
     o + BABY a + j (j < BABY) is one angle sum of the giant step o + BABY a
-    and the baby step j, so the basis is ``cossinpi`` of ceil(m / BABY) +
-    min(BABY, m) multipliers times u = x / L, not of m (``baby`` may give
-    the baby rows).  With the weights in rows of BABY, zero-padded, the sum is
+    and the baby step j, so a call takes ``cossinpi`` of one baby block, j u
+    for j < min(BABY, longest m), and of the giant steps of each origin o up
+    to its longest series, one origin at a time, with u = x / L.  With the
+    weights in rows of w = min(BABY, m), zero-padded, a series sums to
 
         shift + sum_a [cg_a (Cw_a @ cb + Sw_a @ sb) + sg_a (Sw_a @ cb - Cw_a @ sb)] + 0.0,
 
-    the giant rows added in order.  The width is fixed, so every call takes
-    the same two basis values for a mode.  Against cospi(mults[m] u), a mode
-    moves by the rounding of the two steps times u against that of
-    mults[m] u, at most pi eps |mults[m] u|, plus a few eps of angle-sum
-    rounding.  Where the basis is exactly 0.0 or +-1.0 (integer or
-    half-integer multipliers at u = +-1) every mode is exact, and the + 0.0
-    turns a -0.0 sum into +0.0.
-
-    Scalar ``x`` gives a float, array ``x`` an array of its shape.  2-D
-    weights give one such sum per row, stacked: shape (rows, *x.shape), each
-    row the computation of its 1-D weights alone, so it keeps their bits.
-    ``counts`` gives one sum per count k instead, over the first k modes,
-    stacked: shape (len(counts), *x.shape) for 1-D weights and (rows,
-    len(counts), *x.shape) for 2-D ones, each row again its 1-D call.  The
-    giant rows are summed once, as running totals, and a k that ends inside
-    a row adds that row cut, so a further count costs one row of under BABY
-    modes, not k modes.  The basis is taken once for every row and count.
+    the giant rows added in order, from its own giant rows and the first w
+    baby rows: it keeps the bits of its one-series call.  Against
+    cospi(mults[m] u), a mode moves by at most pi eps |mults[m] u| plus a few
+    eps of angle-sum rounding.  Where the basis is exactly 0.0 or +-1.0
+    (integer or half-integer multipliers at u = +-1) every mode is exact, and
+    the + 0.0 turns a -0.0 sum into +0.0.  ``counts`` gives one list of
+    counts k per series: its result is then one sum per k, over its first k
+    modes, stacked: shape (len(k list), *x.shape).
     """
-    mults = np.asarray(mults, dtype=float)
-    m = mults.size
-    if mults.ndim != 1 or not np.array_equal(mults, mults[:1] + np.arange(m)):
-        raise ValueError("trig_sum needs unit-step multipliers o + arange(m)")
     u = np.asarray(x, dtype=float) / L
-    width, giants = min(BABY, m), mults[::BABY]
-    g = giants.size
-    cos_g, sin_g = cossinpi(np.multiply.outer(giants, u.reshape(-1)))
-    basis = cos_g, sin_g, (baby_block(L, width, x) if baby is None else baby)
-    # each row of weights in rows of BABY, one per giant step, zero-padded
-    rows = np.shape(cos_w)[:-1]
-    cw, sw = np.zeros((2, *rows, g * width))
-    cw[..., :m], sw[..., :m] = cos_w, sin_w
-    flat = (int(np.prod(rows)), g, width)  # 1-D weights are one row
-    cw, sw = cw.reshape(flat), sw.reshape(flat)
-    both = np.concatenate((cw, sw), axis=2)  # @ baby: Cw @ cb + Sw @ sb
-    cross = np.concatenate((sw, -cw), axis=2)  # @ baby: Sw @ cb - Cw @ sb
-    ks = [m] if counts is None else counts
-    sums = [_first_modes(shift, basis, b, c, m, ks) for b, c in zip(both, cross)]
-    if counts is not None:
-        return np.reshape(sums, (*rows, len(counts), *u.shape))
-    value = np.reshape(sums, (*rows, *u.shape))
-    return float(value) if value.ndim == 0 else value
+    points, series = u.reshape(-1), []
+    for shift, mults, cos_w, sin_w in terms:
+        mults = np.asarray(mults, dtype=float)
+        if mults.ndim != 1 or (mults != mults[:1] + np.arange(mults.size)).any():
+            raise ValueError("trig_sum needs unit-step multipliers o + arange(m)")
+        series.append((shift, mults, cos_w, sin_w))
+    width = min(BABY, max((mults.size for _, mults, _, _ in series), default=0))
+    baby = np.concatenate(cossinpi(np.multiply.outer(np.arange(width, dtype=float), points)))
+    counts = [None] * len(series) if counts is None else counts
+    origins = {}  # first multiplier -> the indices of its series
+    for i, (_, mults, _, _) in enumerate(series):
+        origins.setdefault(mults[0] if mults.size else None, []).append(i)
+    sums = [None] * len(series)
+    for members in origins.values():
+        longest = max((series[i][1] for i in members), key=len)
+        giants = cossinpi(np.multiply.outer(longest[::BABY], points))
+        for i in members:
+            value = _first_modes(*series[i], giants, baby, counts[i])
+            sums[i] = value.reshape(u.shape if counts[i] is None else (len(counts[i]), *u.shape))
+        del giants  # before the next origin's
+    return [float(value) if value.ndim == 0 else value for value in sums]
 
 
-def _first_modes(shift, basis, both, cross, m, counts):
-    """shift + the sum of the first k of the m modes at each point, one row
-    per k of ``counts``, from the two-level ``basis`` (cg, sg, [cb; sb]) and
-    the weights [Cw | Sw] and [Sw | -Cw] of each giant row.  The giant rows
-    are summed once, in order, as running totals.  A k that ends inside a
-    row adds that row cut to its first k modes, unless k is m: the weights
-    past the m-th mode are zero padding."""
-    cos_g, sin_g, baby = basis
+def _first_modes(shift, mults, cos_w, sin_w, giants, baby, counts):
+    """shift + the sum of the first k modes of one series at each point, one
+    row per k of ``counts`` (None: all m), from its origin's giant rows and
+    the first min(BABY, m) rows of each half of the baby block.  The giant
+    rows are summed once, in order, as running totals; a k that ends inside a
+    row adds that row cut (fewer than BABY modes), unless k is m."""
+    m, top = mults.size, baby.shape[0] // 2
+    width, g = min(BABY, m), -(-m // BABY)
+    if width < top:
+        baby = np.concatenate((baby[:width], baby[top : top + width]))
+    cos_g, sin_g = giants[0][:g], giants[1][:g]
+    weights = np.zeros((2, g * width))  # in rows of BABY, one per giant step
+    weights[:, :m] = cos_w, sin_w
+    cw, sw = weights.reshape(2, g, width)
+    both, cross = np.concatenate((cw, sw), axis=1), np.concatenate((sw, -cw), axis=1)
 
     def giant(a, both, cross):  # cg_a (Cw_a @ cb + Sw_a @ sb) + sg_a (Sw_a @ cb - Cw_a @ sb)
         return cos_g[a] * (both @ baby) + sin_g[a] * (cross @ baby)
 
+    counts = [m] if counts is None else counts
     out = np.empty((len(counts), baby.shape[1]))
     rows = giant(slice(None), both, cross)
     for a in range(1, len(rows)):  # running totals, in order and in place
@@ -362,7 +358,7 @@ def _first_modes(shift, basis, both, cross, m, counts):
         if k == m or not r:
             total = totals[-(-k // BABY)]
         else:
-            keep = np.tile(np.arange(both.shape[1] // 2) < r, 2)  # j < r in both halves
+            keep = np.tile(np.arange(width) < r, 2)  # j < r in both halves
             cut = giant(a, np.where(keep, both[a], 0.0), np.where(keep, cross[a], 0.0))
             total = totals[a] + cut
         out[i] = shift + total + 0.0

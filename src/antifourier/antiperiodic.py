@@ -92,7 +92,7 @@ def antiperiodic_partial_sum(coeffs: AntiperiodicCoefficients, x, M: int | None 
 
     Defined for all real x; the sum minus gamma is 2L-antiperiodic.
     """
-    return trig_sum(coeffs.L, *coeffs.terms(M), x)
+    return trig_sum(coeffs.L, [coeffs.terms(M)], x)[0]
 
 
 def coefficients_via_periodic_split(

@@ -72,4 +72,4 @@ def classical_partial_sum(coeffs: ClassicalCoefficients, x, M: int | None = None
 
     Defined for all real x (the sum is the 2L-periodic extension).
     """
-    return trig_sum(coeffs.L, *coeffs.terms(M), x)
+    return trig_sum(coeffs.L, [coeffs.terms(M)], x)[0]

@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._kernels import BABY, baby_block, check_order, trig_sum
+from ._kernels import check_order, trig_sum
 from .antiperiodic import AntiperiodicCoefficients, antiperiodic_partial_sum
 from .catalog import FunctionSpec, evaluate
 from .classical import ClassicalCoefficients, classical_partial_sum
@@ -95,14 +95,20 @@ def _windows(L, window_fraction, subgrid_points):
     return right, -right[::-1]
 
 
-def _window_sums(L, terms, right, counts=None, baby=None):
-    """:func:`trig_sum` of ``terms`` on the right window and on its mirror
-    -right[::-1], from one basis.  cospi is even and sinpi odd, so the sum at
-    -x is the sum at x with the sine weights negated: one call on ``right``
-    with the two weight rows, the second reversed, and ``baby`` as given."""
-    shift, mults, cos, sin = terms
-    at_right, at_left = trig_sum(L, shift, mults, (cos, cos), (sin, -sin), right, counts, baby)
-    return at_right, at_left[..., ::-1]
+def _mirrored(terms):
+    """The series of ``terms``, then their mirrors: cospi is even and sinpi
+    odd, so the sum at -x is the sum at x with the sine weights negated."""
+    return [*terms, *((shift, mults, cos, -sin) for shift, mults, cos, sin in terms)]
+
+
+def _same_half_width(f: FunctionSpec, *series) -> None:
+    """TypeError for a series of neither kind, ValueError for one not on f's L."""
+    for s in series:
+        if not isinstance(s, (ClassicalCoefficients, AntiperiodicCoefficients)):
+            raise TypeError(f"unsupported series type {type(s).__name__}")
+        if s.L != f.L:
+            raise ValueError(f"series half-width L={float(s.L)!r} differs from "
+                             f"the function's L={float(f.L)!r}")
 
 
 def _profile(sums, values) -> ErrorProfile:
@@ -124,6 +130,7 @@ def error_profile(
     ``grid_size`` must be odd and >= 3 so that 0 and +-L are grid points.
     """
     xs = _grid(f.L, grid_size)
+    _same_half_width(f, series)
     return _profile(partial_sum(series, xs, M), evaluate(f, xs))
 
 
@@ -144,35 +151,33 @@ def gibbs_overshoot(
     and its sums come from the right window's basis.
     """
     right, left = _windows(f.L, window_fraction, subgrid_points)
-    if not isinstance(series, (ClassicalCoefficients, AntiperiodicCoefficients)):
-        raise TypeError(f"unsupported series type {type(series).__name__}")
-    at_right, at_left = _window_sums(f.L, series.terms(M), right)
-    return _overshoot(at_right, evaluate(f, right), at_left, evaluate(f, left))
+    _same_half_width(f, series)
+    at_right, at_left = trig_sum(f.L, _mirrored([series.terms(M)]), right)
+    return _overshoot(at_right, evaluate(f, right), at_left[::-1], evaluate(f, left))
 
 
-def _ladder(series: SeriesCoefficients, orders, grid, window, babies=None):
-    """Partial sums of ``series`` on ``grid``, on ``window`` and on its mirror
-    -window[::-1], as a triple for each of ``orders``.
+def _ladder(series, orders, grid, window):
+    """Partial sums of each of ``series`` (of one L) on ``grid``, on
+    ``window`` and on its mirror -window[::-1]: one list per series, of a
+    triple for each of ``orders``, each order checked as ``partial_sum``
+    checks it, against each series in turn.
 
-    Each order is checked as ``partial_sum`` checks it.  ``grid`` is one
-    :func:`trig_sum` call on the modes up to the top order, with one count
-    per distinct order: the basis is taken once for every order, the giant
-    rows once as running totals, and each order adds the one it cuts.  The
-    window and its mirror are one more such call (:func:`_window_sums`).
-    Both calls keep their baby blocks in ``babies``, by (L, width).
+    ``grid`` is one :func:`trig_sum` call on the modes of every series up to
+    the top order, with one count per distinct order, so the basis is taken
+    once for every series and order.  The window is one more such call, over
+    each series and its mirror (:func:`_mirrored`).
     """
-    orders = [check_order(M, series.N) for M in orders]
+    for s in series:
+        orders = [check_order(M, s.N) for M in orders]
     distinct = {M: i for i, M in enumerate(sorted(set(orders)))}
-    terms = series.terms(max(orders, default=0))
+    terms = [s.terms(max(orders, default=0)) for s in series]
     # the modes of each distinct order: n for mode n and for mode n + 1/2
-    counts = np.searchsorted(np.floor(terms[1]), list(distinct), side="right")
-    babies = {} if babies is None else babies
-    key = series.L, min(BABY, terms[1].size)
-    if key not in babies:
-        babies[key] = [baby_block(*key, x) for x in (grid, window)]
-    sums = (trig_sum(series.L, *terms, grid, counts, babies[key][0]),
-            *_window_sums(series.L, terms, window, counts, babies[key][1]))
-    return [tuple(rows[distinct[M]] for rows in sums) for M in orders]
+    counts = [np.searchsorted(np.floor(t[1]), list(distinct), side="right") for t in terms]
+    at_grid = trig_sum(series[0].L, terms, grid, counts)
+    at_window = trig_sum(series[0].L, _mirrored(terms), window, counts * 2)
+    n = len(terms)
+    sums = zip(at_grid, at_window[:n], (left[..., ::-1] for left in at_window[n:]))
+    return [[tuple(rows[distinct[M]] for rows in triple) for M in orders] for triple in sums]
 
 
 def decay_exponent(series: SeriesCoefficients, order: Optional[int] = None) -> float:
@@ -217,40 +222,28 @@ def compare_orders(
 ):
     """Diagnostics ladder: one report row per (series kind, order).
 
-    The grid arguments are checked first, then each order as ``partial_sum``
-    checks it.  Rows keep the given orders, duplicates included.  f is
-    evaluated once on each grid, the partial sums of each series come from
-    one :func:`_ladder`, both ladders share a baby block a grid (same L, top
-    order 16 or more), and the left window is the exact mirror of the right
-    one (within 2 ulps of a linspace) and takes no trig values of its own.
+    The grid arguments are checked first, then that both series have f's L
+    (ValueError naming both), then each order as ``partial_sum`` checks it.
+    Rows keep the given orders, duplicates included.  f is evaluated once on
+    each grid, and the partial sums of both series come from one
+    :func:`_ladder`: one evaluator call on the grid and one on the right
+    window.  The left window is the exact mirror of the right one (within 2
+    ulps of a linspace) and takes no trig values of its own.
     """
-    pairs = (("classical", classical), ("antiperiodic", antiperiodic))
     grid = _grid(f.L, grid_size)
     right, left = _windows(f.L, window_fraction, subgrid_points)
+    _same_half_width(f, classical, antiperiodic)
     orders = list(orders)
-    babies = {}
-    ladders = [_ladder(series, orders, grid, right, babies) for _, series in pairs]
+    ladders = _ladder((classical, antiperiodic), orders, grid, right)
     f_grid, f_right, f_left = (evaluate(f, x) for x in (grid, right, left))
     rows = []
     for i, M in enumerate(orders):
-        dec_c = _decay_or_nan(classical, M)
-        dec_a = _decay_or_nan(antiperiodic, M)
-        for (kind, _), ladder in zip(pairs, ladders):
+        decays = _decay_or_nan(classical, M), _decay_or_nan(antiperiodic, M)
+        for kind, ladder in zip(("classical", "antiperiodic"), ladders):
             at_grid, at_right, at_left = ladder[i]
             profile = _profile(at_grid, f_grid)
-            over = _overshoot(at_right, f_right, at_left, f_left)
-            rows.append(
-                DiagnosticsReport(
-                    series_kind=kind,
-                    order=M,
-                    endpoint_error_left=profile.endpoint_error_left,
-                    endpoint_error_right=profile.endpoint_error_right,
-                    sup_error=profile.sup_error,
-                    overshoot=over,
-                    decay_exponent_classical=dec_c,
-                    decay_exponent_antiperiodic=dec_a,
-                    grid_size=grid_size,
-                    window_fraction=window_fraction,
-                )
-            )
+            rows.append(DiagnosticsReport(  # in REPORT_COLUMNS order
+                kind, M, profile.endpoint_error_left, profile.endpoint_error_right,
+                profile.sup_error, _overshoot(at_right, f_right, at_left, f_left),
+                *decays, grid_size, window_fraction))
     return rows

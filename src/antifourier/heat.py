@@ -114,6 +114,8 @@ def _modes(sol: HeatSolution, t, M):
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise ValueError("time must be a scalar or a 1-D array of times")
+    if np.isnan(ts).any():
+        raise ValueError("heat solution is not defined for t=nan")
     negative = ts[ts < 0.0]
     if negative.size:
         raise NegativeTime(f"heat solution is not defined for t={float(negative[0])!r} < 0")
@@ -127,6 +129,14 @@ def _modes(sol: HeatSolution, t, M):
     return M, mults, omega, decay
 
 
+def _over_times(L, shift, mults, cos_w, sin_w, x):
+    """One :func:`trig_sum` call, a series per row of weights (one row per
+    time): the one sum for 1-D weights, the sums stacked for 2-D ones."""
+    rows = zip(np.atleast_2d(cos_w), np.atleast_2d(sin_w))
+    sums = trig_sum(L, [(shift, mults, c, s) for c, s in rows], x)
+    return sums[0] if cos_w.ndim == 1 else np.reshape(sums, (len(cos_w), *np.shape(x)))
+
+
 def heat_eval(sol: HeatSolution, x, t, M: int | None = None):
     """Evaluate the order-M solution at position(s) ``x`` and time ``t >= 0``.
 
@@ -136,7 +146,7 @@ def heat_eval(sol: HeatSolution, x, t, M: int | None = None):
     """
     M, mults, _, decay = _modes(sol, t, M)
     A, B = sol.A[: M + 1], sol.B[: M + 1]
-    return trig_sum(sol.L, sol.boundary_mean, mults, A * decay, B * decay, x)
+    return _over_times(sol.L, sol.boundary_mean, mults, A * decay, B * decay, x)
 
 
 def heat_eval_dx(sol: HeatSolution, x, t, M: int | None = None):
@@ -144,7 +154,7 @@ def heat_eval_dx(sol: HeatSolution, x, t, M: int | None = None):
     with the same array-of-times form."""
     M, mults, omega, decay = _modes(sol, t, M)
     A, B = sol.A[: M + 1], sol.B[: M + 1]
-    return trig_sum(sol.L, 0.0, mults, B * decay * omega, -(A * decay * omega), x)
+    return _over_times(sol.L, 0.0, mults, B * decay * omega, -(A * decay * omega), x)
 
 
 @dataclass(frozen=True)

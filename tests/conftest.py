@@ -34,11 +34,13 @@ def child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-def two_level_values(m, points):
-    """``cossinpi`` values that one two-level sum of m modes takes on
-    ``points`` points: ceil(m / BABY) giant steps and min(BABY, m) baby steps."""
-    baby = antifourier._kernels.BABY
-    return (-(-m // baby) + min(baby, m)) * points
+def two_level_values(ms, points):
+    """``cossinpi`` values that one two-level sum call takes on ``points``
+    points, for ``ms`` the longest series of each origin of the call (one int
+    for a one-origin call): ceil(m / BABY) giant steps for each origin, and
+    one block of min(BABY, longest m) baby steps."""
+    baby, ms = antifourier._kernels.BABY, np.atleast_1d(ms).tolist()
+    return (sum(-(-m // baby) for m in ms) + min(baby, max(ms))) * points
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from antifourier import (
     partial_sum,
     solve_heat,
 )
-from antifourier._kernels import BABY, first_level_values
+from antifourier._kernels import first_level_values
 from antifourier.cli import MAX_VALUES, _check_size, build_parser, main
 from antifourier.diagnostics import REPORT_COLUMNS, report_rows
 from conftest import child_env, two_level_values
@@ -166,9 +166,8 @@ class TestCompare:
                                                               basis_values):
         # the two table projections of harmonics 0..400 (the two table ends
         # and a two-level node sum each), then the 400 and 401 modes of the
-        # two series on the grid and on the right window, whose basis also
-        # gives the left window's sums, the two series sharing the 16 baby
-        # steps on each
+        # two series in one call on the grid and one on the right window,
+        # whose basis also gives the left window's sums
         rows = 3000
         xs = np.linspace(-2.0, 2.0, rows)
         noise = 0.01 * np.random.default_rng(0).standard_normal(rows)
@@ -180,9 +179,8 @@ class TestCompare:
         )
         assert code == 0 and len(parse_csv(out)[1]) == 12
         tables = 2 * (2 * 401 + two_level_values(401, rows))
-        grid = two_level_values(400, 2001) + two_level_values(401, 2001) - BABY * 2001
-        windows = two_level_values(400, 4001) + two_level_values(401, 4001) - BABY * 4001
-        assert sum(basis_values) == tables + grid + windows == 655_738
+        ladder = two_level_values((400, 401), 2001 + 4001)
+        assert sum(basis_values) == tables + ladder == 655_738
 
     def test_undefined_fits_are_json_null_and_csv_nan(self, capsys):
         argv = ["compare", "--function", "named:const:1", "--interval", "1",

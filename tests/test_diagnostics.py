@@ -17,9 +17,9 @@ from antifourier import (
     partial_sum,
 )
 from antifourier import diagnostics
-from antifourier._kernels import BABY
+from antifourier._kernels import trig_sum
 from antifourier.catalog import Sampled
-from antifourier.diagnostics import REPORT_COLUMNS, _ladder, _window_sums, _windows
+from antifourier.diagnostics import REPORT_COLUMNS, _ladder, _mirrored, _windows
 from conftest import two_level_values
 
 
@@ -46,6 +46,17 @@ def quadratic_anti(N):
     alpha = -32.0 * (-1.0) ** n / (np.pi**3 * (2 * n + 1) ** 3)
     beta = 16.0 * (-1.0) ** n / (np.pi**2 * (2 * n + 1) ** 2)
     return AntiperiodicCoefficients(1.0, 2.0, alpha, beta)
+
+
+def on_unit_interval(series):
+    """``series`` with its coefficients kept and L = 1."""
+    if isinstance(series, ClassicalCoefficients):
+        return ClassicalCoefficients(1.0, series.a, series.b)
+    return AntiperiodicCoefficients(1.0, series.gamma, series.alpha, series.beta)
+
+
+# both half-widths, the series' first
+OTHER_HALF_WIDTH = r"series half-width L=1\.0 differs from the function's L=3\.141592653589793"
 
 
 @pytest.fixture
@@ -78,6 +89,11 @@ class TestErrorProfile:
             profile.endpoint_error_left, profile.endpoint_error_right
         )
 
+    @pytest.mark.parametrize("series", [identity_classical(8), identity_anti(8)])
+    def test_a_series_of_another_half_width_is_refused(self, ident, series):
+        with pytest.raises(ValueError, match=OTHER_HALF_WIDTH):
+            error_profile(ident, on_unit_interval(series), 8, 101)
+
     def test_grid_must_be_odd(self, ident):
         with pytest.raises(ValueError):
             error_profile(ident, identity_anti(10), 10, 1000)
@@ -108,6 +124,11 @@ class TestGibbsOvershoot:
         spec = FunctionSpec(np.pi, Named("const", (1.0,)))
         series = antiperiodic_coefficients(spec, 8)
         assert abs(gibbs_overshoot(spec, series, 8, 0.1, 2001)) <= 1e-10
+
+    @pytest.mark.parametrize("series", [identity_classical(8), identity_anti(8)])
+    def test_a_series_of_another_half_width_is_refused(self, ident, series):
+        with pytest.raises(ValueError, match=OTHER_HALF_WIDTH):
+            gibbs_overshoot(ident, on_unit_interval(series), 8, 0.1)
 
     def test_window_fraction_validated(self, ident):
         with pytest.raises(ValueError):
@@ -199,16 +220,23 @@ class TestCompareOrders:
         by_kind = {(r.series_kind, r.order): r for r in rows}
         assert by_kind[("antiperiodic", 50)].sup_error < by_kind[("classical", 50)].sup_error
 
+    @pytest.mark.parametrize("moved", [(0,), (1,), (0, 1)])
+    def test_series_of_another_half_width_are_refused(self, ident, moved):
+        # a series on [-1, 1] would be read on the function's grid over
+        # [-pi, pi] and compared there; one moved series is enough
+        pair = [identity_classical(20), identity_anti(20)]
+        for i in moved:
+            pair[i] = on_unit_interval(pair[i])
+        with pytest.raises(ValueError, match=OTHER_HALF_WIDTH):
+            compare_orders(ident, *pair, (4, 10), 301, 0.1, 2001)
+
     def test_each_basis_value_is_taken_once(self, ident, basis_values):
-        # the 400 and 401 modes of the two series, in one two-level sum on
-        # the grid and one on the right window, whose basis also gives the
-        # left window's sums; the two series share the 16 baby steps on each:
+        # the 400 and 401 modes of the two series, in one two-level sum call
+        # on the grid and one on the right window, whose basis also gives the
+        # left window's sums; each call takes one baby block:
         # (25 + 26 + 16) x (2,001 + 4,001) = 402,134
         compare_orders(ident, identity_classical(400), identity_anti(400))
-        points = 2001 + 4001
-        assert sum(basis_values) == (two_level_values(400, points) + two_level_values(401, points)
-                                     - BABY * points)
-        assert sum(basis_values) == 402_134
+        assert sum(basis_values) == two_level_values((400, 401), 2001 + 4001) == 402_134
 
     @pytest.mark.parametrize("M", [0, 1, 16, 17, 400])
     def test_a_partial_sum_takes_its_basis_once(self, basis_values, M):
@@ -243,7 +271,7 @@ class TestLadder:
         series = random_series(rng, kind, 60, float(10.0 ** rng.uniform(-2, 2)))
         for size in (1, 17, 301):
             grid, window = rng.uniform(-3 * series.L, 3 * series.L, (2, size))
-            ladder = _ladder(series, LADDER, grid, window)
+            (ladder,) = _ladder([series], LADDER, grid, window)
             assert len(ladder) == len(LADDER)
             for M, sums in zip(LADDER, ladder):
                 for x, value in zip((grid, window, -window[::-1]), sums):
@@ -256,9 +284,9 @@ class TestLadder:
         series = random_series(rng, kind, 60, float(10.0 ** rng.uniform(-2, 2)))
         M = int(rng.integers(0, 61))
         right, left = _windows(series.L, float(rng.uniform(0.01, 0.49)), 2001)
-        at_right, at_left = _window_sums(series.L, series.terms(M), right)
+        at_right, at_left = trig_sum(series.L, _mirrored([series.terms(M)]), right)
         assert np.array_equal(at_right, partial_sum(series, right, M))
-        assert np.abs(at_left - partial_sum(series, left, M)).max() <= sum_bound(series, M)
+        assert np.abs(at_left[::-1] - partial_sum(series, left, M)).max() <= sum_bound(series, M)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_compare_rows_are_the_single_order_diagnostics(self, seed):
@@ -286,7 +314,7 @@ class TestLadder:
             assert (row.grid_size, row.window_fraction) == (301, 0.2)
 
     @pytest.mark.parametrize("body", ["table", "callable"])
-    def test_both_ladders_share_one_baby_block_and_keep_their_bits(self, monkeypatch, body):
+    def test_one_ladder_call_serves_both_series_bitwise(self, monkeypatch, body):
         L = 1.5
         if body == "table":
             xs = np.linspace(-L, L, 500)
@@ -297,17 +325,19 @@ class TestLadder:
         classical, anti = classical_coefficients(f, 60), antiperiodic_coefficients(f, 60)
         ladder, calls = diagnostics._ladder, []
 
-        def spy(series, orders, grid, window, babies):
-            calls.append((series, grid, window, babies, ladder(series, orders, grid, window, babies)))
+        def spy(series, orders, grid, window):
+            calls.append((series, grid, window, ladder(series, orders, grid, window)))
             return calls[-1][-1]
 
         monkeypatch.setattr(diagnostics, "_ladder", spy)
         compare_orders(f, classical, anti, LADDER, 301, 0.2, 2001)
-        assert [call[0] for call in calls] == [classical, anti]  # by identity
-        # one dict of blocks, filled once: a grid and a window block for both
-        assert calls[0][3] is calls[1][3] and len(calls[0][3]) == 1
-        for series, grid, window, _, shared in calls:
-            alone = ladder(series, LADDER, grid, window)  # with its own baby block
+        assert len(calls) == 1
+        [(series, grid, window, both)] = calls
+        assert list(series) == [classical, anti]  # by identity
+        assert len(both) == 2
+        for one, shared in zip(series, both):
+            (alone,) = ladder([one], LADDER, grid, window)  # a call of its own
+            assert len(shared) == len(alone) == len(LADDER)
             for got, want in zip(shared, alone):
                 assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 

@@ -164,6 +164,12 @@ class TestEval:
             with pytest.raises(NegativeTime, match=r"^heat solution is not defined for t=-1\.0 <"):
                 heat_eval(scaled_square_solution, 0.0, t)
 
+    @pytest.mark.parametrize("t", [np.nan, np.array([0.0, np.nan, 1.0])])
+    def test_a_nan_time_is_refused_by_name(self, scaled_square_solution, t):
+        for fn in (heat_eval, heat_eval_dx):
+            with pytest.raises(ValueError, match=r"^heat solution is not defined for t=nan$"):
+                fn(scaled_square_solution, 0.0, t)
+
     def test_order_exceeds(self, scaled_square_solution):
         with pytest.raises(OrderExceedsTruncation):
             heat_eval(scaled_square_solution, 0.0, 0.0, 11)

@@ -15,7 +15,9 @@ zero into -0.0, both sides are compared after adding +0.0, since every exact
 zero of cospi/sinpi is +0.0.
 """
 
+import inspect
 import json
+import pathlib
 import re
 import tracemalloc
 from unittest import mock
@@ -191,20 +193,39 @@ def test_any_negative_time_is_refused_by_name(sol, before, negative, after):
 
 
 @SETTINGS
-@given(st.integers(min_value=1, max_value=25), st.integers(min_value=1, max_value=5),
-       st.sampled_from([0.0, 0.5]), HALF_WIDTHS, VALUES, st.data())
-def test_trig_sum_rows_are_its_one_row_calls_bitwise(m, rows, offset, L, shift, data):
-    mults = np.arange(m, dtype=float) + offset
-    cos_w = data.draw(arrays(rows * m)).reshape(rows, m)
-    sin_w = data.draw(arrays(rows * m)).reshape(rows, m)
+@given(HALF_WIDTHS, st.data())
+def test_each_series_of_a_trig_sum_is_its_one_series_call_bitwise(L, data):
+    # one or two series of each origin, of 0 to 25 modes (one giant row or
+    # two), in any order
+    terms = [(data.draw(VALUES), offset + np.arange(m, dtype=float), data.draw(arrays(m)),
+              data.draw(arrays(m)))
+             for offset in (0.0, 0.5, 1.0)
+             for m in data.draw(st.lists(st.integers(min_value=0, max_value=25),
+                                         min_size=1, max_size=2))]
+    terms = data.draw(st.permutations(terms))
     x = data.draw(positions(L))
-    stacked = [trig_sum(L, shift, mults, c, s, x) for c, s in zip(cos_w, sin_w)]
-    assert same_bits(trig_sum(L, shift, mults, cos_w, sin_w, x), stacked)
-    counts = data.draw(st.lists(st.integers(min_value=0, max_value=m), min_size=1, max_size=4))
-    sums = trig_sum(L, shift, mults, cos_w, sin_w, x, counts)
-    assert sums.shape == (rows, len(counts), *np.shape(x))
-    assert same_bits(sums, [trig_sum(L, shift, mults, c, s, x, counts)
-                            for c, s in zip(cos_w, sin_w)])
+    sums = trig_sum(L, terms, x)
+    assert len(sums) == len(terms)
+    for got, series in zip(sums, terms):
+        (want,) = trig_sum(L, [series], x)
+        assert type(got) is type(want) and np.shape(got) == np.shape(x)
+        assert same_bits(got, want)
+    counts = [data.draw(st.lists(st.integers(min_value=0, max_value=mults.size),
+                                 min_size=1, max_size=4)) for _, mults, _, _ in terms]
+    sums = trig_sum(L, terms, x, counts)
+    for got, series, ks in zip(sums, terms, counts):
+        assert got.shape == (len(ks), *np.shape(x))
+        assert same_bits(got, trig_sum(L, [series], x, [ks])[0])
+
+
+def test_only_the_evaluator_names_its_baby_steps():
+    # a caller hands trig_sum a list of series, and the baby block and its
+    # width stay inside _kernels
+    package = pathlib.Path(_kernels.__file__).parent
+    naming = [path.name for path in sorted(package.glob("*.py"))
+              if re.search(r"\bBABY\b", path.read_text(encoding="utf-8"))]
+    assert naming == ["_kernels.py"]
+    assert list(inspect.signature(trig_sum).parameters) == ["L", "terms", "x", "counts"]
 
 
 @SETTINGS
@@ -281,8 +302,8 @@ def test_two_level_sum_is_the_direct_sum_within_its_rounding(m, offset, L, shift
     mults = offset + np.arange(m)
     cos_w, sin_w = rng.standard_normal((2, m)) * 10.0 ** rng.uniform(-3, 3, (2, m))
     x = t * L
-    error = np.abs(trig_sum(L, shift, mults, cos_w, sin_w, x)
-                   - direct_sum(L, shift, mults, cos_w, sin_w, x))
+    (two_level,) = trig_sum(L, [(shift, mults, cos_w, sin_w)], x)
+    error = np.abs(two_level - direct_sum(L, shift, mults, cos_w, sin_w, x))
     assert (error <= two_level_bound(L, shift, mults, cos_w, sin_w, x)).all()
 
 
@@ -293,7 +314,8 @@ def test_sine_only_classical_sum_is_plus_zero_at_both_ends(c, zero, data):
     c = ClassicalCoefficients(c.L, np.full(c.N + 1, zero), c.b)
     ends = np.array([-c.L, c.L])
     orders = data.draw(st.lists(st.integers(min_value=0, max_value=c.N), min_size=1))
-    for M, sums in zip(orders, _ladder(c, orders, ends, ends)):
+    (ladder,) = _ladder([c], orders, ends, ends)
+    for M, sums in zip(orders, ladder):
         assert same_bits(sums, [[0.0, 0.0]] * 3)
         assert same_bits(classical_partial_sum(c, ends, M), [0.0, 0.0])
         assert same_bits(classical_partial_sum(c, c.L, M), 0.0)
@@ -305,7 +327,8 @@ def test_cosine_only_half_integer_sum_is_plus_zero_at_both_ends(c, zero, data):
     c = AntiperiodicCoefficients(c.L, zero, c.alpha, c.beta)
     ends = np.array([-c.L, c.L])
     orders = data.draw(st.lists(st.integers(min_value=0, max_value=c.N), min_size=1))
-    for M, sums in zip(orders, _ladder(c, orders, ends, ends)):
+    (ladder,) = _ladder([c], orders, ends, ends)
+    for M, sums in zip(orders, ladder):
         assert same_bits(sums, [[0.0, 0.0]] * 3)
         assert same_bits(antiperiodic_partial_sum(c, ends, M), [0.0, 0.0])
         assert same_bits(antiperiodic_partial_sum(c, -c.L, M), 0.0)
@@ -328,9 +351,13 @@ def test_order_zero_is_the_shift_and_one_mode_its_angle_bitwise(c, anti, t):
     "mults", [[0.0, 2.0], [1.0, 2.0, 4.0], [0.5, 1.5, 2.6], [2.0, 1.0], [[0.0, 1.0], [2.0, 3.0]]]
 )
 def test_trig_sum_refuses_multipliers_without_unit_steps(mults):
-    m = np.size(mults)
-    with pytest.raises(ValueError, match="unit-step multipliers"):
-        trig_sum(1.0, 0.0, mults, np.ones(m), np.ones(m), np.linspace(-1.0, 1.0, 5))
+    # whichever series of the call has them
+    m, good = np.size(mults), (0.0, np.arange(3.0), np.ones(3), np.ones(3))
+    for at in range(3):
+        terms = [good, good]
+        terms.insert(at, (0.0, mults, np.ones(m), np.ones(m)))
+        with pytest.raises(ValueError, match="unit-step multipliers"):
+            trig_sum(1.0, terms, np.linspace(-1.0, 1.0, 5))
 
 
 @SETTINGS
