@@ -34,8 +34,9 @@ failure, tagged with the family, n and kind.  Two integration paths are used:
   quadrature error is aliased with interpolation error.  The value terms
   telescope to the two table ends; the slope terms are summed by parts over
   the nodes into one weighted sum of trig values, taken as two-level angle
-  sums.  A set of harmonics 0..N takes ``cossinpi`` of ceil((N + 1) / 16)
-  giant and 16 baby steps at each node, once for each offset and both kinds.
+  sums.  A set takes one basis for the distinct multipliers n + offset of
+  all its families: at each node, ``cossinpi`` of their distinct giant and
+  baby steps (ceil((N + 1) / 16) and 16 for harmonics 0..N at one offset).
 
 Every series in the package is evaluated by one sum,
 
@@ -71,10 +72,10 @@ BABY = 16
 _NODES = 1 << 12
 
 
-def _table_integrals(us, ys, offset, ns):
+def _table_integrals(us, ys, mults):
     """Exact integrals of the piecewise-linear table (us, ys) against
     cos(omega u) (row 0) and sin(omega u) (row 1) over [-1, 1], omega =
-    (n + offset) pi, one column for each n of ``ns``.
+    mult pi, one column for each multiplier of ``mults``.
 
     Each panel is integrated by parts, and the slope terms are summed by
     parts over the nodes.  With slopes s_i, T the kernel and T' its derivative,
@@ -89,7 +90,6 @@ def _table_integrals(us, ys, offset, ns):
     dy T'(omega u) / omega.  The node sums are :func:`_node_sums`.  At the
     zero frequency the cosine integral is the trapezoid sum, the sine 0.
     """
-    mults = ns + offset
     omega = mults * np.pi
     widths, dy = np.diff(us), np.diff(ys)
     jumps = widths == 0.0
@@ -100,22 +100,22 @@ def _table_integrals(us, ys, offset, ns):
     ends = np.stack((ys[-1] * sin_e[:, 1] - ys[0] * sin_e[:, 0],  # y sin / omega
                      ys[0] * cos_e[:, 0] - ys[-1] * cos_e[:, 1]))  # -y cos / omega
     if jumps.any():  # d cos = -sin and d sin = cos
-        jump_cos, jump_sin = _node_sums(dy[jumps], us[:-1][jumps], offset, ns)
+        jump_cos, jump_sin = _node_sums(dy[jumps], us[:-1][jumps], mults)
         ends += (-jump_sin, jump_cos)
-    values = ends / omega + _node_sums(weights, us, offset, ns) / (omega * omega)
+    values = ends / omega + _node_sums(weights, us, mults) / (omega * omega)
     values[:, omega == 0.0] = [[float((0.5 * (ys[:-1] + ys[1:]) * widths).sum())], [0.0]]
     return values
 
 
-def _node_sums(weights, us, offset, ns):
-    """sum_k weights_k cos((n + offset) pi u_k) (row 0) and the same sum of
-    sin (row 1), one column for each n of ``ns``, as two-level angle sums.
+def _node_sums(weights, us, mults):
+    """sum_k weights_k cos(mult pi u_k) (row 0) and the same sum of sin (row 1),
+    one column for each of ``mults``, as two-level angle sums.
 
-    Harmonic n = BABY a + j (j < BABY) takes ``cossinpi`` of the giant step
-    BABY a and of the baby step offset + j, each times u.  The split is
-    anchored at n itself, so a harmonic takes the same basis values, and
-    keeps its bits, whatever else is in ``ns``; and the harmonics below
-    BABY, whose errors the integral divides by the smallest omega^2, take
+    A multiplier takes ``cossinpi`` of the giant step BABY trunc(mult / BABY)
+    and of the baby step, the rest, each times u; each distinct step is taken
+    once.  The split is anchored at the multiplier, so it keeps its basis
+    values and bits whatever else is in ``mults``; and those below BABY in
+    size, whose errors the integral divides by the smallest omega^2, take
     their own basis value exactly (giant step 0: cos 1, sin 0).  Then
 
         cos(g + b) = cg cb - sg sb,    sin(g + b) = sg cb + cg sb,
@@ -125,10 +125,11 @@ def _node_sums(weights, us, offset, ns):
     summed over the block by numpy's pairwise row sum, and the blocks are
     added in order.
     """
-    giant_rows, babies = np.divmod(ns, BABY)
-    giants, row = np.unique(giant_rows, return_inverse=True)
-    g, width = giants.size, int(babies.max()) + 1
-    steps = np.concatenate((BABY * giants, offset + np.arange(width, dtype=float)))
+    giant_steps = BABY * np.trunc(mults / BABY)
+    giants, row = np.unique(giant_steps, return_inverse=True)
+    babies, col = np.unique(mults - giant_steps, return_inverse=True)
+    g, width = giants.size, babies.size
+    steps = np.concatenate((giants, babies))
     sums = np.zeros((2, g, width))
     for start in range(0, us.size, _NODES):
         u, w = us[start : start + _NODES], weights[start : start + _NODES]
@@ -141,7 +142,7 @@ def _node_sums(weights, us, offset, ns):
             c, s = wc[rows, None], ws[rows, None]
             sums[0, rows] += (c * cb - s * sb).sum(axis=-1)
             sums[1, rows] += (s * cb + c * sb).sum(axis=-1)
-    return sums[:, row, babies]
+    return sums[:, row, col]
 
 
 def _panels(ns, atoms):
@@ -258,8 +259,9 @@ def project(spec: FunctionSpec, shift: float, families, abs_tol: float = DEFAULT
                 achieved=exc.achieved, target=exc.target, index=n, kind=kind,
             ) from exc
         return np.split(values, starts[1:-1])
-    union = np.unique(np.concatenate([ns for _, _, ns, _, _ in families]))
-    if not union.size:
+    mults = np.unique(np.concatenate(
+        [ns + offset for _, atoms, ns, _, _ in families for _, offset in atoms]))
+    if not mults.size:
         return [np.empty(0) for _ in families]
     us = np.asarray(spec.body.xs, dtype=float) / spec.L
     out = []
@@ -267,11 +269,10 @@ def project(spec: FunctionSpec, shift: float, families, abs_tol: float = DEFAULT
     # the zero frequency divides by zero before its own value replaces it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ys = np.asarray(spec.body.ys, dtype=float) - shift
-        integrals = {offset: dict(zip(("cos", "sin"), _table_integrals(us, ys, offset, union)))
-                     for offset in {offset for _, atoms, *_ in families for _, offset in atoms}}
+        integrals = dict(zip(("cos", "sin"), _table_integrals(us, ys, mults)))
         for trig, atoms, ns, what, _ in families:
-            at = np.searchsorted(union, ns)
-            values = sum(amplitude * integrals[offset][trig][at] for amplitude, offset in atoms)
+            values = sum(amplitude * integrals[trig][np.searchsorted(mults, ns + offset)]
+                         for amplitude, offset in atoms)
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
                 raise ValidationError(

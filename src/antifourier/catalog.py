@@ -91,24 +91,15 @@ class FunctionSpec:
     def __post_init__(self):
         if not (np.isfinite(self.L) and self.L > 0.0):
             raise ValidationError(f"interval half-width must be positive, got {float(self.L)!r}")
-        body = self.body
-        if isinstance(body, Polynomial) and not isinstance(body.coefficients, tuple):
-            body = Polynomial(tuple(body.coefficients))
-            object.__setattr__(self, "body", body)
-        elif isinstance(body, Named) and not isinstance(body.params, tuple):
-            body = Named(body.name, tuple(body.params))
-            object.__setattr__(self, "body", body)
-        elif isinstance(body, Sampled) and not (
-            isinstance(body.xs, tuple) and isinstance(body.ys, tuple)
-        ):
-            body = Sampled(tuple(body.xs), tuple(body.ys), body.source)
-            object.__setattr__(self, "body", body)
+        body = self.body  # each branch builds the tuple form of its body, stored below
         if isinstance(body, Polynomial):
+            body = Polynomial(tuple(body.coefficients))
             if len(body.coefficients) == 0:
                 raise ValidationError("polynomial needs at least one coefficient")
             if not all(np.isfinite(c) for c in body.coefficients):
                 raise ValidationError("polynomial coefficients must be finite")
         elif isinstance(body, Named):
+            body = Named(body.name, tuple(body.params))
             entry = NAMED_FUNCTIONS.get(body.name)
             if entry is None:
                 raise ValidationError(f"unknown named function {body.name!r}")
@@ -119,6 +110,7 @@ class FunctionSpec:
             if not all(np.isfinite(p) for p in body.params):
                 raise ValidationError(f"{body.name!r} parameters must be finite")
         elif isinstance(body, Sampled):
+            body = Sampled(tuple(body.xs), tuple(body.ys), body.source)
             xs = np.asarray(body.xs, dtype=float)
             ys = np.asarray(body.ys, dtype=float)
             if xs.size != ys.size:
@@ -138,6 +130,7 @@ class FunctionSpec:
                 )
         else:
             raise ValidationError(f"unsupported body type {type(body).__name__}")
+        object.__setattr__(self, "body", body)
 
     def __call__(self, x):
         return evaluate(self, x)

@@ -18,6 +18,7 @@ from .antiperiodic import AntiperiodicCoefficients, antiperiodic_partial_sum
 from .catalog import FunctionSpec, evaluate
 from .classical import ClassicalCoefficients, classical_partial_sum
 from .errors import InsufficientData
+from .quadrature import _integer
 
 SeriesCoefficients = Union[ClassicalCoefficients, AntiperiodicCoefficients]
 
@@ -76,6 +77,7 @@ def partial_sum(series: SeriesCoefficients, x, M: Optional[int] = None):
 
 def _grid(L, grid_size):
     """Uniform grid over [-L, L]; ``grid_size`` odd and >= 3 puts 0 and +-L on it."""
+    grid_size = _integer(grid_size, "grid_size")
     if grid_size < 3 or grid_size % 2 == 0:
         raise ValueError("grid_size must be odd and at least 3")
     return np.linspace(-L, L, grid_size)
@@ -87,6 +89,7 @@ def _windows(L, window_fraction, subgrid_points):
     -L (1 - w), n)."""
     if not 0.0 < window_fraction < 0.5:
         raise ValueError("window_fraction must lie strictly between 0 and 0.5")
+    subgrid_points = _integer(subgrid_points, "subgrid_points")
     if subgrid_points < MIN_SUBGRID_POINTS:
         raise ValueError(
             f"subgrid_points must be at least {MIN_SUBGRID_POINTS} to resolve the spike"

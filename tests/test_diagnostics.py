@@ -100,6 +100,11 @@ class TestErrorProfile:
         with pytest.raises(ValueError):
             error_profile(ident, identity_anti(10), 10, 1)
 
+    @pytest.mark.parametrize("grid_size", [301.0, True])
+    def test_grid_size_must_be_an_integer(self, ident, grid_size):
+        with pytest.raises(ValueError, match=f"^grid_size must be an integer, got {grid_size!r}$"):
+            error_profile(ident, identity_anti(10), 10, grid_size)
+
 
 class TestGibbsOvershoot:
     def test_classical_identity_near_limit(self, ident):
@@ -135,6 +140,11 @@ class TestGibbsOvershoot:
             gibbs_overshoot(ident, identity_anti(10), 10, 0.6)
         with pytest.raises(ValueError):
             gibbs_overshoot(ident, identity_anti(10), 10, 0.1, 100)
+
+    @pytest.mark.parametrize("points", [2001.0, True])
+    def test_subgrid_points_must_be_an_integer(self, ident, points):
+        with pytest.raises(ValueError, match=f"^subgrid_points must be an integer, got {points!r}$"):
+            gibbs_overshoot(ident, identity_anti(10), 10, 0.1, points)
 
 
 class TestDecayExponent:
@@ -358,6 +368,16 @@ class TestLadder:
                 ident, identity_classical(10), identity_anti(10), (4, 10),
                 grid_size, window_fraction, subgrid_points,
             )
+
+    @pytest.mark.parametrize("grid_size, subgrid_points, name", [
+        (301.0, 2001, "grid_size"), (True, 2001, "grid_size"),
+        (301, 2001.0, "subgrid_points"), (301, True, "subgrid_points"),
+    ])
+    def test_grid_sizes_must_be_integers(self, ident, grid_size, subgrid_points, name):
+        bad = grid_size if name == "grid_size" else subgrid_points
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+            compare_orders(ident, identity_classical(10), identity_anti(10), (4, 10),
+                           grid_size, 0.1, subgrid_points)
 
 
 def decay_or_nan(series, order):

@@ -4,8 +4,9 @@ values of cospi/sinpi, cossinpi as the two of them bit for bit, the blocked
 trig kernel as the masked one it replaced bit for bit, the coefficient
 families of random low-degree polynomials, each family projected in one run
 as the per-harmonic loop bit for bit and in a set as alone on the set's
-panels, the two-level series sum against the one-level sum within its
-rounding bound, and the round trips of rendered function specs and of CSV
+panels, a set's table node sums as the per-offset sums bit for bit, the
+two-level series sum against the one-level sum within its rounding bound,
+and the round trips of rendered function specs and of CSV
 cells over every finite double.
 
 Coefficients are random finite doubles with |v| <= 1e6 on random
@@ -850,14 +851,39 @@ def test_table_family_takes_its_basis_once(basis_values):
     (coefficients_via_periodic_split, 2, 402),  # offsets -1/2 and +1/2, to order N + 1
 ])
 def test_a_coefficient_set_takes_one_basis_an_offset(basis_values, compute, offsets, harmonics):
-    # the cosine and sine families of an offset share the node basis and the
-    # end basis of the union of their harmonics
+    # every family of a set shares one end basis and one node basis, those of
+    # the distinct multipliers n + offset.  The split's offsets -1/2 and +1/2
+    # are the same angles one harmonic apart, so its second offset adds one
+    # multiplier and one baby step, -1/2: 2 x 403 end values and (26 + 17)
+    # node steps, where one offset takes 2 x 401 and 26 + 16
     rows = 3001
     xs = np.linspace(-2.0, 2.0, rows)
     table = FunctionSpec(2.0, Sampled(tuple(xs), tuple(np.sin(xs))))
     compute(table, 400)
-    assert sorted(basis_values) == [2 * harmonics] * offsets + [
-        two_level_values(harmonics, rows)] * offsets
+    extra = offsets - 1
+    assert sorted(basis_values) == [2 * (harmonics + extra),
+                                    two_level_values(harmonics, rows) + extra * rows]
+    assert two_level_values(harmonics, rows) + extra * rows == (26 + 16 + extra) * rows
+
+
+@pytest.mark.parametrize("compute, mults", [
+    (classical_coefficients, np.arange(21.0)),
+    (antiperiodic_coefficients, np.arange(0.5, 21.0)),
+    (heat_coefficients, np.arange(0.5, 21.0)),
+    (coefficients_via_periodic_split, np.arange(-0.5, 22.0)),
+])
+def test_a_table_set_is_one_table_integrals_call(monkeypatch, compute, mults):
+    # the table kernels take the set's multipliers, not an offset and its
+    # harmonics, and a set takes them in one call
+    for kernel in (_kernels._table_integrals, _kernels._node_sums):
+        assert not {"offset", "ns"} & set(inspect.signature(kernel).parameters)
+    calls, table_integrals = [], _kernels._table_integrals
+    monkeypatch.setattr(_kernels, "_table_integrals",
+                        lambda us, ys, mults: calls.append(mults) or table_integrals(us, ys, mults))
+    xs = np.linspace(-2.0, 2.0, 41)
+    compute(FunctionSpec(2.0, Sampled(tuple(xs), tuple(np.sin(xs)))), 20)
+    assert len(calls) == 1
+    assert same_bits(calls[0], mults)
 
 
 def test_an_empty_family_takes_no_basis(basis_values):
@@ -939,12 +965,66 @@ def test_a_jump_in_an_end_panel_is_its_limit(jump, offset):
     ns = np.arange(40)
     w = (ns + offset) * np.pi
     with np.errstate(divide="ignore", invalid="ignore"):  # w = 0, as in project
-        cos, sin = _kernels._table_integrals(np.array(us), np.array(ys), offset, ns)
+        cos, sin = _kernels._table_integrals(np.array(us), np.array(ys), ns + offset)
         expect_cos = np.where(w == 0.0, 1.0, sinpi(ns + offset) / w)
         expect_sin = sign * (sinpi(ns + offset) - w * cospi(ns + offset)) / (w * w)
     np.testing.assert_allclose(cos, expect_cos, rtol=0, atol=1e-16)
     live = w != 0.0  # no sine family takes w = 0
     np.testing.assert_allclose(sin[live], expect_sin[live], rtol=0, atol=1e-16)
+
+
+def node_sums_an_offset(weights, us, offset, ns):
+    """``_node_sums`` as it was when it took one offset and its harmonics:
+    harmonic n = BABY a + j (j < BABY) takes the giant step BABY a and the
+    baby step offset + j, the baby steps offset + 0..max j."""
+    giant_rows, babies = np.divmod(ns, BABY)
+    giants, row = np.unique(giant_rows, return_inverse=True)
+    g, width = giants.size, int(babies.max()) + 1
+    steps = np.concatenate((BABY * giants, offset + np.arange(width, dtype=float)))
+    sums = np.zeros((2, g, width))
+    for start in range(0, us.size, _kernels._NODES):
+        u, w = us[start : start + _kernels._NODES], weights[start : start + _kernels._NODES]
+        cos_t, sin_t = cossinpi(np.multiply.outer(steps, u))
+        cb, sb = cos_t[g:], sin_t[g:]
+        wc, ws = w * cos_t[:g], w * sin_t[:g]
+        group = max(1, BABY * _kernels._NODES // (width * u.size))
+        for a in range(0, g, group):
+            rows = slice(a, a + group)
+            c, s = wc[rows, None], ws[rows, None]
+            sums[0, rows] += (c * cb - s * sb).sum(axis=-1)
+            sums[1, rows] += (s * cb + c * sb).sum(axis=-1)
+    return sums[:, row, babies]
+
+
+@st.composite
+def node_tables(draw):
+    """Weights and sorted abscissae drawn from [-1, 1], some with a twin one ulp above."""
+    base = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12))
+    twins = draw(st.lists(st.booleans(), min_size=len(base), max_size=len(base)))
+    us = sorted(base + [float(np.nextafter(u, 2.0)) for u, twin in zip(base, twins) if twin])
+    weights = draw(st.lists(st.floats(-1e3, 1e3), min_size=len(us), max_size=len(us)))
+    return np.array(weights), np.array(us)
+
+
+HARMONIC_SETS = st.lists(st.integers(0, 70), min_size=1, max_size=10, unique=True).map(
+    lambda ns: np.array(sorted(ns)))
+
+
+@SETTINGS
+@given(node_tables(), st.sampled_from([(0.0,), (0.5,), (0.0, 0.5)]),
+       st.lists(HARMONIC_SETS, min_size=2, max_size=2), st.sampled_from([2, _kernels._NODES]))
+@example((np.array([1.0, -2.0]), np.array([0.5, float(np.nextafter(0.5, 1.0))])),
+         (0.0, 0.5), [np.array([0, 15, 16, 17]), np.array([15, 16, 32])], 2)
+def test_node_sums_of_a_set_are_its_per_offset_sums_bitwise(table, offsets, harmonic_sets, nodes):
+    # one call over the multipliers of both offsets gives each column the
+    # bits of the per-offset call, whatever else is in the call
+    weights, us = table
+    mults = np.unique(np.concatenate([ns + o for o, ns in zip(offsets, harmonic_sets)]))
+    with mock.patch.object(_kernels, "_NODES", nodes):
+        sums = _kernels._node_sums(weights, us, mults)
+        for offset, ns in zip(offsets, harmonic_sets):
+            columns = sums[:, np.searchsorted(mults, ns + offset)]
+            assert same_bits(columns, node_sums_an_offset(weights, us, offset, ns))
 
 
 # every finite double, with -0.0, subnormals and the largest magnitudes drawn on purpose
