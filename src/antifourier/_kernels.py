@@ -7,8 +7,11 @@ the sum of amplitude * trig((n + offset) pi x / L) over the pairs, so every
 kernel of a family has one parity.  The classical series uses ((1.0, 0.0),),
 the half-integer series and the heat modes ((1.0, 0.5),), and the periodic
 split two pairs at offsets -1/2 and +1/2.  :func:`project` computes a set of
-families in one call and is the one place that re-raises a quadrature
-failure, tagged with the family, n and kind.  Two integration paths are used:
+families in one call.  It integrates f - shift once against each distinct
+(kind, multiplier n + offset) of the set, by one of two paths, and builds
+every family from that one table of integrals: a coefficient is the sum of
+amplitude times its atoms' integrals.  It is the one place that re-raises a
+quadrature failure, tagged with the first family that reads it, n and kind.
 
 * callable bodies: in u = x / L the symmetric integral is folded onto [0, 1]
   with the parity-matched combination of f(L u) and f(-L u), then handed to
@@ -17,26 +20,22 @@ failure, tagged with the family, n and kind.  Two integration paths are used:
   combination cancels pointwise before multiplication) and removes the
   catalog sign-function jumps at the origin, where every odd kernel
   vanishes, so every catalog body and ``poly:`` spec folds to a polynomial on
-  (0, 1].  A set is one several-row ``integrate`` call, one row per
-  harmonic of each family in turn, starting on the smallest even panel count
-  above its largest multiplier, so a panel spans at most a half-turn of the
-  top kernel.  Its panel rule (:func:`_folded_rule`) evaluates f at x and at
-  -x once a level, for the even and the odd fold, and takes each
-  kernel as an angle sum at the panel centre and the node step, so a level
-  takes rows x (p + 48) basis values a pair instead of rows x 48 p, and each
-  row's panel sums are contractions of the weighted fold with its node
-  basis; every coefficient keeps the bits of its own one-row integration on
-  those panels.  A fold that is not finite (f overflows) is a
-  ValidationError for the first family that reads it.
+  (0, 1].  A set is one several-row ``integrate`` call, one row per distinct
+  multiplier of each kind, starting on the smallest even panel count above
+  the largest, so a panel spans at most a half-turn of the top kernel.  Its
+  panel rule (:func:`_folded_rule`) folds f once a level and takes each
+  kernel as an angle sum at the panel centre and the node step: rows x
+  (p + 48) basis values a pair instead of rows x 48 p, and each row keeps
+  the bits of its own one-row integration on those panels.
 
 * sampled bodies: each panel of the piecewise-linear interpolant in u is
-  integrated against each pair's trig term in closed form, by parts, so no
-  quadrature error is aliased with interpolation error.  The value terms
-  telescope to the two table ends; the slope terms are summed by parts over
-  the nodes into one weighted sum of trig values, taken as two-level angle
-  sums.  A set takes one basis for the distinct multipliers n + offset of
-  all its families: at each node, ``cossinpi`` of their distinct giant and
-  baby steps (ceil((N + 1) / 16) and 16 for harmonics 0..N at one offset).
+  integrated against the cos and sin of each multiplier in closed form, by
+  parts, so no quadrature error is aliased with interpolation error.  The
+  value terms telescope to the two table ends; the slope terms are summed by
+  parts over the nodes into one weighted sum of trig values, taken as
+  two-level angle sums: at each node, ``cossinpi`` of the distinct giant and
+  baby steps of the set's multipliers (ceil((N + 1) / 16) and 16 for
+  harmonics 0..N at one offset).
 
 Every series in the package is evaluated by one sum,
 
@@ -50,7 +49,8 @@ e^(lambda_n k t), one series per time) in ``heat_eval`` and
 ``heat_eval_dx``.  A call sums a list of series on one point set.  Each mode
 is one angle sum of two ``cossinpi`` values, a giant and a baby step: the
 series of a call share the baby rows, those of one origin the giant rows.
-The containers share :func:`freeze_fields` and :func:`check_order`.
+The containers share :func:`freeze_fields`, :func:`check_scalar` and
+:func:`check_order`.
 """
 
 from __future__ import annotations
@@ -145,46 +145,38 @@ def _node_sums(weights, us, mults):
     return sums[:, row, col]
 
 
-def _panels(ns, atoms):
-    """Start panels of a family over ``ns``: the smallest even count above
-    the family's largest frequency multiplier, at least 2, so each panel of
-    [0, 1] spans at most one half-turn of the top kernel.  A set starts on
-    the largest count of its families, the one count of every family of a
-    public set.  A low order starts on few panels (2 at N = 0, 32 at N = 30)
-    and doubles them only where a row's estimate asks for it."""
-    max_mult = max(np.abs(ns + offset).max() for _, offset in atoms)
-    return 2 * (int(max_mult) // 2 + 1)
+def _panels(mults):
+    """Start panels of a callable set: the smallest even count above its
+    largest |multiplier|, so each panel of [0, 1] spans at most a half-turn
+    of the top kernel (2 at N = 0, 32 at N = 30)."""
+    return 2 * (int(np.abs(mults).max()) // 2 + 1)
 
 
 def first_level_values(spec, N):
-    """Values of the first quadrature level of a callable set over orders
-    0..N, for each of its families: the start panels x (N + 1 harmonic rows
-    + one Horner pass per term of f)."""
+    """First-level values of a callable set over orders 0..N, for each kind:
+    the start panels x (N + 1 rows + one Horner pass per term of f)."""
     terms = len(spec.body.coefficients) if isinstance(spec.body, Polynomial) else 1
-    return _panels(np.array([N]), ((1.0, 0.5),)) * (N + 1 + terms)
+    return _panels(np.array([N + 0.5])) * (N + 1 + terms)
 
 
-def _folded_rule(spec, shift, families, starts):
-    """Panel rule of :func:`integrate` with one row per harmonic, family i
-    on rows starts[i] to starts[i + 1] - 1: on each panel of [0, 1], the G32
-    and G16 sums of the parity-folded (f(L u) - shift) times K_n, and a
-    rounding size, (sum of |amplitude|) times the G32 sum of |fold|, which
-    bounds the G32 sum of |fold K_n|; and a flag for each row, set where it
-    read a fold that is not finite, so that its sums are not finite either.
+def _folded_rule(spec, shift, rows, cut):
+    """Panel rule of :func:`integrate` with one row per multiplier of
+    ``rows``, a cosine kernel below row ``cut`` and a sine kernel from it:
+    on each panel of [0, 1], the G32 and G16 sums of the parity-folded
+    (f(L u) - shift) times the kernel, and a rounding size, the G32 sum of
+    |fold|; and a flag for each row, set where it read a fold that is not
+    finite, so that its sums are not finite either.
 
-    An abscissa is a panel centre c plus a node step s, so each kernel term
-    is an angle sum of cospi and sinpi of mult c and of mult s, mult = n +
-    offset.  A level evaluates f at its 48 p abscissae and at their negatives
-    once, for the fold of each kind; a call then takes, family by family, the
-    basis of its rows at the p centres and the 48 steps, rows x (p + 48)
-    values of each kind a pair, and contracts each row's node basis with the
-    weighted fold of every panel by one batched product, so a row keeps its
-    bits whatever other rows are in the call."""
+    A level evaluates f at its 48 p abscissae c + s (panel centre plus node
+    step) and at their negatives once, for the fold of each kind.  A call
+    takes cospi and sinpi of its rows' multipliers times the p centres and
+    the 48 steps, and contracts each row's node basis with the weighted fold
+    of every panel, so a row keeps its bits whatever other rows it is with."""
     nodes, w16, w32 = _rules()
-    overflowed = np.zeros(starts[-1], dtype=bool)
+    overflowed = np.zeros(rows.size, dtype=bool)
     level = {}  # (panel count, kind) -> (weighted fold [G16 | G32], G32 sums of |fold|, overflow)
 
-    def rule(centres, half, rows):
+    def rule(centres, half, idx):
         p = centres.size
         if (p, "cos") not in level:
             x = spec.L * (centres[:, None] + half * nodes).reshape(-1)
@@ -199,26 +191,20 @@ def _folded_rule(spec, shift, families, starts):
                     level[p, trig] = (fold, w32 @ np.abs(folded[16:]),
                                       not np.isfinite(folded).all())
         angles = np.concatenate((centres, half * nodes))  # the p centres, then the 48 steps
-        blocks = []  # (3, rows, p) for each family with rows in the call
-        for (trig, atoms, ns, *_), start, cut in zip(
-                families, starts, np.split(rows, np.searchsorted(rows, starts[1:-1]))):
-            if not cut.size:
+        blocks = []  # (3, rows, p) for each kind with rows in the call
+        for trig, part in zip(("cos", "sin"), np.split(idx, [np.searchsorted(idx, cut)])):
+            if not part.size:
                 continue
-            fold, size, overflowed[cut] = level[p, trig]  # the fold of the family's kind
-            sums = 0.0  # the G16 and G32 sums, (2, rows, p)
-            for amplitude, offset in atoms:
-                at = np.multiply.outer(ns[cut - start] + offset, angles)
-                basis = np.stack((cospi(at), sinpi(at)), axis=1)  # (rows, 2, p + 48)
-                # each row's G16 and G32 sums of fold times cos and of fold times sin of mult s
-                cb, sb = (basis[:, :, p:] @ fold).reshape(-1, 2, 2, p).transpose(1, 2, 0, 3)
-                ca, sa = basis[:, 0, :p], basis[:, 1, :p]
-                # cos(a + b) = ca cb - sa sb and sin(a + b) = sa cb + ca sb
-                first, second = (ca, -sa) if trig == "cos" else (sa, ca)
-                sums = sums + amplitude * (first * cb + second * sb)
-            g16, g32 = sums
-            bound = sum(abs(amplitude) for amplitude, _ in atoms)
-            blocks.append(np.stack((g32, np.abs(g32 - g16),
-                                    np.broadcast_to(bound * size, g32.shape))))
+            fold, size, overflowed[part] = level[p, trig]  # the fold of the rows' kind
+            at = np.multiply.outer(rows[part], angles)
+            basis = np.stack((cospi(at), sinpi(at)), axis=1)  # (rows, 2, p + 48)
+            # each row's G16 and G32 sums of fold times cos and of fold times sin of mult s
+            cb, sb = (basis[:, :, p:] @ fold).reshape(-1, 2, 2, p).transpose(1, 2, 0, 3)
+            ca, sa = basis[:, 0, :p], basis[:, 1, :p]
+            # cos(a + b) = ca cb - sa sb and sin(a + b) = sa cb + ca sb
+            first, second = (ca, -sa) if trig == "cos" else (sa, ca)
+            g16, g32 = 0.0 + (first * cb + second * sb)
+            blocks.append(np.stack((g32, np.abs(g32 - g16), np.broadcast_to(size, g32.shape))))
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
     return rule, overflowed
@@ -229,55 +215,61 @@ def project(spec: FunctionSpec, shift: float, families, abs_tol: float = DEFAULT
     ``ns``, one array for each family (trig, atoms, ns, what, kind) of a set.
 
     K_n(x) = sum of amplitude * trig((n + offset) pi x / L) over the
-    (amplitude, offset) pairs ``atoms``; ``trig`` is "cos" or "sin".  In
-    u = x / L this is an integral over [-1, 1], so ``abs_tol`` bounds the
-    estimated error of each callable coefficient.  In the first failing
-    family, a quadrature failure is re-raised for the lowest failing n as
-    NonConvergence "<what> n=<n> did not converge: ..." with ``index=n`` and
-    ``kind``; a table integral that overflows, or a callable body whose
-    folded values do, raises ValidationError "<what> n=<n> is not finite: ...".
+    (amplitude, offset) pairs ``atoms``; ``trig`` is "cos" or "sin".  Each
+    distinct (trig, n + offset) of the set is integrated once, over u = x / L
+    in [-1, 1], and a coefficient sums amplitude times its atoms' integrals.
+    ``abs_tol`` bounds each callable integral's estimated error, so a
+    coefficient's estimate is at most sum |amplitude| x ``abs_tol``: at most
+    ``abs_tol`` for every family in the package.  A failing integral is
+    reported for the first family, in set order, that reads it, at its
+    lowest n that does: a quadrature failure as NonConvergence "<what> n=<n>
+    did not converge: ..." with ``index=n`` and ``kind``; a table integral
+    that overflows, or a callable body whose folded values do, as
+    ValidationError "<what> n=<n> is not finite: ...".
     """
     check_tol(abs_tol)
     families = [(trig, atoms, np.asarray(ns, dtype=int), what, kind)
                 for trig, atoms, ns, what, kind in families]
-    if not isinstance(spec.body, Sampled):
-        starts = np.cumsum([0] + [ns.size for _, _, ns, _, _ in families])
-        rule, overflowed = _folded_rule(spec, shift, families, starts)
-        panels = max((_panels(ns, atoms) for _, atoms, ns, _, _ in families if ns.size), default=2)
+    mults = {trig: np.unique(np.concatenate([np.empty(0)] + [
+        ns + offset for family_trig, atoms, ns, *_ in families if family_trig == trig
+        for _, offset in atoms])) for trig in ("cos", "sin")}
+    rows, cut = np.concatenate((mults["cos"], mults["sin"])), mults["cos"].size
+    table = isinstance(spec.body, Sampled)
+    if table:
+        union, us = np.unique(rows), np.asarray(spec.body.xs, dtype=float) / spec.L
+        # an overflow leaves a nan or an infinity, refused below by harmonic;
+        # the zero frequency divides by zero before its own value replaces it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ys = np.asarray(spec.body.ys, dtype=float) - shift
+            cos_sin = _table_integrals(us, ys, union) if union.size else np.empty((2, 0))
+        values = np.concatenate([cos_sin[i, np.searchsorted(union, mults[trig])]
+                                 for i, trig in enumerate(("cos", "sin"))])
+    else:
+        rule, overflowed = _folded_rule(spec, shift, rows, cut)
         try:
-            values = integrate(rule, 0.0, 1.0, abs_tol, rows=int(starts[-1]), panels=panels
-                               ) if starts[-1] else np.empty(0)
+            values = integrate(rule, 0.0, 1.0, abs_tol, rows=rows.size, panels=_panels(rows)
+                               ) if rows.size else rows
         except NonConvergence as exc:
-            i = int(np.searchsorted(starts, exc.index, side="right")) - 1
-            _, _, ns, what, kind = families[i]
-            n = int(ns[exc.index - starts[i]])
+            mult, trig = rows[exc.index], "cos" if exc.index < cut else "sin"
+            reads = ((what, kind, np.concatenate([ns[ns + offset == mult] for _, offset in atoms]))
+                     for family_trig, atoms, ns, what, kind in families if family_trig == trig)
+            what, kind, n = next(  # the first family that reads the row, at its lowest n
+                (what, kind, int(hits.min())) for what, kind, hits in reads if hits.size)
             if overflowed[exc.index]:
                 raise ValidationError(f"{what} n={n} is not finite: "
                                       "the function's values are too large") from None
-            raise NonConvergence(
-                f"{what} n={n} did not converge: {exc}",
-                achieved=exc.achieved, target=exc.target, index=n, kind=kind,
-            ) from exc
-        return np.split(values, starts[1:-1])
-    mults = np.unique(np.concatenate(
-        [ns + offset for _, atoms, ns, _, _ in families for _, offset in atoms]))
-    if not mults.size:
-        return [np.empty(0) for _ in families]
-    us = np.asarray(spec.body.xs, dtype=float) / spec.L
+            raise NonConvergence(f"{what} n={n} did not converge: {exc}", achieved=exc.achieved,
+                                 target=exc.target, index=n, kind=kind) from exc
+    integrals = {"cos": values[:cut], "sin": values[cut:]}
     out = []
-    # an overflow leaves a nan or an infinity, refused below by harmonic;
-    # the zero frequency divides by zero before its own value replaces it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ys = np.asarray(spec.body.ys, dtype=float) - shift
-        integrals = dict(zip(("cos", "sin"), _table_integrals(us, ys, mults)))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below by harmonic
         for trig, atoms, ns, what, _ in families:
-            values = sum(amplitude * integrals[trig][np.searchsorted(mults, ns + offset)]
+            values = sum(amplitude * integrals[trig][np.searchsorted(mults[trig], ns + offset)]
                          for amplitude, offset in atoms)
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
-                raise ValidationError(
-                    f"{what} n={ns[bad[0]]} is not finite: the table's values are too large"
-                )
+                raise ValidationError(f"{what} n={ns[bad[0]]} is not finite: the "
+                                      f"{'table' if table else 'function'}'s values are too large")
             out.append(values)
     return out
 
@@ -386,6 +378,12 @@ def check_order(M, N: int) -> int:
     return M
 
 
+def check_scalar(value, name: str, positive: bool = True) -> None:
+    """ValueError naming ``name`` unless ``value`` is finite, and > 0 if ``positive``."""
+    if not np.isfinite(value) or (positive and value <= 0.0):
+        raise ValueError(f"{name} must be finite{' and positive' * positive}, got {float(value)!r}")
+
+
 def freeze_fields(obj, first: str, second: str, extra: int = 0, positive=("L",)) -> None:
     """Store two fields of frozen dataclass ``obj`` as finite read-only 1-D arrays.
 
@@ -394,10 +392,7 @@ def freeze_fields(obj, first: str, second: str, extra: int = 0, positive=("L",))
     ``positive``.
     """
     for name in (field.name for field in fields(obj) if field.name not in (first, second)):
-        value = getattr(obj, name)
-        if not np.isfinite(value) or (name in positive and value <= 0.0):
-            rule = "finite and positive" if name in positive else "finite"
-            raise ValueError(f"{name} must be {rule}, got {float(value)!r}")
+        check_scalar(getattr(obj, name), name, name in positive)
     arrays = {name: np.asarray(getattr(obj, name), dtype=float) for name in (first, second)}
     if any(array.ndim != 1 for array in arrays.values()):
         raise ValueError(f"{first} and {second} must be one-dimensional")

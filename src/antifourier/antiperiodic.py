@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import check_order, freeze_fields, nonnegative, project, trig_sum
+from ._kernels import check_order, check_scalar, freeze_fields, nonnegative, project, trig_sum
 from ._trig import cospi, sinpi  # noqa: F401  (bench/tracer.py wraps antiperiodic.cospi/sinpi)
 from ._trig import cossinpi
 from .catalog import FunctionSpec, antiperiodic_defect
@@ -62,8 +62,10 @@ def half_basis(n: int, L: float, x):
     """Return (cos((2n+1) pi x / 2L), sin((2n+1) pi x / 2L)).
 
     Values at x = +-L are exact: the cosine is 0.0 and the sine is +-(-1)^n.
+    ``L`` must be finite and positive (ValueError).
     """
     n = nonnegative(n, "basis index")
+    check_scalar(L, "L")
     u = np.asarray(x, dtype=float) / L
     return cossinpi((n + 0.5) * u)
 

@@ -6,10 +6,9 @@ Coefficients follow the usual normalization
     b_n = (1/L) int_{-L}^{L} f(x) sin(n pi x / L) dx,   n = 1..N,
 
 and the partial sum is a_0/2 + sum_{n=1}^{M} (a_n cos + b_n sin).  Each
-coefficient keeps its own error control (no FFT): each family is one
-composite Gauss-Legendre run, one row per harmonic on shared panels, which
-folds f once a level and takes each row's panel sums as angle-sum
-contractions, but each row keeps its own error estimate and panel doublings,
+coefficient keeps its own error control (no FFT): a coefficient set is one
+composite Gauss-Legendre run with one row per distinct multiplier n, each
+with its own error estimate and panel doublings (see ``_kernels.project``),
 so arbitrary function specs and tolerances are supported.  Basis values are
 computed with the exact-at-half-multiples helpers, which makes sin(n pi) at
 x = +-L exactly zero and the endpoint symmetry S(-L) == S(L) hold bitwise.

@@ -187,10 +187,11 @@ def decay_exponent(series: SeriesCoefficients, order: Optional[int] = None) -> f
     """Fitted decay rate p of the coefficients, assuming magnitude ~ n^(-p).
 
     Least-squares slope of log|c_n| against log(n + 1) over harmonics
-    n in [max(2, N // 4), N], excluding magnitudes below 1e-13 (numerical
+    n in [max(2, N // 4), N], N = ``order`` checked as a partial-sum order
+    (None: the stored N), excluding magnitudes below 1e-13 (numerical
     zeros).  Raises InsufficientData with fewer than 4 usable entries.
     """
-    N = series.N if order is None else min(order, series.N)
+    N = check_order(order, series.N)
     _, mults, cos_w, sin_w = series.terms()
     n = np.floor(mults)  # harmonic n of multiplier n or n + 1/2
     mags = np.maximum(np.abs(cos_w), np.abs(sin_w))

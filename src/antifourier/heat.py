@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import check_order, freeze_fields, nonnegative, trig_sum
+from ._kernels import check_order, check_scalar, freeze_fields, nonnegative, trig_sum
 from ._trig import cospi, sinpi  # noqa: F401  (bench/tracer.py wraps heat.cospi/sinpi)
 from .antiperiodic import _coefficients_with_shift, half_basis
 from .catalog import FunctionSpec, antiperiodic_defect
@@ -87,9 +87,10 @@ def eigenpair(n: int, L: float):
 
     Returns (lambda_n, X_n, Xt_n) with lambda_n = -((2n+1) pi / (2L))^2,
     X_n(x) = cos((2n+1) pi x / 2L) and Xt_n(x) = sin((2n+1) pi x / 2L), the
-    two functions of ``half_basis(n, L, x)``.
+    two functions of ``half_basis(n, L, x)``; ``L`` must be finite and positive.
     """
     n = nonnegative(n, "mode index")
+    check_scalar(L, "L")
     omega = (n + 0.5) * (np.pi / L)
     lam = -(omega * omega)
     return float(lam), lambda x: half_basis(n, L, x)[0], lambda x: half_basis(n, L, x)[1]
@@ -182,6 +183,8 @@ def verify_solution(sol: HeatSolution, xs, ts, h: float, M: int | None = None) -
     ts = np.asarray(ts, dtype=float)
     if not (h > 0.0 and np.isfinite(h)):
         raise ValueError("fd_step must be positive and finite")
+    if not (xs.size and ts.size):
+        raise ValueError(f"residual grid is empty: {xs.size} x and {ts.size} t values")
     if not np.all(np.abs(xs) < sol.L):  # a nan is refused too
         raise ValueError("residual grid must be interior: |x| < L")
     if not np.all(ts - h > 0.0):

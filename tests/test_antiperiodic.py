@@ -11,6 +11,7 @@ from antifourier import (
     OrderExceedsTruncation,
     Polynomial,
     Sampled,
+    ValidationError,
     antiperiodic_coefficients,
     antiperiodic_partial_sum,
     classical_coefficients,
@@ -179,6 +180,12 @@ class TestHalfBasis:
     def test_non_integer_index_rejected(self, n):
         with pytest.raises(ValueError, match="basis index must be an integer"):
             half_basis(n, 1.0, 0.0)
+
+    @pytest.mark.parametrize("L", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_half_width_must_be_finite_and_positive(self, L):
+        # not a divide-by-zero warning, sign-flipped sines, nan or a constant 1.0
+        with pytest.raises(ValueError, match=rf"^L must be finite and positive, got {L!r}$"):
+            half_basis(0, L, np.array([0.0, 0.5]))
 
 
 class TestCoefficients:
@@ -404,6 +411,15 @@ class TestPeriodicSplit:
             coefficients_via_periodic_split(identity_pi, 2, 1e-18)
         assert (info.value.index, info.value.kind) == (0, "cos")
         assert str(info.value).startswith("periodic-split cos coefficient n=0 did not converge: ")
+
+    def test_an_overflow_names_the_first_family_that_reads_it(self):
+        # 1e308 x folds to exactly 0.0 for the cosine rows and overflows in
+        # every sine row; the first, multiplier -1/2, is first read by at_0,
+        # the classical cosine coefficient of f sin(pi x / 2L)
+        with pytest.raises(ValidationError, match=(
+                r"^periodic-split cos coefficient n=0 is not finite: "
+                r"the function's values are too large$")):
+            coefficients_via_periodic_split(FunctionSpec(1.0, Polynomial((0.0, 1e308))), 3)
 
     def test_sampled_split_identity(self):
         xs = np.linspace(-1.0, 1.0, 41)

@@ -176,12 +176,12 @@ class TestDecayExponent:
         assert p_small == pytest.approx(1.0, abs=0.1)
         assert p_large == pytest.approx(1.0, abs=0.02)
 
-    @pytest.mark.parametrize("order", [None, 8, 17, 40, 64, 100])
+    @pytest.mark.parametrize("order", [None, 8, 17, 40, 64])
     def test_equals_the_documented_fit_exactly(self, order):
         rng = np.random.default_rng(3)
         cos_w, sin_w = rng.standard_normal((2, 65)) / np.arange(1, 66) ** 1.5
         cos_w[::7] = sin_w[::7] = 1e-14  # numerical zeros, left out of the fit
-        N = 64 if order is None else min(order, 64)
+        N = 64 if order is None else order
 
         def fit(n, c, s):
             mags = np.maximum(np.abs(c), np.abs(s))
@@ -193,10 +193,30 @@ class TestDecayExponent:
         assert decay_exponent(classical, order) == fit(np.arange(1, 65), cos_w[1:], sin_w[1:])
         assert decay_exponent(anti, order) == fit(np.arange(65), cos_w, sin_w)
 
-    def test_negative_order_is_insufficient_data(self):
+    @pytest.mark.parametrize("order, message", [
+        (-1, "partial-sum order must be nonnegative"),
+        (-3, "partial-sum order must be nonnegative"),
+        (True, "partial-sum order must be an integer, got True"),
+        (2.5, "partial-sum order must be an integer, got 2.5"),
+        (np.int64(40), None),
+    ], ids=["negative-one", "negative-three", "bool", "fraction", "numpy-integer"])
+    def test_order_is_checked_as_a_partial_sum_order(self, order, message):
+        # the rule of every order argument: not InsufficientData for a
+        # negative order, not 1 for True, not a fit sliced at 2.5
         for series in (identity_classical(64), identity_anti(64)):
-            with pytest.raises(InsufficientData):
-                decay_exponent(series, order=-1)
+            if message is None:
+                assert decay_exponent(series, order) == decay_exponent(series, 40)
+            else:
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    decay_exponent(series, order)
+
+    @pytest.mark.parametrize("order", [65, 100])
+    def test_order_above_the_truncation_is_refused(self, order):
+        # not silently the stored order N = 64
+        for series in (identity_classical(64), identity_anti(64)):
+            with pytest.raises(OrderExceedsTruncation,
+                               match=f"^M={order} exceeds stored order N=64$"):
+                decay_exponent(series, order)
 
 
 class TestComparative:

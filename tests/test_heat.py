@@ -82,6 +82,12 @@ class TestEigenpair:
         with pytest.raises(ValueError, match="mode index must be an integer"):
             eigenpair(n, 1.0)
 
+    @pytest.mark.parametrize("L", [0.0, -1.0, -np.pi, np.nan, np.inf, -np.inf])
+    def test_half_length_must_be_finite_and_positive(self, L):
+        # not a ZeroDivisionError, sign-flipped sines or a nan eigenvalue
+        with pytest.raises(ValueError, match=rf"^L must be finite and positive, got {L!r}$"):
+            eigenpair(0, L)
+
 
 class TestSolve:
     def test_scaled_square_modes(self, scaled_square_solution):
@@ -274,6 +280,13 @@ class TestVerifySolution:
             verify_solution(scaled_square_solution, [0.0, np.nan], [0.5], 1e-4)
         with pytest.raises(ValueError, match="t - h > 0"):
             verify_solution(scaled_square_solution, [0.0], [0.5, np.nan], 1e-4)
+
+    @pytest.mark.parametrize("xs, ts, counts", [([], [0.5, 1.0], "0 x and 2 t"),
+                                                ([0.0, 1.0, 2.0], [], "3 x and 0 t")])
+    def test_an_empty_grid_is_refused(self, scaled_square_solution, xs, ts, counts):
+        # not numpy's "zero-size array to reduction operation maximum"
+        with pytest.raises(ValueError, match=f"^residual grid is empty: {counts} values$"):
+            verify_solution(scaled_square_solution, xs, ts, 1e-4)
 
 
 def test_json_round_trip(scaled_square_solution):

@@ -584,11 +584,12 @@ def direct_kernels(spec, shift, trig, atoms, ns):
 
 
 # (trig, atoms) of the classical, half-integer and four periodic-split families
-FAMILIES = st.sampled_from([
+FAMILY_KERNELS = [
     ("cos", ((1.0, 0.0),)), ("sin", ((1.0, 0.0),)), ("cos", ((1.0, 0.5),)), ("sin", ((1.0, 0.5),)),
     ("cos", ((0.5, -0.5), (0.5, 0.5))), ("sin", ((0.5, 0.5), (-0.5, -0.5))),
     ("sin", ((0.5, 0.5), (0.5, -0.5))), ("cos", ((0.5, -0.5), (-0.5, 0.5))),
-])
+]
+FAMILIES = st.sampled_from(FAMILY_KERNELS)
 BODIES = st.one_of(
     polynomials(),
     st.builds(FunctionSpec, POLY_HALF_WIDTHS, st.sampled_from(
@@ -633,6 +634,40 @@ def test_project_is_the_direct_kernel_run_within_its_rounding(f, shift, family, 
     mults = np.array([max(abs(n + offset) for _, offset in atoms) for n in ns])
     bound = 5.0 * (mults + 1.0) * np.finfo(float).eps * sum(abs(a) for a, _ in atoms) * size
     assert (np.abs(values - direct_kernels(f, shift, trig, atoms, ns)) <= bound).all()
+
+
+@FAMILY_SETTINGS
+@given(BODIES, st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), HARMONICS)
+def test_a_callable_family_is_its_atoms_one_atom_runs_bitwise(f, shift, ns):
+    # a set integrates each distinct multiplier once, and a family is the sum
+    # of amplitude times its atoms' integrals, each the bits of the atom's
+    # one-atom run on the set's panels
+    for trig, atoms in FAMILY_KERNELS:
+        (values,) = project(f, shift, [(trig, atoms, ns, "c", trig)])
+        panels = window_panels(ns, atoms)
+        with mock.patch.object(_kernels, "_panels", lambda *_: panels):
+            runs = [project(f, shift, [(trig, ((1.0, offset),), ns, "c", trig)])[0]
+                    for _, offset in atoms]
+        assert same_bits(values, sum(a * run for (a, _), run in zip(atoms, runs)))
+
+
+def test_the_rule_and_its_panels_read_no_families_or_atoms():
+    # a quadrature row is a multiplier of one kind: the callable rule and
+    # its start panels see multipliers only, never an amplitude
+    for helper in (_kernels._folded_rule, _kernels._panels):
+        assert not {"families", "atoms", "starts"} & set(inspect.signature(helper).parameters)
+
+
+def test_the_periodic_split_takes_each_multiplier_basis_once(monkeypatch):
+    # at N = 400 the split's rows are the multipliers n -+ 1/2 for n = 0..401,
+    # -1/2 to 401.5, once for each kind: 2 x 403 rows on the 402 start
+    # panels, one level, each row taking (402 + 48) cospi and sinpi values.
+    # Taken once per family and atom, the four two-atom families took 2,890,800
+    taken = []
+    for name, fn in (("cospi", cospi), ("sinpi", sinpi)):
+        monkeypatch.setattr(_kernels, name, lambda t, fn=fn: taken.append(np.size(t)) or fn(t))
+    coefficients_via_periodic_split(FunctionSpec(np.pi, Named("x-plus-sign")), 400)
+    assert sum(taken) == 2 * (2 * 403) * (402 + 48) == 725_400
 
 
 def heat_coefficients(f, N):
@@ -741,32 +776,41 @@ def test_project_makes_one_integrate_call_per_callable_set(monkeypatch):
     assert calls == [(31 + 31, 32)]  # heat modes n + 1/2 up to 30.5
     calls.clear()
     coefficients_via_periodic_split(identity, 30)
-    assert calls == [(32 + 32 + 31 + 31, 32)]  # multipliers n -+ 1/2 up to 31.5
+    # one row per distinct multiplier of each kind: n -+ 1/2 for n = 0..31
+    # is -1/2, 1/2, ..., 31.5, for the cosine and for the sine families
+    assert calls == [(33 + 33, 32)]
     calls.clear()
     project(identity, 0.0, [(*family, range(0), "beta", "sin")])
     assert calls == []  # a set without rows makes no call
 
 
 def test_every_public_set_starts_its_families_on_one_panel_count(monkeypatch):
-    # so a public coefficient keeps the bits of its family's one-family run
-    counts, sets = [], []
-    panels_of = _kernels._panels
-    monkeypatch.setattr(_kernels, "_panels",
-                        lambda ns, atoms: counts.append(panels_of(ns, atoms)) or counts[-1])
+    # so a public coefficient keeps the bits of its family's one-family run:
+    # the set's start panels, those of its distinct multipliers, are each
+    # family's own
+    checked = []
 
     def spy(f, a, b, abs_tol, rows=None, panels=64):
-        sets.append(set(counts))
-        counts.clear()
+        for _, atoms, ns, *_ in families:
+            own = np.concatenate([np.asarray(ns) + offset for _, offset in atoms])
+            assert not own.size or _kernels._panels(own) == panels  # N = 0 has no b_n
+        checked.append(panels)
         return np.zeros(rows)
 
+    def spy_project(spec, shift, sets, abs_tol=DEFAULT_TOL):
+        families[:] = sets
+        return project(spec, shift, sets, abs_tol)
+
+    families = []
     monkeypatch.setattr(_kernels, "integrate", spy)
+    for module in ("classical", "antiperiodic"):
+        monkeypatch.setattr(f"antifourier.{module}.project", spy_project)
     identity = FunctionSpec(np.pi, Named("identity"))
     for N in range(3001):
         for compute in (classical_coefficients, antiperiodic_coefficients,
                         coefficients_via_periodic_split, heat_coefficients):
             compute(identity, N)
-    assert len(sets) == 4 * 3001
-    assert all(len(counts) == 1 for counts in sets)
+    assert len(checked) == 4 * 3001
 
 
 # at order 6 every set starts on 8 panels and takes its rows in blocks of
