@@ -367,14 +367,15 @@ def nonnegative(value, name: str) -> int:
     return value
 
 
-def check_order(M, N: int) -> int:
-    """Return the partial-sum order M (None means the stored order N), a
-    nonnegative integer that is not a bool."""
+def check_order(M, N: int, name: str = "partial-sum order", symbol: str = "M") -> int:
+    """Return the order M (None means the stored order N), a nonnegative
+    integer that is not a bool and at most N.  ``name`` names the argument
+    in the ValueError, ``symbol`` in the OrderExceedsTruncation message."""
     if M is None:
         return N
-    M = nonnegative(M, "partial-sum order")
+    M = nonnegative(M, name)
     if M > N:
-        raise OrderExceedsTruncation(f"M={M} exceeds stored order N={N}")
+        raise OrderExceedsTruncation(f"{symbol}={M} exceeds stored order N={N}")
     return M
 
 

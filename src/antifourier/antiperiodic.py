@@ -72,7 +72,7 @@ def half_basis(n: int, L: float, x):
 
 def _coefficients_with_shift(f, shift, N, abs_tol):
     """alpha/beta arrays of f - shift on the half-integer basis."""
-    ns = range(nonnegative(N, "truncation order") + 1)
+    ns = np.arange(nonnegative(N, "truncation order") + 1)
     families = [("cos", ((1.0, 0.5),), ns, "half-cosine coefficient", "cos"),
                 ("sin", ((1.0, 0.5),), ns, "half-sine coefficient", "sin")]
     return project(f, shift, families, abs_tol)
@@ -117,7 +117,7 @@ def coefficients_via_periodic_split(
     """
     N = nonnegative(N, "truncation order")
     gamma = shift_gamma(f)
-    ns, what = range(N + 2), "periodic-split {} coefficient".format
+    ns, what = np.arange(N + 2), "periodic-split {} coefficient".format
     a, at, b, bt = project(f, gamma, [
         # cos(n pi x / L) cos(pi x / 2L) = [cos((n-1/2)...) + cos((n+1/2)...)] / 2
         ("cos", ((0.5, -0.5), (0.5, 0.5)), ns, what("cos"), "cos"),

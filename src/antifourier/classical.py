@@ -61,8 +61,8 @@ def classical_coefficients(
     if a coefficient cannot meet the tolerance.
     """
     N = nonnegative(N, "truncation order")
-    families = [("cos", ((1.0, 0.0),), range(N + 1), "cosine coefficient", "cos"),
-                ("sin", ((1.0, 0.0),), range(1, N + 1), "sine coefficient", "sin")]
+    families = [("cos", ((1.0, 0.0),), np.arange(N + 1), "cosine coefficient", "cos"),
+                ("sin", ((1.0, 0.0),), np.arange(1, N + 1), "sine coefficient", "sin")]
     return ClassicalCoefficients(f.L, *project(f, 0.0, families, abs_tol))
 
 

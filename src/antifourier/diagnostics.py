@@ -187,11 +187,12 @@ def decay_exponent(series: SeriesCoefficients, order: Optional[int] = None) -> f
     """Fitted decay rate p of the coefficients, assuming magnitude ~ n^(-p).
 
     Least-squares slope of log|c_n| against log(n + 1) over harmonics
-    n in [max(2, N // 4), N], N = ``order`` checked as a partial-sum order
-    (None: the stored N), excluding magnitudes below 1e-13 (numerical
-    zeros).  Raises InsufficientData with fewer than 4 usable entries.
+    n in [max(2, N // 4), N], N = ``order`` (None: the stored N), excluding
+    magnitudes below 1e-13 (numerical zeros).  ``order`` is checked by the
+    partial-sum rule and named "order" in its errors.  Raises
+    InsufficientData with fewer than 4 usable entries.
     """
-    N = check_order(order, series.N)
+    N = check_order(order, series.N, "order", "order")
     _, mults, cos_w, sin_w = series.terms()
     n = np.floor(mults)  # harmonic n of multiplier n or n + 1/2
     mags = np.maximum(np.abs(cos_w), np.abs(sin_w))

@@ -194,15 +194,16 @@ class TestDecayExponent:
         assert decay_exponent(anti, order) == fit(np.arange(65), cos_w, sin_w)
 
     @pytest.mark.parametrize("order, message", [
-        (-1, "partial-sum order must be nonnegative"),
-        (-3, "partial-sum order must be nonnegative"),
-        (True, "partial-sum order must be an integer, got True"),
-        (2.5, "partial-sum order must be an integer, got 2.5"),
+        (-1, "order must be nonnegative"),
+        (-3, "order must be nonnegative"),
+        (True, "order must be an integer, got True"),
+        (2.5, "order must be an integer, got 2.5"),
         (np.int64(40), None),
     ], ids=["negative-one", "negative-three", "bool", "fraction", "numpy-integer"])
     def test_order_is_checked_as_a_partial_sum_order(self, order, message):
-        # the rule of every order argument: not InsufficientData for a
-        # negative order, not 1 for True, not a fit sliced at 2.5
+        # the rule of every order argument, named as the fit names it: not
+        # InsufficientData for a negative order, not 1 for True, not a fit
+        # sliced at 2.5
         for series in (identity_classical(64), identity_anti(64)):
             if message is None:
                 assert decay_exponent(series, order) == decay_exponent(series, 40)
@@ -215,7 +216,7 @@ class TestDecayExponent:
         # not silently the stored order N = 64
         for series in (identity_classical(64), identity_anti(64)):
             with pytest.raises(OrderExceedsTruncation,
-                               match=f"^M={order} exceeds stored order N=64$"):
+                               match=f"^order={order} exceeds stored order N=64$"):
                 decay_exponent(series, order)
 
 
