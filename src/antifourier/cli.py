@@ -235,10 +235,10 @@ def _cmd_coeffs(args, spec) -> str:
         obj = series[kind]
         if kind == "classical":
             blocks.append(["classical", 0, obj.a[0], "", ""])
-            n, cos, sin, gamma = range(1, obj.N + 1), obj.a[1:], obj.b, ""
+            n, cos, sin, gamma = np.arange(1, obj.N + 1), obj.a[1:], obj.b, ""
         else:
-            n, cos, sin, gamma = range(obj.N + 1), obj.alpha, obj.beta, obj.gamma
-        blocks.append([kind, list(n), cos.tolist(), sin.tolist(), gamma])
+            n, cos, sin, gamma = np.arange(obj.N + 1), obj.alpha, obj.beta, obj.gamma
+        blocks.append([kind, n, cos, sin, gamma])
     return io.csv_text(("kind", "n", "cos", "sin", "gamma"), blocks)
 
 
@@ -276,10 +276,9 @@ def _cmd_eval(args, spec) -> str:
         if bad.size:
             x = float(xs[bad[0]])
             raise ValidationError(f"{key} is not finite at x={x!r}: its values are too large")
-    lists = {key: np.asarray(col).tolist() for key, col in columns.items()}
     if args.format == "json":
-        return json.dumps(lists) + "\n"
-    return io.csv_text(tuple(lists), [list(lists.values())])  # one block of every column
+        return json.dumps({key: col.tolist() for key, col in columns.items()}) + "\n"
+    return io.csv_text(tuple(columns), [list(columns.values())])  # one block of every column
 
 
 def _json_value(value):
@@ -329,28 +328,27 @@ def _cmd_heat(args, spec) -> str:
     problem = HeatProblem(k=args.k, L=args.interval, boundary_mean=args.c, initial=spec)
     sol = solve_heat(problem, args.n, args.quad_tol)
     xs = np.linspace(-args.interval, args.interval, args.grid)
-    grid = xs.tolist()
     fields = {"u": heat_eval, "ux": heat_eval_dx} if args.flux else {"u": heat_eval}
-    # one call per field, one list of values on xs per time
+    # one call per field, one row of values on xs per time
     times = np.array(args.times)
-    data = {name: fn(sol, xs, times).tolist() for name, fn in fields.items()}
+    data = {name: fn(sol, xs, times) for name, fn in fields.items()}
     if args.format == "json":
-        payload = {"solution": io.to_dict(sol), "x": grid, "times": list(args.times)}
-        return json.dumps({**payload, **data}) + "\n"
-    # one block of rows per time, all on the one grid list
-    blocks = ([grid, t, *(values[j] for values in data.values())] for j, t in enumerate(args.times))
+        payload = {"solution": io.to_dict(sol), "x": xs.tolist(), "times": list(args.times)}
+        lists = {name: values.tolist() for name, values in data.items()}
+        return json.dumps({**payload, **lists}) + "\n"
+    # one block of rows per time, all on the one grid array, formatted once
+    blocks = ([xs, t, *(values[j] for values in data.values())] for j, t in enumerate(args.times))
     return io.csv_text(("x", "t", *data), blocks)
 
 
 def _cmd_basis(args, _) -> str:
     xs = np.linspace(-args.interval, args.interval, args.grid)
-    grid = xs.tolist()
     indices = range(args.n + 1)
-    pairs = [[v.tolist() for v in half_basis(n, args.interval, xs)] for n in indices]
+    pairs = [half_basis(n, args.interval, xs) for n in indices]
     if args.format == "json":
-        cos, sin = [[pair[k] for pair in pairs] for k in (0, 1)]
-        return json.dumps({"x": grid, "n": list(indices), "cos": cos, "sin": sin}) + "\n"
-    blocks = ([n, grid, c, s] for n, (c, s) in enumerate(pairs))  # one block of rows per mode
+        cos, sin = [[pair[k].tolist() for pair in pairs] for k in (0, 1)]
+        return json.dumps({"x": xs.tolist(), "n": list(indices), "cos": cos, "sin": sin}) + "\n"
+    blocks = ([n, xs, c, s] for n, (c, s) in enumerate(pairs))  # one block of rows per mode
     return io.csv_text(("n", "x", "cos", "sin"), blocks)
 
 

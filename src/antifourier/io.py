@@ -8,12 +8,13 @@ bit-exact):
     {"kind": "heat",         "k": .., "L": .., "c": .., "N": .., "A": [..], "B": [..]}
 
 CSV cells are written with 17 significant digits, enough to round-trip a
-double: every cell is exactly the text of ``"%.17g" % value``.  A float
-column is formatted by one numpy kernel (:func:`_cells`) that computes the
-17 digits exactly in 128-bit integer arithmetic for 1e-3 <= |value| < 1e17,
-where ``%g`` writes fixed notation; every other value (zeros, subnormals,
-exponent notation, infinities and nan) goes through one ``"%.17g"`` template
-call for the column.
+double: every cell is exactly the text of ``"%.17g" % value``.  A column (a
+list or a 1-D array) is one float array from the caller to one numpy kernel
+(:func:`_cells`), which computes the 17 digits exactly in 128-bit integer
+arithmetic for 1e-3 <= |value| < 1e17, where ``%g`` writes fixed notation,
+and writes +-0 as ``0`` and ``-0``; every other value (subnormals, exponent
+notation, infinities and nan) goes through one ``"%.17g"`` template call for
+the column.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from __future__ import annotations
 import functools
 import json
 import os
+import stat
 import tempfile
-from itertools import chain
-from operator import is_
 
 import numpy as np
 
@@ -104,26 +104,28 @@ def _layouts():
     return np.vstack([*masks, *words(const), shift])
 
 
-def _cells(values) -> np.ndarray:
-    """The bytes of ``"%.17g" % v`` for each float ``v`` of a 1-D sequence,
-    as an (n, _WIDTH) uint8 array, NUL-padded; one kernel pass per _PASS values."""
-    out = np.empty((len(values), _WIDTH), np.uint8)
-    for start in range(0, len(values), _PASS):
-        chunk = np.asarray(values[start : start + _PASS], dtype=float)
-        out[start : start + _PASS] = _cell_pass(chunk)
+def _cells(values: np.ndarray) -> np.ndarray:
+    """The bytes of ``"%.17g" % v`` for each ``v`` of a 1-D float array, as
+    an (n, _WIDTH) uint8 array, NUL-padded; one kernel pass per _PASS values."""
+    out = np.empty((values.size, _WIDTH), np.uint8)
+    for start in range(0, values.size, _PASS):
+        out[start : start + _PASS] = _cell_pass(values[start : start + _PASS])
     return out
 
 
 def _cell_pass(v: np.ndarray) -> np.ndarray:
     """:func:`_cells` of one float array: the exact 17 digits in integer
-    arithmetic where 1e-3 <= |v| < 1e17 (fixed notation), one template call
-    for the rest."""
+    arithmetic where 1e-3 <= |v| < 1e17 (fixed notation) or v is +-0, one
+    template call for the rest."""
     a = np.abs(v)
+    zero = a == 0.0
     fast = (a >= 1e-3) & (a < 1e17)
     q, d = _digits(np.where(fast, a, 1.0))
     fast &= (q >= _E16) & (q < _E17)  # else log10 was one off
+    fast |= zero
     first = q // _E16
     q -= first * _E16
+    first[zero] = 0  # a zero takes the digits of 1.0 with the first one 0: "0" or "-0"
     upper = q // _E8
     lower = q - upper * _E8
     g0, g2 = upper // _E4, lower // _E4
@@ -267,41 +269,51 @@ def load_coefficients(path: str) -> dict:
     return out
 
 
-def _block_cells(columns, n, previous):
-    """Each list column of a block -> (its items, their cells): the cells of
-    the previous block's column where it holds the very same items, else
-    from one :func:`_cells` call on the block's new columns end to end."""
+def _block_cells(columns, previous):
+    """(n, each column of a block -> (its values, their cells)) for columns
+    given as lists or 1-D arrays of one length n.  Each column is copied
+    once into a float array, since a caller may change its array in place
+    before the next block.  A column keeps the previous block's cells where
+    it holds the same bits; the new columns take one :func:`_cells` call end
+    to end."""
+    values = {j: np.array(column, dtype=float) for j, column in columns.items()}
+    for j, column in values.items():
+        if column.ndim != 1:
+            raise ValueError(f"block column {j} is not 1-D: its shape is {column.shape}")
+    lengths = {column.size for column in values.values()} or {1}
+    if len(lengths) > 1:
+        raise ValueError(f"block columns differ in length: {sorted(lengths)}")
+    n = lengths.pop()
     kept = {
         j: previous[j]
-        for j, column in columns.items()
-        if j in previous and len(previous[j][0]) == n and all(map(is_, previous[j][0], column))
+        for j, column in values.items()
+        if j in previous and np.array_equal(previous[j][0].view(np.uint64), column.view(np.uint64))
     }
-    new = [j for j in columns if j not in kept]
-    cells = _cells(list(chain.from_iterable(columns[j] for j in new)))
-    kept.update((j, (tuple(columns[j]), cells[i * n : (i + 1) * n])) for i, j in enumerate(new))
-    return kept
+    new = [j for j in values if j not in kept]
+    if new:
+        cells = _cells(np.concatenate([values[j] for j in new]))
+        kept.update((j, (values[j], cells[i * n : (i + 1) * n])) for i, j in enumerate(new))
+    return n, kept
 
 
 def csv_text(header, blocks) -> str:
     """Assemble CSV text (comma separated, trailing newline) from any iterable
     of blocks, without holding a list of lines.
 
-    A block is a row whose list cells are columns of one length (floats, or
-    ints below 2**53) and whose other cells repeat down the block; a row
-    with no list cells is one line.  A block gives the bytes of its rows
-    written one by one.  A column that holds the very objects of the
+    A block is a row whose list and ndarray cells are columns of one length
+    (floats, or ints below 2**53) and whose other cells repeat down the
+    block; a row with no such cells is one line.  A block gives the bytes of
+    its rows written one by one.  A column with the same bits as the
     previous block's column (a shared grid) is formatted once for both.
     """
     parts = [(",".join(header) + "\n").encode()]  # bytes, or arrays of them
-    previous = {}  # column -> (its items, their cells) in the last block
-    for row in blocks:
-        columns = {j: cell for j, cell in enumerate(row) if type(cell) is list}
-        lengths = {len(column) for column in columns.values()} or {1}
-        if len(lengths) > 1:
-            raise ValueError(f"block columns differ in length: {sorted(lengths)}")
-        n = lengths.pop()
-        previous = _block_cells(columns, n, previous)
-        # the row's bytes, with _WIDTH pad bytes in each list cell's place
+    previous = {}  # column -> (its values, their cells) in the last block
+    blocks, end = iter(blocks), object()
+    row = next(blocks, end)
+    while row is not end:
+        columns = {j: cell for j, cell in enumerate(row) if isinstance(cell, (list, np.ndarray))}
+        n, previous = _block_cells(columns, previous)
+        # the row's bytes, with _WIDTH pad bytes in each column's place
         line, gaps = bytearray(), {}
         for j, cell in enumerate(row):
             if j in columns:
@@ -311,6 +323,11 @@ def csv_text(header, blocks) -> str:
                 line += fmt(cell).encode()
             line += b","
         line[-1:] = b"\n"
+        # The next block is taken before this one's rows are made: the last
+        # block's values are compared with none, so they are not held beside the text.
+        row = next(blocks, end)
+        if row is end:
+            previous = {j: (None, cells) for j, (_, cells) in previous.items()}
         if not gaps:
             parts.append(line)
             continue
@@ -334,16 +351,30 @@ def report_csv(reports) -> str:
     return csv_text(REPORT_COLUMNS, report_rows(reports))
 
 
+def _write_mode(path: str) -> int:
+    """The permission bits ``open(path, "w")`` leaves: those of the existing
+    file, else 0o666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # the umask is read by setting it
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def write_text_atomic(path: str, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file + rename; never leaves a
-    partial file behind.  A failed step raises OSError "cannot write <path>:
-    <reason>", which names ``path`` and not the temp file."""
+    partial file behind.  The file gets the mode ``open(path, "w")`` would
+    leave (the temp file's own is 0600).  A failed step raises OSError
+    "cannot write <path>: <reason>", which names ``path`` and not the temp
+    file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".antifourier-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
+            os.chmod(tmp_path, _write_mode(path))
             os.replace(tmp_path, path)
         except BaseException:
             try:

@@ -1,9 +1,11 @@
 import errno
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
+from collections.abc import Iterator
 
 import numpy as np
 import pytest
@@ -422,7 +424,8 @@ CSV_CALLS = {
 def test_csv_output_goes_through_csv_text(capsys, monkeypatch, command):
     """The benchmark's tracer times io.csv_text, cli.heat_eval and
     cli.heat_eval_dx by name: every CSV byte is written in csv_text, and heat
-    evaluates each field in one call."""
+    evaluates each field in one call.  No column reaches csv_text as a list:
+    each stays the float array it was computed as."""
     results = {}
 
     def recorded(module, name):
@@ -430,8 +433,9 @@ def test_csv_output_goes_through_csv_text(capsys, monkeypatch, command):
         results[name] = []
 
         def wrapper(*args):
-            results[name].append(fn(*args))
-            return results[name][-1]
+            args = [list(arg) if isinstance(arg, Iterator) else arg for arg in args]
+            results[name].append((args, fn(*args)))
+            return results[name][-1][1]
 
         monkeypatch.setattr(module, name, wrapper)
 
@@ -440,7 +444,10 @@ def test_csv_output_goes_through_csv_text(capsys, monkeypatch, command):
     recorded(cli, "heat_eval_dx")
     code, out, _ = run_cli(capsys, *CSV_CALLS[command], "--format", "csv")
     assert code == 0
-    assert results["csv_text"] == [out]
+    [((_, blocks), text)] = results["csv_text"]
+    assert text == out
+    assert [(i, j) for i, row in enumerate(blocks) for j, cell in enumerate(row)
+            if type(cell) is list] == []
     calls = (1, 1) if command == "heat" else (0, 0)
     assert (len(results["heat_eval"]), len(results["heat_eval_dx"])) == calls
 
@@ -648,6 +655,40 @@ def test_input_and_file_errors_exit_2(capsys, tmp_path, argv):
     assert "Traceback" not in err
     assert out == ""
     assert sorted(tmp_path.iterdir()) == inputs  # no output or temp file
+
+
+@pytest.fixture
+def umask():
+    """Set the process umask for one test, and restore it afterwards."""
+    saved = os.umask(0o022)
+    try:
+        yield os.umask
+    finally:
+        os.umask(saved)
+
+
+@pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                         ids=["umask 022", "umask 077", "umask 002"])
+def test_a_new_out_file_gets_the_mode_open_would_give_it(capsys, tmp_path, umask, mask, mode):
+    umask(mask)
+    target = tmp_path / "basis.csv"
+    code, out, _ = run_cli(capsys, "basis", "--interval", "1", "--n", "0", "--grid", "3",
+                           "--format", "csv", "--out", str(target))
+    assert (code, out) == (0, "")
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+    assert umask(mask) == mask  # the write left the umask as it was
+
+
+def test_a_replaced_out_file_keeps_its_mode(capsys, tmp_path, umask):
+    umask(0o022)
+    target = tmp_path / "basis.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    code, _, _ = run_cli(capsys, "basis", "--interval", "1", "--n", "0", "--grid", "3",
+                         "--format", "csv", "--out", str(target))
+    assert code == 0
+    assert target.read_text().startswith("n,x,cos,sin\n")
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
 
 
 def test_out_naming_a_directory_names_the_target(capsys, tmp_path):

@@ -59,13 +59,12 @@ def test_a_scalar_text_cell_keeps_every_byte():
     assert csv_text(("x", "s", "y"), blocks) == "x,s,y\n1,a\0b,1e-300\n2.5,a\0b,0.125\n\0,1.5,\n"
 
 
-def test_the_peak_memory_of_one_large_block_is_a_bounded_multiple_of_its_text():
-    # Beside the text (its parts, then the joined result) the peak holds only
-    # the block's cells, 24 bytes a cell, and the items of its columns: the
-    # kernel works _PASS cells a pass and the rows are assembled _PASS at a time.
+def large_block_peak_over_text(as_column):
+    """The tracemalloc peak of csv_text on one 100,001-row, 4-column block,
+    over the length of its text, with each column given as ``as_column``."""
     rng = np.random.default_rng(4)
-    columns = [np.linspace(-1.0, 1.0, 100_001).tolist()]
-    columns += [rng.standard_normal(100_001).tolist() for _ in range(3)]
+    columns = [np.linspace(-1.0, 1.0, 100_001)] + [rng.standard_normal(100_001) for _ in range(3)]
+    columns = [as_column(column) for column in columns]
     tracemalloc.start()
     try:
         text = csv_text(("x", "u", "v", "w"), [columns])
@@ -73,7 +72,20 @@ def test_the_peak_memory_of_one_large_block_is_a_bounded_multiple_of_its_text():
     finally:
         tracemalloc.stop()
     assert len(text) > 7_000_000
-    assert peak <= 3.0 * len(text), peak / len(text)
+    return peak / len(text)
+
+
+def test_the_peak_memory_of_one_large_block_is_a_bounded_multiple_of_its_text():
+    # Beside the text (its parts, then the joined result) the peak holds only
+    # the block's cells, 24 bytes a cell: the kernel works _PASS cells a pass,
+    # the rows are assembled _PASS at a time, and the float copy of the last
+    # block's columns is dropped before its rows are made.
+    assert large_block_peak_over_text(np.ndarray.tolist) <= 3.0
+
+
+def test_the_peak_memory_of_one_large_block_of_arrays_is_a_smaller_multiple_of_its_text():
+    # as above, with the columns given as the float arrays the CLI hands over
+    assert large_block_peak_over_text(np.asarray) <= 2.5
 
 
 @pytest.mark.parametrize("n", [0, 1, _PASS - 1, _PASS, _PASS + 1])

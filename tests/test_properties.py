@@ -1128,11 +1128,16 @@ SCALAR_CELLS = st.one_of(CELLS, st.integers(min_value=-(2**70), max_value=2**70)
                          st.sampled_from(["classical", "a%sb", "100%", ""]))
 
 
+def is_column(cell):
+    return isinstance(cell, (list, np.ndarray))
+
+
 @st.composite
 def csv_blocks(draw):
     """Up to four rows of four cells: blocks of 1-5 rows with one to three
-    float columns (the first block's grid shared by the next when drawn so),
-    and now and then a plain row of scalars."""
+    float columns, each a list or a float64 array (the first block's grid
+    shared by the next when drawn so: as the same object, a copy with the
+    same bits or a list), and now and then a plain row of scalars."""
     rows = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         if draw(st.integers(min_value=0, max_value=3)) == 0:
@@ -1142,8 +1147,10 @@ def csv_blocks(draw):
         columns = set(draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1)))
         row = [draw(st.lists(CELLS, min_size=n, max_size=n)) if j in columns else draw(SCALAR_CELLS)
                for j in range(4)]
-        if rows and isinstance(rows[-1][0], list) and len(rows[-1][0]) == n and draw(st.booleans()):
-            row[0] = rows[-1][0]  # the same grid list as the last block
+        row = [np.array(cell) if is_column(cell) and draw(st.booleans()) else cell for cell in row]
+        if rows and is_column(rows[-1][0]) and len(rows[-1][0]) == n and draw(st.booleans()):
+            grid = rows[-1][0]  # the last block's grid
+            row[0] = draw(st.sampled_from([grid, np.array(grid, dtype=float), list(grid)]))
         rows.append(row)
     return rows
 
@@ -1151,12 +1158,12 @@ def csv_blocks(draw):
 def per_row(rows):
     """Each block spelled out as its rows, the oracle of csv_text's blocks."""
     for row in rows:
-        lists = [cell for cell in row if isinstance(cell, list)]
-        if not lists:
+        columns = [cell for cell in row if is_column(cell)]
+        if not columns:
             yield row
             continue
-        for i in range(len(lists[0])):
-            yield [cell[i] if isinstance(cell, list) else cell for cell in row]
+        for i in range(len(columns[0])):
+            yield [cell[i] if is_column(cell) else cell for cell in row]
 
 
 @SETTINGS
@@ -1180,6 +1187,24 @@ def test_csv_block_grid_changed_in_place_is_formatted_again():
         yield [grid, 2, [4.0, 5.0]]
 
     assert csv_text(("x", "n", "v"), blocks()) == "x,n,v\n0,1,2\n1,1,3\n-0,2,4\n4.9406564584124654e-324,2,5\n"
+
+
+def test_csv_block_grid_array_changed_in_place_is_formatted_again():
+    grid = np.array([0.0, 1.0])
+
+    def blocks():
+        yield [grid, 1, np.array([2.0, 3.0])]
+        grid[:] = [-0.0, 5e-324]  # the same array with new values
+        yield [grid, 2, [4.0, 5.0]]
+
+    assert csv_text(("x", "n", "v"), blocks()) == "x,n,v\n0,1,2\n1,1,3\n-0,2,4\n4.9406564584124654e-324,2,5\n"
+
+
+@pytest.mark.parametrize("cell", [np.array(2.0), np.zeros((2, 1)), [[0.0], [1.0]]],
+                         ids=["0-d array", "2-D array", "list of lists"])
+def test_csv_block_columns_not_1d_are_refused(cell):
+    with pytest.raises(ValueError, match="not 1-D"):
+        csv_text(("x", "v"), [[[0.0, 1.0], cell]])
 
 
 def test_csv_block_columns_of_two_lengths_are_refused():
